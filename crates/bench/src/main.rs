@@ -383,17 +383,12 @@ fn run_conns_bench(
         std::process::exit(1);
     });
     let server = endpoint.local_addrs()[0];
-    // 0 = auto; report what actually ran (1 worker means the unified
-    // in-thread fast path, no demux thread).
+    // 0 = auto; report the loops actually serving (one, where the
+    // kernel cannot steer datagrams by connection ID).
     let workers = endpoint.workers();
 
     println!(
-        "endpoint benchmark: {size} B per transfer, {workers} workers{}{}",
-        if workers == 1 {
-            " (unified fast path)"
-        } else {
-            ""
-        },
+        "endpoint benchmark: {size} B per transfer, {workers} workers{}",
         if smoke { " (smoke)" } else { "" },
     );
 

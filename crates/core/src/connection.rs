@@ -807,13 +807,21 @@ impl Connection {
     /// RETIRE_CONNECTION_ID, at which point this endpoint switches its
     /// outgoing CID and unmaps the old one. No-op while a rotation is
     /// already pending or before the handshake completes.
+    ///
+    /// Every CID of a connection shares its low byte (the price: one
+    /// byte in eight links a rotated CID to its predecessor, so an
+    /// observer narrows the candidates 256-fold; DESIGN.md §12).
     pub fn rotate_cid(&mut self) {
         if self.pending_new_cid.is_some() || !self.handshake_complete || self.closed {
             return;
         }
-        let mut new_cid = self.rng.next_u64();
+        // The fresh CID keeps the low byte of the one it replaces: that
+        // byte is what a multi-loop endpoint steers datagrams on, so a
+        // rotated connection stays with the loop that owns it.
+        let low = self.cid & 0xFF;
+        let mut new_cid = (self.rng.next_u64() & !0xFF) | low;
         while new_cid == 0 || new_cid == self.cid || Some(new_cid) == self.prev_cid {
-            new_cid = self.rng.next_u64();
+            new_cid = (self.rng.next_u64() & !0xFF) | low;
         }
         let sequence = self.next_cid_seq;
         self.next_cid_seq += 1;
@@ -2539,6 +2547,25 @@ mod tests {
             .unwrap();
         shuttle_nat(&mut client, &mut server, rebound, SimTime::from_millis(4));
         assert_eq!(&server.stream_read(stream, 100).unwrap()[..], b"again");
+    }
+
+    /// A multi-loop endpoint steers datagrams on the CID's low byte, so
+    /// no rotation may ever change it.
+    #[test]
+    fn rotation_keeps_the_cid_low_byte() {
+        let mut client = Connection::client(Config::single_path(), vec![addr(C0)], 0, addr(S0), 1);
+        let mut server = Connection::server(Config::single_path(), vec![addr(S0)], 2);
+        shuttle(&mut client, &mut server, SimTime::from_millis(1));
+        let first = server.connection_id();
+        let mut seen = std::collections::HashSet::from([first]);
+        for i in 0..1_000u64 {
+            server.rotate_cid();
+            shuttle(&mut client, &mut server, SimTime::from_millis(2 + i));
+            let cid = server.connection_id();
+            assert_eq!(client.connection_id(), cid, "rotation {i} completed");
+            assert!(seen.insert(cid), "rotation {i} reused CID {cid:#x}");
+            assert_eq!(cid & 0xFF, first & 0xFF, "rotation {i} moved the low byte");
+        }
     }
 
     #[test]

@@ -425,18 +425,6 @@ pub fn next_fallback(kind: BackendKind) -> Option<Box<dyn Backend>> {
     }
 }
 
-/// A fresh backend of the same kind as an existing one — what
-/// `try_clone` uses so every registry clone owns its ring and scratch.
-/// If the kind can no longer be constructed (uring refused this time),
-/// the clone degrades one rung instead of failing the clone.
-pub(crate) fn create_like(kind: BackendKind) -> Box<dyn Backend> {
-    match kind {
-        BackendKind::Uring => create_uring().unwrap_or_else(|_| Box::new(MmsgBackend::new())),
-        BackendKind::Mmsg => Box::new(MmsgBackend::new()),
-        BackendKind::Portable => Box::new(PortableBackend::new()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,9 +11,9 @@
 //!
 //! Binds one UDP socket per `--listen` address (default `127.0.0.1:4433`)
 //! and serves **many concurrent clients** through an
-//! [`mpquic_io::Endpoint`]: a demux thread routes each datagram by its
-//! connection ID, and `--workers` shards (default: one per core) each
-//! drive a disjoint set of connections. Each connection receives one
+//! [`mpquic_io::Endpoint`]: `--workers` identical loops (default: one
+//! per core), each with its own sockets, and the kernel delivers each
+//! datagram to the loop that owns its connection ID. Each connection receives one
 //! file, verifies its checksum and reports the verdict to its client.
 //!
 //! `--max-conns` (default 1, the old single-shot behaviour) is both the

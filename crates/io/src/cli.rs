@@ -335,25 +335,23 @@ pub fn print_endpoint_report(label: &str, report: &crate::EndpointReport, elapse
     }
     println!(
         "connections: {} accepted, {} completed, {} failed, {} closed, \
-         {} rejected at limit, {} malformed, {} backpressure drops",
+         {} rejected at limit, {} malformed, {} for retired CIDs, {} receive errors",
         totals.accepted,
         totals.completed,
         totals.failed,
         totals.closed,
         totals.rejected,
         totals.malformed,
-        totals.backpressure_drops,
+        totals.tombstoned,
+        totals.recv_errors,
     );
     let plane = &report.plane;
     if plane.loop_ns.count() > 0 {
         println!(
-            "plane: {} wakeups, loop p50/p99 {}/{} ns, queue depth p99 {}, \
-             pool outstanding p99 {}",
+            "plane: {} wakeups, loop p50/p99 {}/{} ns",
             plane.wakeups,
             plane.loop_ns.quantile(0.50),
             plane.loop_ns.quantile(0.99),
-            plane.queue_depth.quantile(0.99),
-            plane.pool_outstanding.quantile(0.99),
         );
     }
     if elapsed_secs > 0.0 && totals.closed > 0 {

@@ -28,6 +28,7 @@
 
 use mpquic_core::{Config, Connection, TransmitQueue};
 use mpquic_harness::{QuicTransport, Transport};
+use std::io;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -37,17 +38,74 @@ use crate::socket::{BatchStats, RecvBatch, SocketRegistry};
 use crate::timer::Timer;
 
 /// Per-step caps so a flood on one side of the cycle cannot starve the
-/// other (or the timers) indefinitely.
+/// other (or the timers) indefinitely — nor, in an endpoint loop, one
+/// bulk sender the loop's other connections.
 const MAX_RECV_PER_STEP: usize = 256;
 const MAX_SEND_PER_STEP: usize = 256;
 
 /// Datagrams per transmit batch (the egress queue's segment capacity)
 /// and per receive poll.
-const BATCH_SEGMENTS: usize = 64;
+pub(crate) const BATCH_SEGMENTS: usize = 64;
 
 /// Egress pool buffer pre-allocation: comfortably above any configured
 /// MTU, so pool buffers never grow after the first use.
-const SEND_BUF_CAPACITY: usize = 2048;
+pub(crate) const SEND_BUF_CAPACITY: usize = 2048;
+
+/// Drains `transport`'s egress to the sockets: fill the pool-backed
+/// queue (coalescing same-path packets into GSO trains), then fan each
+/// train out with one batched syscall on the socket bound to its local
+/// address — that *is* the path selection — until the transport runs
+/// dry or [`MAX_SEND_PER_STEP`] datagrams were attempted.
+///
+/// Returns the datagrams and bytes the OS took, and the first socket
+/// error. On an error the rest of the queue is recycled unsent (loss,
+/// to the peer), so the queue comes back empty either way; what the
+/// error means — abort the driver, close one connection — is the
+/// caller's policy.
+pub(crate) fn drain_egress<T: Transport>(
+    transport: &mut T,
+    clock: &Clock,
+    queue: &mut TransmitQueue,
+    sockets: &mut SocketRegistry,
+) -> (u64, u64, io::Result<()>) {
+    let (mut datagrams, mut bytes) = (0u64, 0u64);
+    let mut attempted = 0;
+    while attempted < MAX_SEND_PER_STEP {
+        let produced = transport.poll_transmit_batch(clock.now(), queue);
+        if queue.is_empty() {
+            break;
+        }
+        while let Some(transmit) = queue.pop() {
+            let result = sockets.send_train(
+                transmit.local,
+                transmit.remote,
+                &transmit.payload,
+                transmit.segment_size,
+            );
+            let accepted = *result.as_ref().unwrap_or(&0);
+            attempted += transmit.segment_count();
+            datagrams += accepted as u64;
+            bytes += transmit
+                .segments()
+                .take(accepted)
+                .map(<[u8]>::len)
+                .sum::<usize>() as u64;
+            // Recycle before acting on any error: pool buffers must go
+            // back even on a failed send.
+            queue.recycle(transmit.payload);
+            if let Err(e) = result {
+                while let Some(unsent) = queue.pop() {
+                    queue.recycle(unsent.payload);
+                }
+                return (datagrams, bytes, Err(e));
+            }
+        }
+        if produced == 0 {
+            break;
+        }
+    }
+    (datagrams, bytes, Ok(()))
+}
 
 /// Counters describing what the event loop did (socket-level view; the
 /// transport's own `ConnStats` counts the protocol-level view).
@@ -75,7 +133,7 @@ pub struct IoStats {
 
 impl IoStats {
     /// Sums another loop's counters into this one — used to fold the
-    /// per-shard loops of an [`crate::Endpoint`] into one report.
+    /// loops of an [`crate::Endpoint`] into one report.
     pub fn merge(&mut self, other: &IoStats) {
         self.datagrams_sent += other.datagrams_sent;
         self.datagrams_received += other.datagrams_received;
@@ -213,43 +271,18 @@ impl<T: Transport> Driver<T> {
             progressed = true;
         }
 
-        // 3. Egress: fill the pool-backed queue (coalescing same-path
-        //    packets into GSO trains), then fan each train out with one
-        //    batched syscall on the socket bound to its local address —
-        //    that *is* the path selection.
-        let mut sent = 0;
-        while sent < MAX_SEND_PER_STEP {
-            let produced = self
-                .transport
-                .poll_transmit_batch(self.clock.now(), &mut self.queue);
-            if self.queue.is_empty() {
-                break;
-            }
-            while let Some(transmit) = self.queue.pop() {
-                let result = self.sockets.send_train(
-                    transmit.local,
-                    transmit.remote,
-                    &transmit.payload,
-                    transmit.segment_size,
-                );
-                let accepted = match &result {
-                    Ok(n) => *n,
-                    Err(_) => 0,
-                };
-                let bytes: usize = transmit.segments().take(accepted).map(<[u8]>::len).sum();
-                sent += transmit.segment_count();
-                // Recycle before surfacing any error: pool buffers must
-                // go back even on a failed send.
-                self.queue.recycle(transmit.payload);
-                result?;
-                self.stats.datagrams_sent += accepted as u64;
-                self.stats.bytes_sent += bytes as u64;
-                progressed = true;
-            }
-            if produced == 0 {
-                break;
-            }
-        }
+        // 3. Egress. A socket error aborts the step: the caller owns
+        //    this one connection and decides what survives it.
+        let (datagrams, bytes, result) = drain_egress(
+            &mut self.transport,
+            &self.clock,
+            &mut self.queue,
+            &mut self.sockets,
+        );
+        self.stats.datagrams_sent += datagrams;
+        self.stats.bytes_sent += bytes;
+        progressed |= datagrams > 0;
+        result?;
 
         Ok(progressed)
     }

@@ -1,37 +1,41 @@
-//! The multi-connection endpoint: CID demultiplexing across worker
-//! shards.
+//! The multi-connection endpoint: N identical event loops, each fed by
+//! the kernel with its own connections' datagrams.
 //!
 //! A [`crate::Driver`] serves exactly one connection; an [`Endpoint`]
-//! serves many over the same listen sockets, the way deployed QUIC
-//! stacks do. The split (DESIGN.md §12):
+//! serves many over the same listen addresses, the way deployed QUIC
+//! stacks do. MPQUIC names a connection by its connection ID, not by a
+//! 4-tuple — every extra path is a new 4-tuple carrying the same CID —
+//! so the CID is what the endpoint steers on (DESIGN.md §12):
 //!
-//! * a **demux thread** owns ingress on the listen
-//!   [`SocketRegistry`]: one `recvmmsg` batch at a time, each datagram
-//!   routed by the connection ID read straight off the public header
+//! * every worker binds its **own** [`SocketRegistry`] on every listen
+//!   address, all of them members of one `SO_REUSEPORT` group per
+//!   address, and a three-instruction classic-BPF program on the group
+//!   delivers each datagram to the worker [`crate::shard_for_cid`] names
+//!   ([`SocketRegistry::bind_steered`]);
+//! * each worker runs the same loop (`run_loop`) over what it is
+//!   given: one batched receive, each datagram routed by the CID read
+//!   straight off the public header
 //!   ([`mpquic_wire::PublicHeader::connection_id_of`] — no full decode,
-//!   no crypto). Unknown CIDs create a server-side connection (up to
-//!   [`mpquic_core::Config::max_incoming_connections`]); known CIDs
-//!   forward to the owning shard over a bounded channel, with copies
-//!   staged in a demux-owned [`BufferPool`] so the steady state
-//!   allocates nothing.
-//! * N **worker shards** ([`crate::shard`]) each run a `Driver`-style
-//!   loop over a disjoint connection set, chosen by CID hash
-//!   ([`shard_for_cid`]), with their own egress queue and a `dup`ed
-//!   send handle on the listen sockets. A connection's packets never
-//!   cross shards, so the packet path needs no locks.
+//!   no crypto) into a connection it owns outright, first-seen CIDs
+//!   accepted up to [`mpquic_core::Config::max_incoming_connections`],
+//!   then one `ShardCore::process` pass (timers, applications,
+//!   egress, reaping).
+//!
+//! A connection's packets never leave its loop, on any path, so nothing
+//! on the packet path is shared between threads; the loops meet only in
+//! the metrics plane's relaxed counters and the stop flag.
 //!
 //! The application each accepted connection runs is pluggable
 //! ([`ConnApp`]); [`TransferApp`] implements the `mpq` file-transfer
 //! server the binaries speak.
 
-use mpquic_core::{BufferPool, Config};
+use mpquic_core::Config;
 use mpquic_harness::{QuicTransport, Transport};
 use mpquic_util::sync::atomic::{AtomicBool, Ordering};
-use mpquic_util::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TrySendError};
 use mpquic_util::sync::Arc;
 use mpquic_util::DetRng;
 use mpquic_wire::PublicHeader;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -43,25 +47,12 @@ pub use mpquic_telemetry::endpoint::{
 use crate::backoff::Backoff;
 use crate::driver::IoStats;
 use crate::error::{Error, Result};
-use crate::shard::{
-    run_shard, shard_for_cid, CidRouteOp, DemuxCtl, ShardCore, ShardMsg, ShardReport,
-};
-use crate::socket::{RecvBatch, RecvMeta, SocketRegistry};
+use crate::shard::{ShardCore, ShardReport};
+use crate::socket::{RecvBatch, SocketRegistry};
 use crate::transfer;
 
-/// Datagrams pulled per demux iteration (one batched syscall's worth).
-const DEMUX_BATCH: usize = 64;
-
-/// Depth of each shard's bounded ingress channel: enough to absorb a
-/// syscall batch per connection burst; beyond it the demux drops (and
-/// counts) rather than let one slow shard stall ingress for the rest.
-const SHARD_QUEUE_DEPTH: usize = 512;
-
-/// Demux pool shape: buffers retained when idle, and per-buffer
-/// pre-allocation (a full-size datagram; receive buffers, unlike the
-/// egress queue's, must take `MAX_DATAGRAM`).
-const POOL_BUFFERS: usize = 1024;
-const POOL_BUF_CAPACITY: usize = 2048;
+/// Datagrams pulled per loop iteration (one batched syscall's worth).
+const RECV_BATCH: usize = 64;
 
 /// Retired-CID tombstones kept before the oldest is forgotten.
 const MAX_TOMBSTONES: usize = 4096;
@@ -209,10 +200,26 @@ impl EndpointReport {
     }
 }
 
-/// A multi-connection server endpoint: shared listen sockets, a demux
-/// thread, and N worker shards.
+/// An [`AppFactory`] every loop can call.
+type SharedFactory = Arc<dyn Fn(u64) -> Box<dyn ConnApp> + Send + Sync>;
+
+/// What one loop needs to accept connections and report on itself:
+/// its own copy of the endpoint's parameters, and handles on the two
+/// things all loops share — the metrics plane and the stop flag.
+struct Worker {
+    shard: usize,
+    local: Vec<SocketAddr>,
+    config: Config,
+    seed: u64,
+    factory: SharedFactory,
+    plane: Arc<EndpointPlane>,
+    stop: Arc<AtomicBool>,
+}
+
+/// A multi-connection server endpoint: N identical loops over the same
+/// listen addresses, each owning the connections the kernel steers to
+/// it.
 pub struct Endpoint {
-    demux: Option<JoinHandle<()>>,
     shards: Vec<JoinHandle<ShardReport>>,
     stop: Arc<AtomicBool>,
     plane: Arc<EndpointPlane>,
@@ -221,98 +228,50 @@ pub struct Endpoint {
 
 impl Endpoint {
     /// Binds `listen` and starts serving: every accepted connection
-    /// runs the app built by `factory`. Worker count comes from
-    /// [`Config::worker_shards`] (`0` = `available_parallelism`), the
-    /// accept limit from [`Config::max_incoming_connections`].
+    /// runs the app built by `factory`. [`Config::worker_shards`]
+    /// (`0` = `available_parallelism`) is the loop count asked for;
+    /// [`Endpoint::workers`] is the count serving — one, where the
+    /// platform cannot steer datagrams by CID. The accept limit,
+    /// [`Config::max_incoming_connections`], holds across all loops.
     pub fn bind(
         listen: &[SocketAddr],
         config: Config,
         seed: u64,
         factory: AppFactory,
     ) -> Result<Endpoint> {
-        let sockets = SocketRegistry::bind(listen).map_err(Error::Io)?;
-        let local = sockets.local_addrs();
-        let workers = resolve_workers(config.worker_shards);
-        let stop = Arc::new(AtomicBool::new(false));
-        let plane = Arc::new(EndpointPlane::new(workers));
-
-        if workers == 1 {
-            // Single-worker fast path: demux and shard merged into one
-            // thread. Datagrams go straight from the receive batch into
-            // the owning connection — no staging copy into the pool, no
-            // channel round trip, no second thread wakeup. On a 1-core
-            // host this is the difference between the endpoint beating
-            // a bare `Driver` loop and losing to it (ROADMAP item 1).
-            let unified = {
-                let plane = Arc::clone(&plane);
-                let stop = Arc::clone(&stop);
-                let local = local.clone();
-                std::thread::Builder::new()
-                    .name("mpq-unified".to_string())
-                    .spawn(move || {
-                        run_unified(UnifiedState {
-                            sockets,
-                            local,
-                            config,
-                            seed,
-                            factory,
-                            plane,
-                            stop,
-                        })
-                    })
-                    .map_err(Error::Io)?
+        let registries =
+            SocketRegistry::bind_steered(listen, resolve_workers(config.worker_shards))
+                .map_err(Error::Io)?;
+        let factory: SharedFactory = Arc::from(factory);
+        let mut endpoint = Endpoint {
+            shards: Vec::with_capacity(registries.len()),
+            stop: Arc::new(AtomicBool::new(false)),
+            plane: Arc::new(EndpointPlane::new(registries.len())),
+            local: registries
+                .first()
+                .map(SocketRegistry::local_addrs)
+                .unwrap_or_default(),
+        };
+        // A failed spawn drops `endpoint`, which stops and joins the
+        // loops already running.
+        for (shard, sockets) in registries.into_iter().enumerate() {
+            let worker = Worker {
+                shard,
+                local: endpoint.local.clone(),
+                config: config.clone(),
+                seed,
+                factory: Arc::clone(&factory),
+                plane: Arc::clone(&endpoint.plane),
+                stop: Arc::clone(&endpoint.stop),
             };
-            return Ok(Endpoint {
-                demux: None,
-                shards: vec![unified],
-                stop,
-                plane,
-                local,
-            });
-        }
-
-        let (ctl_tx, ctl_rx) = channel::<DemuxCtl>();
-        let mut shard_txs = Vec::with_capacity(workers);
-        let mut shards = Vec::with_capacity(workers);
-        for shard in 0..workers {
-            let (tx, rx) = sync_channel::<ShardMsg>(SHARD_QUEUE_DEPTH);
-            shard_txs.push(tx);
-            let send_handle = sockets.try_clone().map_err(Error::Io)?;
-            let ctl = ctl_tx.clone();
-            let plane = Arc::clone(&plane);
-            let stop = Arc::clone(&stop);
-            shards.push(
+            endpoint.shards.push(
                 std::thread::Builder::new()
                     .name(format!("mpq-shard-{shard}"))
-                    .spawn(move || run_shard(shard, rx, ctl, send_handle, plane, stop))
+                    .spawn(move || run_loop(&worker, sockets))
                     .map_err(Error::Io)?,
             );
         }
-        drop(ctl_tx);
-
-        let demux = {
-            let core = DemuxCore::new(
-                config,
-                seed,
-                local.clone(),
-                factory,
-                shard_txs,
-                Arc::clone(&plane),
-            );
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("mpq-demux".to_string())
-                .spawn(move || run_demux(sockets, core, ctl_rx, stop))
-                .map_err(Error::Io)?
-        };
-
-        Ok(Endpoint {
-            demux: Some(demux),
-            shards,
-            stop,
-            plane,
-            local,
-        })
+        Ok(endpoint)
     }
 
     /// The bound listen addresses, in bind order.
@@ -320,7 +279,7 @@ impl Endpoint {
         self.local.clone()
     }
 
-    /// Number of worker shards serving connections.
+    /// Number of loops serving connections.
     pub fn workers(&self) -> usize {
         self.shards.len()
     }
@@ -339,44 +298,37 @@ impl Endpoint {
         Arc::clone(&self.plane)
     }
 
-    /// Stops the demux and every shard, joins them, and returns the
-    /// final per-shard and endpoint-level counters.
+    /// Stops every loop, joins them, and returns the final per-shard
+    /// and endpoint-level counters.
     pub fn shutdown(mut self) -> EndpointReport {
-        self.plane
+        let plane = self.plane();
+        plane
             .recorder
-            .record(FlightKind::Teardown, 0, 0, self.plane.stats.active.get());
-        // Release pairs with the workers' Acquire loads: everything the
-        // closing thread wrote before asking for shutdown is visible to
-        // the workers' final iterations.
-        self.stop.store(true, Ordering::Release);
-        if let Some(demux) = self.demux.take() {
-            let _ = demux.join();
-        }
-        let mut shards: Vec<ShardReport> = Vec::with_capacity(self.shards.len());
-        for handle in self.shards.drain(..) {
-            if let Ok(report) = handle.join() {
-                shards.push(report);
-            }
-        }
+            .record(FlightKind::Teardown, 0, 0, plane.stats.active.get());
+        let mut shards = self.stop_and_join();
         shards.sort_by_key(|r| r.shard);
         EndpointReport {
             shards,
-            totals: self.plane.stats.snapshot(),
-            plane: self.plane.snapshot(),
+            totals: plane.stats.snapshot(),
+            plane: plane.snapshot(),
         }
+    }
+
+    fn stop_and_join(&mut self) -> Vec<ShardReport> {
+        // Release pairs with the loops' Acquire loads: everything the
+        // closing thread wrote before asking for shutdown is visible to
+        // their final iterations.
+        self.stop.store(true, Ordering::Release);
+        self.shards
+            .drain(..)
+            .filter_map(|handle| handle.join().ok())
+            .collect()
     }
 }
 
 impl Drop for Endpoint {
     fn drop(&mut self) {
-        // Same Release/Acquire pairing as `shutdown`.
-        self.stop.store(true, Ordering::Release);
-        if let Some(demux) = self.demux.take() {
-            let _ = demux.join();
-        }
-        for handle in self.shards.drain(..) {
-            let _ = handle.join();
-        }
+        self.stop_and_join();
     }
 }
 
@@ -394,7 +346,7 @@ fn resolve_workers(configured: usize) -> usize {
 ///
 /// A straggler datagram for a just-retired CID (the client ACKing our
 /// CONNECTION_CLOSE, say) must not re-trigger the accept path and pin
-/// a zombie connection in a shard. Bounded FIFO eviction keeps the set
+/// a zombie connection in a loop. Bounded FIFO eviction keeps the set
 /// small; forgetting the oldest tombstone is safe (the straggler would
 /// merely open — and immediately starve — a throwaway connection).
 #[derive(Debug, Default)]
@@ -428,353 +380,50 @@ impl Tombstones {
     }
 }
 
-/// The demux loop body — routing, accepting, buffer recycling, CID
-/// retirement — factored out of the thread shell.
-///
-/// Two consumers: [`run_demux`] wraps it in the socket-polling thread
-/// loop, and the model-checked protocol tests (`tests/loom.rs`) drive
-/// it directly against model channels, so every interleaving of the
-/// *production* routing/recycling/accounting code against the shard
-/// side can be explored exhaustively without binding sockets.
-pub struct DemuxCore {
-    pool: BufferPool,
-    /// CID → owning shard. Entries retire when the shard reports the
-    /// connection closed, freeing the accept slot.
-    known: HashMap<u64, usize>,
-    /// Rotated on-wire CIDs → the canonical (accept-time) CID. A
-    /// rotation never moves a connection between shards: the alias
-    /// routes to `known[canonical]`, so old and new CIDs land on the
-    /// same shard while both are in flight.
-    aliases: HashMap<u64, u64>,
-    tombstones: Tombstones,
-    shard_txs: Vec<SyncSender<ShardMsg>>,
-    plane: Arc<EndpointPlane>,
-    config: Config,
-    seed: u64,
-    local: Vec<SocketAddr>,
-    factory: AppFactory,
+/// Accepts a first-seen CID into `core` — the one place the endpoint
+/// creates a connection. The slot is reserved against the live-count
+/// gauge every loop shares (add, check, undo), so
+/// [`Config::max_incoming_connections`] bounds the endpoint, not each
+/// loop; over the limit the datagram is dropped and counted, and the
+/// client's retransmission tries again once a slot has freed.
+fn accept(worker: &Worker, core: &mut ShardCore, cid: u64) -> bool {
+    let plane = &worker.plane;
+    let shard = worker.shard as u32;
+    let live = plane.stats.active.fetch_add(1);
+    if live >= worker.config.max_incoming_connections as u64 {
+        plane.stats.active.sub(1);
+        plane.stats.rejected.add(1);
+        plane.recorder.record(FlightKind::Shed, cid, shard, live);
+        return false;
+    }
+    // Each connection gets an independent deterministic RNG stream:
+    // the endpoint seed advanced by the (client-chosen) CID.
+    let conn_seed = DetRng::new(worker.seed ^ cid).next_u64();
+    let conn =
+        mpquic_core::Connection::server(worker.config.clone(), worker.local.clone(), conn_seed);
+    core.insert(
+        cid,
+        Box::new(QuicTransport::server(conn)),
+        (worker.factory)(cid),
+    );
+    plane.stats.accepted.add(1);
+    plane.recorder.record(FlightKind::Accept, cid, shard, 0);
+    true
 }
 
-impl DemuxCore {
-    /// A demux core feeding `shard_txs`; connections are built from
-    /// `config`/`seed`/`local` and serve the app `factory` builds.
-    pub fn new(
-        config: Config,
-        seed: u64,
-        local: Vec<SocketAddr>,
-        factory: AppFactory,
-        shard_txs: Vec<SyncSender<ShardMsg>>,
-        plane: Arc<EndpointPlane>,
-    ) -> DemuxCore {
-        DemuxCore {
-            pool: BufferPool::new(POOL_BUFFERS, POOL_BUF_CAPACITY),
-            known: HashMap::new(),
-            aliases: HashMap::new(),
-            tombstones: Tombstones::new(),
-            shard_txs,
-            plane,
-            config,
-            seed,
-            local,
-            factory,
-        }
-    }
-
-    /// Buffers currently loaned out to shard queues (or in flight on
-    /// the control channel back). Exposed so protocol tests can assert
-    /// the recycling invariant — zero once the endpoint is quiet.
-    pub fn outstanding_buffers(&self) -> usize {
-        self.pool.outstanding()
-    }
-
-    /// The shared metrics plane.
-    pub fn plane(&self) -> &EndpointPlane {
-        &self.plane
-    }
-
-    /// Samples the occupancy gauges into their histograms: buffers on
-    /// loan from the pool, and each shard's ingress-queue depth. The
-    /// demux calls this once per busy iteration — sampling on progress
-    /// ties the distributions to traffic instead of idle spinning.
-    pub fn sample_occupancy(&self) {
-        self.plane
-            .pool_outstanding
-            .record(self.pool.outstanding() as u64);
-        for shard in 0..self.shard_txs.len() {
-            let plane = self.plane.shard(shard);
-            plane.queue_depth.record(plane.queue_occupancy());
-        }
-    }
-
-    /// Drains shard feedback: recycled buffers, retired CIDs. Returns
-    /// `true` if anything was drained.
-    pub fn drain_ctl(&mut self, ctl_rx: &Receiver<DemuxCtl>) -> bool {
-        let mut progressed = false;
-        while let Ok(ctl) = ctl_rx.try_recv() {
-            self.apply_ctl(ctl);
-            progressed = true;
-        }
-        progressed
-    }
-
-    /// Applies one piece of shard feedback. Public so model tests can
-    /// block on `ctl_rx.recv()` themselves (polling `drain_ctl` in a
-    /// loop explodes the model's schedule space).
-    pub fn apply_ctl(&mut self, ctl: DemuxCtl) {
-        match ctl {
-            DemuxCtl::Return(buf) => self.pool.put(buf),
-            DemuxCtl::Retire { cid } => {
-                if let Some(shard) = self.known.remove(&cid) {
-                    self.plane.stats.active.sub(1);
-                    self.plane.stats.closed.add(1);
-                    self.plane
-                        .recorder
-                        .record(FlightKind::Retire, cid, shard as u32, 0);
-                }
-                // Any live aliases of the retired connection die with
-                // it; tombstone them so their stragglers are dropped
-                // instead of re-entering the accept path.
-                let stale: Vec<u64> = self
-                    .aliases
-                    .iter()
-                    .filter(|&(_, &canonical)| canonical == cid)
-                    .map(|(&alias, _)| alias)
-                    .collect();
-                for alias in stale {
-                    self.aliases.remove(&alias);
-                    self.tombstones.insert(alias);
-                }
-                self.tombstones.insert(cid);
-            }
-            DemuxCtl::MapCid { alias, cid } => {
-                // Only alias a connection the demux still routes; a
-                // rotation racing retirement is a no-op (stragglers on
-                // the alias look like loss to the peer, which is gone).
-                if self.known.contains_key(&cid) {
-                    self.aliases.insert(alias, cid);
-                }
-            }
-            DemuxCtl::UnmapCid { cid } => {
-                self.aliases.remove(&cid);
-                self.tombstones.insert(cid);
-            }
-        }
-    }
-
-    /// Routes one received datagram by the CID read off its public
-    /// header: forward to the owning shard, accept a first-seen CID,
-    /// or drop (counted) if malformed, over limit, or backpressured.
-    pub fn route(&mut self, meta: RecvMeta, payload: &[u8]) {
-        self.plane.stats.datagrams_in.add(1);
-        let Some(cid) = PublicHeader::connection_id_of(payload) else {
-            self.plane.stats.malformed.add(1);
-            self.plane.recorder.record(FlightKind::Malformed, 0, 0, 0);
-            return;
-        };
-        // A rotated CID routes to its canonical connection's shard —
-        // the shard core resolves the alias again on delivery, so the
-        // message keeps carrying the on-wire CID.
-        let canonical = self.aliases.get(&cid).copied().unwrap_or(cid);
-        let shard = match self.known.get(&canonical) {
-            Some(&shard) => shard,
-            None if self.tombstones.contains(cid) => {
-                // Straggler for a finished connection: drop.
-                return;
-            }
-            None => {
-                let Some(shard) = self.try_accept(cid) else {
-                    return;
-                };
-                shard
-            }
-        };
-        let mut buf = self.pool.take();
-        buf.clear();
-        buf.extend_from_slice(payload);
-        let Some(tx) = self.shard_txs.get(shard) else {
-            self.pool.put(buf);
-            return;
-        };
-        match tx.try_send(ShardMsg::Datagram { cid, meta, buf }) {
-            Ok(()) => {
-                self.plane.shard(shard).queue_sent.add(1);
-            }
-            Err(TrySendError::Full(msg)) => {
-                self.plane.stats.backpressure_drops.add(1);
-                self.plane.recorder.record(
-                    FlightKind::Backpressure,
-                    cid,
-                    shard as u32,
-                    self.plane.shard(shard).queue_occupancy(),
-                );
-                if let ShardMsg::Datagram { buf, .. } = msg {
-                    self.pool.put(buf);
-                }
-            }
-            Err(TrySendError::Disconnected(msg)) => {
-                if let ShardMsg::Datagram { buf, .. } = msg {
-                    self.pool.put(buf);
-                }
-            }
-        }
-    }
-
-    /// Accepts a first-seen CID: creates the server-side connection
-    /// and hands it to its CID-hash shard. Returns the owning shard,
-    /// or `None` if the accept limit is reached, the shard's queue is
-    /// full, or the shard hung up — in every case the datagram is
-    /// dropped (and counted).
-    fn try_accept(&mut self, cid: u64) -> Option<usize> {
-        if self.known.len() >= self.config.max_incoming_connections {
-            self.plane.stats.rejected.add(1);
-            self.plane
-                .recorder
-                .record(FlightKind::Shed, cid, 0, self.known.len() as u64);
-            return None;
-        }
-        let shard = shard_for_cid(cid, self.shard_txs.len());
-        // Each connection gets an independent deterministic RNG stream:
-        // the endpoint seed advanced by the (client-chosen) CID.
-        let conn_seed = DetRng::new(self.seed ^ cid).next_u64();
-        let conn =
-            mpquic_core::Connection::server(self.config.clone(), self.local.clone(), conn_seed);
-        let transport = Box::new(QuicTransport::server(conn));
-        let app = (self.factory)(cid);
-        let tx = self.shard_txs.get(shard)?;
-        // The handoff must not block: a blocking send on this bounded
-        // channel would stall ingress for every other shard behind one
-        // slow one (and is exactly what the channel-topology lint
-        // rejects inside the demux loop). On a full queue the accept —
-        // and its datagram — are dropped; the client's retransmission
-        // re-enters the accept path once the shard has drained.
-        match tx.try_send(ShardMsg::Accept {
-            cid,
-            transport,
-            app,
-        }) {
-            Ok(()) => {
-                self.known.insert(cid, shard);
-                self.plane.stats.accepted.add(1);
-                self.plane.stats.active.add(1);
-                self.plane.shard(shard).queue_sent.add(1);
-                self.plane
-                    .recorder
-                    .record(FlightKind::Accept, cid, shard as u32, 0);
-                Some(shard)
-            }
-            Err(TrySendError::Full(_)) => {
-                self.plane.stats.backpressure_drops.add(1);
-                self.plane.recorder.record(
-                    FlightKind::Backpressure,
-                    cid,
-                    shard as u32,
-                    self.plane.shard(shard).queue_occupancy(),
-                );
-                None
-            }
-            Err(TrySendError::Disconnected(_)) => None,
-        }
-    }
-
-    /// Teardown: severs the shard queues and drains the control
-    /// channel until every shard has hung up, so each loaned buffer is
-    /// back in the pool (whose drop asserts exactly that) and every
-    /// queued-but-unowned accept is retired before the core drops.
-    ///
-    /// Blocking `recv` here is safe by construction: shards never
-    /// block on their ingress channel, so they always reach their own
-    /// stop check, flush, and drop their control sender — there is no
-    /// send→recv cycle back to this thread (the channel-topology lint
-    /// checks the declared graph stays acyclic).
-    pub fn finish(mut self, ctl_rx: &Receiver<DemuxCtl>) {
-        // Dropping the senders makes every shard's next try_recv
-        // return Disconnected, a second shutdown signal alongside the
-        // stop flag.
-        self.shard_txs.clear();
-        while let Ok(ctl) = ctl_rx.recv() {
-            self.apply_ctl(ctl);
-        }
-        debug_assert_eq!(
-            self.pool.outstanding(),
-            0,
-            "demux teardown left pool buffers in flight"
-        );
-    }
-}
-
-/// The demux thread body: route datagrams by CID, accept unknown CIDs
-/// up to the configured limit, recycle buffers and CIDs the shards
-/// hand back, and on shutdown drain the control channel so nothing the
-/// shards still hold is leaked.
-fn run_demux(
-    mut sockets: SocketRegistry,
-    mut core: DemuxCore,
-    ctl_rx: Receiver<DemuxCtl>,
-    stop: Arc<AtomicBool>,
-) {
-    let mut batch = RecvBatch::new(DEMUX_BATCH);
-    let mut backoff = Backoff::new();
-    // The listen registry's ingress-side backend counters, published
-    // as deltas like each shard's egress-side ones.
-    let mut prev_backend = crate::BackendStats::default();
-
-    loop {
-        // 1. Feedback from the shards: recycled buffers, retired CIDs.
-        let mut progressed = core.drain_ctl(&ctl_rx);
-
-        // 2. Ingress: one batched receive, each datagram routed by the
-        //    CID read off its public header.
-        let received = sockets.poll_recv_batch(&mut batch).unwrap_or(0);
-        if received > 0 {
-            progressed = true;
-            for (meta, payload) in batch.iter() {
-                core.route(meta, payload);
-            }
-            core.sample_occupancy();
-            crate::shard::publish_backend_delta(&core.plane, &mut prev_backend, &sockets);
-        }
-
-        // Acquire pairs with the Release store in `Endpoint::shutdown`.
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        if progressed {
-            backoff.reset();
-        } else {
-            backoff.wait();
-        }
-    }
-
-    crate::shard::publish_backend_delta(&core.plane, &mut prev_backend, &sockets);
-    core.finish(&ctl_rx);
-}
-
-/// Everything the single-worker fast path owns: the sharded setup
-/// minus the channels, pool and shard map.
-struct UnifiedState {
-    sockets: SocketRegistry,
-    local: Vec<SocketAddr>,
-    config: Config,
-    seed: u64,
-    factory: AppFactory,
-    plane: Arc<EndpointPlane>,
-    stop: Arc<AtomicBool>,
-}
-
-/// The single-worker loop: demux and shard fused. Each receive batch
-/// feeds connections directly (accepting first-seen CIDs inline), then
-/// one [`ShardCore::process`] pass runs timers, applications, egress
-/// and reaping — the same machinery the shard threads run, minus every
-/// cross-thread hop.
-fn run_unified(mut state: UnifiedState) -> ShardReport {
-    let mut batch = RecvBatch::new(DEMUX_BATCH);
+/// The endpoint's event loop; every worker runs this and nothing else.
+/// Each receive batch feeds connections in place (the payload never
+/// leaves the batch's buffer), accepting first-seen CIDs inline; then
+/// one `ShardCore::process` pass runs timers, applications, egress
+/// and reaping. Every datagram pulled off the sockets is delivered to a
+/// connection or counted under a reason: `datagrams_in == delivered +
+/// malformed + rejected + tombstoned`.
+fn run_loop(worker: &Worker, mut sockets: SocketRegistry) -> ShardReport {
+    let plane = &*worker.plane;
+    let shard = worker.shard as u32;
+    let shard_plane = plane.shard(worker.shard);
+    let mut batch = RecvBatch::new(RECV_BATCH);
     let mut core = ShardCore::new();
-    // Tombstones, same policy as the sharded demux: stragglers for a
-    // retired CID must not re-enter the accept path.
-    let mut retired = Tombstones::new();
-    // Old CIDs unmapped by rotations this iteration; tombstoned after
-    // the process pass (the retire callback already borrows `retired`).
-    let mut unmapped: Vec<u64> = Vec::new();
     // On a true single-core machine the clients feeding this loop can
     // only run while it waits, so skip the spin stage of the ladder.
     let single_core = std::thread::available_parallelism()
@@ -785,89 +434,52 @@ fn run_unified(mut state: UnifiedState) -> ShardReport {
     } else {
         Backoff::new()
     };
-    // The unified thread is shard 0 of the metrics plane: same loop
-    // telemetry as `run_shard`, minus the channel tallies (there is no
-    // channel on this path).
     let mut was_idle = true;
+    // Last-published backend counters: each busy iteration folds only
+    // the delta into the shared plane.
     let mut prev_backend = crate::BackendStats::default();
 
     loop {
         let iter_start = Instant::now();
-        let mut progressed = false;
 
         // 1. Ingress: one batched receive, each datagram routed by CID
-        //    and handed to its connection in place — the payload never
-        //    leaves the receive batch's buffer.
-        let received = state.sockets.poll_recv_batch(&mut batch).unwrap_or(0);
-        if received > 0 {
-            progressed = true;
-            for (meta, payload) in batch.iter() {
-                state.plane.stats.datagrams_in.add(1);
-                let Some(cid) = PublicHeader::connection_id_of(payload) else {
-                    state.plane.stats.malformed.add(1);
-                    state.plane.recorder.record(FlightKind::Malformed, 0, 0, 0);
+        //    and handed to its connection. A receive error is counted,
+        //    and whatever the batch took in before it is still served.
+        if sockets.poll_recv_batch(&mut batch).is_err() {
+            plane.stats.recv_errors.add(1);
+        }
+        let mut progressed = !batch.is_empty();
+        if progressed {
+            // One add per batch: every loop bumps this shared cell.
+            plane.stats.datagrams_in.add(batch.len() as u64);
+        }
+        for (meta, payload) in batch.iter() {
+            let Some(cid) = PublicHeader::connection_id_of(payload) else {
+                plane.stats.malformed.add(1);
+                plane.recorder.record(FlightKind::Malformed, 0, shard, 0);
+                continue;
+            };
+            if !core.owns(cid) {
+                if core.is_retired(cid) {
+                    // Straggler for a finished connection (the client
+                    // ACKing our CONNECTION_CLOSE, say).
+                    plane.stats.tombstoned.add(1);
                     continue;
-                };
-                if !core.owns(cid) {
-                    if retired.contains(cid) {
-                        // Straggler for a finished connection: drop.
-                        continue;
-                    }
-                    if core.len() >= state.config.max_incoming_connections {
-                        state.plane.stats.rejected.add(1);
-                        state
-                            .plane
-                            .recorder
-                            .record(FlightKind::Shed, cid, 0, core.len() as u64);
-                        continue;
-                    }
-                    let conn_seed = DetRng::new(state.seed ^ cid).next_u64();
-                    let conn = mpquic_core::Connection::server(
-                        state.config.clone(),
-                        state.local.clone(),
-                        conn_seed,
-                    );
-                    core.accept(
-                        cid,
-                        Box::new(QuicTransport::server(conn)),
-                        (state.factory)(cid),
-                    );
-                    state.plane.stats.accepted.add(1);
-                    state.plane.stats.active.add(1);
-                    state.plane.recorder.record(FlightKind::Accept, cid, 0, 0);
                 }
-                core.deliver(cid, meta.local, meta.remote, payload);
+                if !accept(worker, &mut core, cid) {
+                    continue;
+                }
             }
+            core.deliver(cid, meta.local, meta.remote, payload);
         }
 
-        // 2. Timers, application progress, egress, reaping. Aliases
-        //    from CID rotations live inside the core (its `owns` /
-        //    `deliver` resolve them); the unified loop only has to
-        //    tombstone unmapped old CIDs so stragglers are dropped
-        //    instead of re-entering the accept path above.
-        let plane = &state.plane;
-        if core.process(
-            &mut state.sockets,
-            &plane.stats,
-            |cid| {
-                plane.stats.active.sub(1);
-                plane.stats.closed.add(1);
-                plane.recorder.record(FlightKind::Retire, cid, 0, 0);
-                retired.insert(cid);
-            },
-            |route| {
-                if let CidRouteOp::Unmap { cid } = route {
-                    unmapped.push(cid);
-                }
-            },
-        ) {
-            progressed = true;
-        }
-        for cid in unmapped.drain(..) {
-            retired.insert(cid);
-        }
+        // 2. Timers, application progress, egress, reaping.
+        progressed |= core.process(&mut sockets, &plane.stats, |cid| {
+            plane.stats.active.sub(1);
+            plane.stats.closed.add(1);
+            plane.recorder.record(FlightKind::Retire, cid, shard, 0);
+        });
 
-        let shard_plane = state.plane.shard(0);
         shard_plane.loop_iterations.add(1);
         if progressed {
             shard_plane.busy_iterations.add(1);
@@ -878,12 +490,14 @@ fn run_unified(mut state: UnifiedState) -> ShardReport {
                 .loop_ns
                 .record(iter_start.elapsed().as_nanos() as u64);
             shard_plane.conns_active.set(core.len() as u64);
-            crate::shard::publish_backend_delta(&state.plane, &mut prev_backend, &state.sockets);
+            crate::shard::publish_backend_delta(plane, &mut prev_backend, &sockets);
         }
         was_idle = !progressed;
 
-        // Acquire pairs with the Release store in `Endpoint::shutdown`.
-        if state.stop.load(Ordering::Acquire) {
+        // Acquire pairs with the Release store in `Endpoint::shutdown`:
+        // whatever the closer wrote before raising the flag is visible
+        // to this final iteration.
+        if worker.stop.load(Ordering::Acquire) {
             break;
         }
         if progressed {
@@ -893,6 +507,6 @@ fn run_unified(mut state: UnifiedState) -> ShardReport {
         }
     }
 
-    crate::shard::publish_backend_delta(&state.plane, &mut prev_backend, &state.sockets);
-    core.into_report(0, &state.sockets)
+    crate::shard::publish_backend_delta(plane, &mut prev_backend, &sockets);
+    core.into_report(worker.shard, &sockets)
 }

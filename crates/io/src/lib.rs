@@ -25,9 +25,9 @@
 //! * [`stream::BlockingStream`] — `std::io::Read`/`Write` over the
 //!   transport's byte stream, for ordinary blocking application code.
 //! * [`endpoint::Endpoint`] + [`shard`] — the multi-connection server:
-//!   a demux thread routing datagrams by connection ID to worker
-//!   shards, each running a `Driver`-style loop over a disjoint
-//!   connection set (DESIGN.md §12).
+//!   N identical `Driver`-style loops, each over its own sockets and a
+//!   disjoint connection set the kernel steers to it by connection ID
+//!   (DESIGN.md §12).
 //! * [`backoff::Backoff`] — graduated spin → yield → sleep waiting for
 //!   transient socket stalls, shared by every loop above.
 //! * [`transfer`] — the tiny authenticated file-transfer protocol the
@@ -57,9 +57,10 @@
 //! stream.finish().unwrap();
 //! ```
 
-// `deny`, not `forbid`: the batched datapath's `sendmmsg`/`recvmmsg`
-// FFI lives behind one scoped `#[allow(unsafe_code)]` in [`mmsg`], and
-// the io_uring ring FFI behind another in [`uring`].
+// `deny`, not `forbid`: the socket FFI (`sendmmsg`/`recvmmsg`, the
+// `SO_REUSEPORT` steering bind) lives behind one scoped
+// `#[allow(unsafe_code)]` in [`mmsg`], and the io_uring ring FFI behind
+// another in [`uring`].
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -86,15 +87,12 @@ pub use backoff::Backoff;
 pub use clock::Clock;
 pub use driver::{quic_client, quic_server, Driver, IoStats};
 pub use endpoint::{
-    AppFactory, AppStatus, ConnApp, DemuxCore, Endpoint, EndpointPlane, EndpointReport,
-    EndpointSnapshot, EndpointStats, FlightKind, PlaneSnapshot, Tombstones, TransferApp,
+    AppFactory, AppStatus, ConnApp, Endpoint, EndpointPlane, EndpointReport, EndpointSnapshot,
+    EndpointStats, FlightKind, PlaneSnapshot, Tombstones, TransferApp,
 };
 pub use error::Error;
 pub use rpc::{RpcCall, RpcServerApp, RpcVerdict};
-pub use shard::{
-    drain_shard_ingress, flush_shard_ingress, shard_for_cid, CidRouteOp, DemuxCtl, IngressDrain,
-    ShardMsg, ShardReport, ShardSink,
-};
+pub use shard::{shard_for_cid, ShardReport};
 pub use socket::{BatchStats, RecvBatch, SocketRegistry};
 pub use stream::BlockingStream;
 pub use timer::Timer;

@@ -19,16 +19,21 @@
 //!   `send_to` per segment.
 //! * [`recv_batch`] fills many caller buffers per call — one `recvmmsg`
 //!   on Linux, repeated `recv_from` elsewhere.
+//! * [`bind_steered`] binds one socket per endpoint loop on the same
+//!   address and has the kernel pick the loop for each datagram by its
+//!   connection ID (`SO_REUSEPORT` + a classic-BPF program; Linux only,
+//!   [`io::ErrorKind::Unsupported`] elsewhere).
 //!
 //! Both return `(datagrams, syscalls)` so the caller's telemetry
 //! (batch-size histogram, syscalls saved) reflects what actually
 //! happened on the running platform rather than an assumed one.
 //!
-//! The standard library exposes neither syscall and the workspace is
+//! The standard library exposes none of these syscalls (nor a socket
+//! that is configured before it is bound) and the workspace is
 //! dependency-free, so the Linux half carries its own `extern "C"`
 //! declarations and `#[repr(C)]` layouts (matching `struct msghdr`,
-//! `struct mmsghdr`, `struct iovec` and the `sockaddr` family on glibc
-//! and musl). Those layouts are shared with the io_uring backend
+//! `struct mmsghdr`, `struct iovec`, `struct sock_fprog` and the
+//! `sockaddr` family on glibc and musl). Those layouts are shared with the io_uring backend
 //! ([`crate::uring`]), which submits the same `msghdr` shapes through
 //! SQEs instead of direct syscalls. All unsafe code in the crate lives
 //! behind the scoped `#[allow(unsafe_code)]` here and in `uring`.
@@ -103,15 +108,42 @@ pub fn recv_batch(
 }
 
 /// Grows `socket`'s kernel send and receive buffers toward `bytes`,
-/// best-effort. A multi-connection endpoint funnels every client's
-/// traffic through one listen socket; at the default ~208 KiB receive
-/// buffer a brief demux-thread stall (a scheduling quantum on a loaded
+/// best-effort. A multi-connection endpoint funnels many clients'
+/// traffic through one socket per loop; at the default ~208 KiB receive
+/// buffer a brief stall of that loop (a scheduling quantum on a loaded
 /// box) overflows it and converts a healthy burst into mass loss and
 /// RTO backoff. The kernel clamps the request to `rmem_max`/`wmem_max`,
 /// so a refusal or an unprivileged clamp is not an error — the socket
 /// simply keeps the size the kernel allows.
 pub fn set_buffer_sizes(socket: &UdpSocket, bytes: usize) {
     imp::set_buffer_sizes(socket, bytes);
+}
+
+/// Offset of the connection ID's last byte in a datagram: the flags
+/// byte, then the CID big-endian in bytes 1..9 — the field
+/// [`mpquic_wire::PublicHeader::connection_id_of`] reads.
+pub const CID_LAST_BYTE: u32 = 8;
+
+/// Most sockets one steered group can hold: the steering key is one
+/// byte, so a 257th socket would never be selected.
+pub const MAX_STEERED: usize = 256;
+
+/// Binds `loops` sockets to `addr` as one `SO_REUSEPORT` group steered
+/// by connection ID: a classic-BPF program on the group returns
+/// `datagram[CID_LAST_BYTE] % loops` and the kernel delivers each
+/// datagram to the group member of that index (bind order, the order
+/// returned) — [`crate::shard_for_cid`] in three instructions. Every
+/// path of a connection carries the same CID, so all of a connection's
+/// datagrams reach one socket whatever 4-tuple they arrive on. A
+/// datagram too short to hold a CID fails the load and lands on
+/// socket 0.
+///
+/// `addr` may use port 0; the first socket takes an ephemeral port and
+/// the rest join it. Fails with [`io::ErrorKind::Unsupported`] when the
+/// platform has no such steering (not Linux, or the kernel refused the
+/// socket options); any other error is the bind's own.
+pub fn bind_steered(addr: SocketAddr, loops: usize) -> io::Result<Vec<UdpSocket>> {
+    imp::bind_steered(addr, loops.clamp(1, MAX_STEERED))
 }
 
 impl MmsgScratch {
@@ -139,7 +171,7 @@ mod imp {
     use crate::probe::ProbeState;
     use std::io;
     use std::net::{Ipv6Addr, SocketAddrV6};
-    use std::os::fd::AsRawFd;
+    use std::os::fd::{AsRawFd, FromRawFd};
 
     const AF_INET: u16 = 2;
     const AF_INET6: u16 = 10;
@@ -200,6 +232,32 @@ mod imp {
     const SOL_SOCKET: i32 = 1;
     const SO_SNDBUF: i32 = 7;
     const SO_RCVBUF: i32 = 8;
+    /// `SO_REUSEPORT` / `SO_ATTACH_REUSEPORT_CBPF` for CID steering.
+    const SO_REUSEPORT: i32 = 15;
+    const SO_ATTACH_REUSEPORT_CBPF: i32 = 51;
+    const SOCK_DGRAM: i32 = 2;
+    const SOCK_CLOEXEC: i32 = 0o2_000_000;
+
+    /// Classic-BPF opcodes: `ldb [k]`, `mod #k`, `ret a`.
+    const BPF_LDB_ABS: u16 = 0x30;
+    const BPF_MOD_K: u16 = 0x94;
+    const BPF_RET_A: u16 = 0x16;
+
+    /// `struct sock_filter`: one classic-BPF instruction.
+    #[repr(C)]
+    struct SockFilter {
+        code: u16,
+        jt: u8,
+        jf: u8,
+        k: u32,
+    }
+
+    /// `struct sock_fprog`: a classic-BPF program by pointer and length.
+    #[repr(C)]
+    struct SockFprog {
+        len: u16,
+        filter: *const SockFilter,
+    }
 
     extern "C" {
         fn sendmmsg(sockfd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32) -> i32;
@@ -211,6 +269,8 @@ mod imp {
             timeout: *mut std::ffi::c_void,
         ) -> i32;
         fn sendmsg(sockfd: i32, msg: *const MsgHdr, flags: i32) -> isize;
+        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
+        fn bind(sockfd: i32, addr: *const std::ffi::c_void, addrlen: u32) -> i32;
         fn setsockopt(
             sockfd: i32,
             level: i32,
@@ -220,23 +280,124 @@ mod imp {
         ) -> i32;
     }
 
+    /// `setsockopt(SOL_SOCKET, opt, value)`.
+    fn set_socket_option<T>(socket: &UdpSocket, opt: i32, value: &T) -> io::Result<()> {
+        // SAFETY: `value` is a live `T` for the whole call and `optlen`
+        // is exactly its size; the kernel only reads through the pointer
+        // (and, for a `SockFprog`, through the program it points at,
+        // which the caller keeps alive alongside it).
+        let ret = unsafe {
+            setsockopt(
+                socket.as_raw_fd(),
+                SOL_SOCKET,
+                opt,
+                value as *const T as *const std::ffi::c_void,
+                std::mem::size_of::<T>() as u32,
+            )
+        };
+        if ret < 0 {
+            Err(io::Error::last_os_error())
+        } else {
+            Ok(())
+        }
+    }
+
     pub(super) fn set_buffer_sizes(socket: &UdpSocket, bytes: usize) {
-        let fd = socket.as_raw_fd();
         let value = bytes.min(i32::MAX as usize) as i32;
         for opt in [SO_RCVBUF, SO_SNDBUF] {
-            // SAFETY: `value` lives across the call and `optlen` matches
-            // its size. Failure (e.g. a tightened rmem_max) is ignored:
-            // the socket keeps whatever size the kernel granted.
-            let _ = unsafe {
-                setsockopt(
-                    fd,
-                    SOL_SOCKET,
-                    opt,
-                    &value as *const i32 as *const std::ffi::c_void,
-                    std::mem::size_of::<i32>() as u32,
-                )
-            };
+            // Failure (e.g. a tightened rmem_max) is ignored: the socket
+            // keeps whatever size the kernel granted.
+            let _ = set_socket_option(socket, opt, &value);
         }
+    }
+
+    /// A refused steering option, as the one error kind
+    /// [`super::bind_steered`] callers fall back on.
+    fn unsupported(e: io::Error) -> io::Error {
+        io::Error::new(io::ErrorKind::Unsupported, e)
+    }
+
+    /// An unbound UDP socket of `addr`'s family with `SO_REUSEPORT` set.
+    fn reuseport_socket(addr: &SocketAddr) -> io::Result<UdpSocket> {
+        let domain = match addr {
+            SocketAddr::V4(_) => AF_INET,
+            SocketAddr::V6(_) => AF_INET6,
+        };
+        // SAFETY: `socket` takes three integers and touches no memory of
+        // ours.
+        let fd = unsafe { socket(i32::from(domain), SOCK_DGRAM | SOCK_CLOEXEC, 0) };
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        // SAFETY: `fd` was just returned by `socket`, is open, is a UDP
+        // socket, and is owned by nobody else; the `UdpSocket` becomes
+        // its only owner and closes it on every path out of here.
+        let socket = unsafe { UdpSocket::from_raw_fd(fd) };
+        set_socket_option(&socket, SO_REUSEPORT, &1i32).map_err(unsupported)?;
+        Ok(socket)
+    }
+
+    /// `bind(2)`: std only binds at construction, and these sockets need
+    /// their options set first.
+    fn bind_socket(socket: &UdpSocket, addr: &SocketAddr) -> io::Result<()> {
+        let mut storage = SockaddrStorage::default();
+        let len = encode_sockaddr(addr, &mut storage);
+        // SAFETY: `storage` outlives the call and `len` is the length of
+        // the `sockaddr` just encoded into it.
+        let ret = unsafe {
+            bind(
+                socket.as_raw_fd(),
+                &storage as *const SockaddrStorage as *const std::ffi::c_void,
+                len,
+            )
+        };
+        if ret < 0 {
+            Err(io::Error::last_os_error())
+        } else {
+            Ok(())
+        }
+    }
+
+    pub(super) fn bind_steered(addr: SocketAddr, loops: usize) -> io::Result<Vec<UdpSocket>> {
+        let program = [
+            SockFilter {
+                code: BPF_LDB_ABS,
+                jt: 0,
+                jf: 0,
+                k: super::CID_LAST_BYTE,
+            },
+            SockFilter {
+                code: BPF_MOD_K,
+                jt: 0,
+                jf: 0,
+                k: loops as u32,
+            },
+            SockFilter {
+                code: BPF_RET_A,
+                jt: 0,
+                jf: 0,
+                k: 0,
+            },
+        ];
+        let fprog = SockFprog {
+            len: program.len() as u16,
+            filter: program.as_ptr(),
+        };
+        let first = reuseport_socket(&addr)?;
+        // Attached before the bind: the program creates the socket's
+        // reuseport group, and a socket that already has a group is never
+        // given an ephemeral port some other reuseport socket of this
+        // user holds — so a port-0 bind cannot land in a stranger's group.
+        set_socket_option(&first, SO_ATTACH_REUSEPORT_CBPF, &fprog).map_err(unsupported)?;
+        bind_socket(&first, &addr)?;
+        let local = first.local_addr()?;
+        let mut group = vec![first];
+        for _ in 1..loops {
+            let socket = reuseport_socket(&local)?;
+            bind_socket(&socket, &local)?;
+            group.push(socket);
+        }
+        Ok(group)
     }
 
     #[derive(Debug)]
@@ -281,10 +442,8 @@ mod imp {
     /// by the segment size and alignment padding.
     ///
     /// Carrying the segment size per *call* (instead of `setsockopt` on
-    /// the fd) keeps the option off the socket itself, which matters
-    /// once several shards send through `try_clone`d handles of one
-    /// socket: fd-level state set by one thread would silently
-    /// re-segment (or un-segment) another thread's in-flight train.
+    /// the fd) keeps the option off the socket itself: a train that
+    /// falls back to `sendmmsg` has no fd-level state to undo.
     #[repr(C, align(8))]
     #[derive(Debug)]
     pub(crate) struct GsoControl {
@@ -576,6 +735,13 @@ mod imp {
         // absorption.
     }
 
+    pub(super) fn bind_steered(_addr: SocketAddr, _loops: usize) -> io::Result<Vec<UdpSocket>> {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "no kernel CID steering on this platform",
+        ))
+    }
+
     pub(super) fn send_segments(
         socket: &UdpSocket,
         remote: &SocketAddr,
@@ -705,6 +871,65 @@ mod tests {
         }
         assert_eq!(metas[0].1, 5);
         assert_eq!(&bufs[0][..5], b"hello");
+    }
+
+    /// The kernel half of `shard_for_cid`: whatever source port a
+    /// datagram comes from, it lands on the group member its CID's last
+    /// byte names — and that byte is where the wire format puts it.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn steered_group_delivers_by_cid_last_byte() {
+        const LOOPS: usize = 3;
+        let group = bind_steered("127.0.0.1:0".parse().unwrap(), LOOPS).expect("steering");
+        assert_eq!(group.len(), LOOPS);
+        let addr = group[0].local_addr().unwrap();
+        for socket in &group {
+            assert_eq!(socket.local_addr().unwrap(), addr, "one port for the group");
+            socket.set_nonblocking(true).unwrap();
+        }
+
+        let mut sent = [0usize; LOOPS];
+        for port in 0..8u64 {
+            let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+            for i in 0..16u64 {
+                let cid = 0xC0FF_EE00_0000_0000 | ((port * 16 + i) * 37);
+                let mut datagram = vec![0x40u8; 24];
+                datagram[1..9].copy_from_slice(&cid.to_be_bytes());
+                assert_eq!(
+                    mpquic_wire::PublicHeader::connection_id_of(&datagram),
+                    Some(cid)
+                );
+                assert_eq!(u64::from(datagram[CID_LAST_BYTE as usize]), cid & 0xFF);
+                client.send_to(&datagram, addr).unwrap();
+                sent[crate::shard_for_cid(cid, LOOPS)] += 1;
+            }
+            // Too short for a CID: the program's load fails, socket 0.
+            client.send_to(&[0x40, 0, 0], addr).unwrap();
+            sent[0] += 1;
+        }
+
+        let mut buf = [0u8; 64];
+        for (index, socket) in group.iter().enumerate() {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+            let mut got = 0;
+            while got < sent[index] && std::time::Instant::now() < deadline {
+                match socket.recv_from(&mut buf) {
+                    Ok((len, _)) => {
+                        if len > CID_LAST_BYTE as usize {
+                            let cid = mpquic_wire::PublicHeader::connection_id_of(&buf[..len]);
+                            assert_eq!(cid.map(|c| crate::shard_for_cid(c, LOOPS)), Some(index));
+                        }
+                        got += 1;
+                    }
+                    Err(_) => std::thread::sleep(std::time::Duration::from_micros(200)),
+                }
+            }
+            assert_eq!(got, sent[index], "socket {index} got its share, no more");
+            assert!(
+                socket.recv_from(&mut buf).is_err(),
+                "socket {index} got extra"
+            );
+        }
     }
 
     #[cfg(target_os = "linux")]

@@ -1,140 +1,33 @@
-//! Worker shards: per-core event loops over disjoint connection sets.
+//! The per-loop connection table: what one endpoint event loop owns.
 //!
-//! An [`crate::Endpoint`] splits its accepted connections across N
-//! worker threads by CID hash ([`shard_for_cid`]). Each shard owns a
-//! `Driver`-style loop — its own clock, timer, pool-backed
-//! [`TransmitQueue`] and a `dup`ed send handle over the shared listen
-//! sockets ([`crate::SocketRegistry::try_clone`]) — so after accept
-//! time no lock, channel or shared cache line sits on a connection's
-//! packet path. The only cross-thread traffic is:
+//! An [`crate::Endpoint`] runs N identical loops, and the kernel hands
+//! each one exactly the datagrams whose connection ID maps to it under
+//! [`shard_for_cid`] (DESIGN.md §12). A loop therefore owns a disjoint
+//! connection set outright — its sockets, clock, timer, pool-backed
+//! [`TransmitQueue`], CID aliases and tombstones — and nothing on a
+//! connection's packet path is shared with another thread: no lock, no
+//! channel, no hand-off.
 //!
-//! * ingress: the demux thread hands each shard its datagrams through a
-//!   bounded [`std::sync::mpsc::sync_channel`] ([`ShardMsg`]);
-//! * feedback: shards return pool buffers and retire finished CIDs
-//!   through one shared unbounded channel back to the demux
-//!   ([`DemuxCtl`]).
-//!
-//! The loop body mirrors [`crate::Driver::step`] — timers, ingress,
-//! application poll, batched egress — generalised over a map of
-//! connections instead of exactly one. That body lives in
-//! [`ShardCore`], shared between the channel-fed shard threads here
-//! and the endpoint's single-worker fast path
-//! (`Endpoint` with `worker_shards = 1` runs demux and shard in one
-//! thread, feeding the core straight from the receive batch with no
-//! channel round trip — see DESIGN.md §13 and ROADMAP item 1).
+//! `ShardCore` is that state plus the per-iteration pass over it
+//! (timers → application poll → batched egress → reap), the
+//! [`crate::Driver::step`] cycle generalised over a map of connections
+//! instead of exactly one.
 
 use mpquic_core::{PathOp, TransmitQueue};
 use mpquic_harness::{QuicTransport, Transport};
-use mpquic_util::sync::atomic::{AtomicBool, Ordering};
-use mpquic_util::sync::mpsc::{Receiver, Sender, TryRecvError};
-use mpquic_util::sync::Arc;
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::time::Instant;
 
 use crate::backend::BackendStats;
-use crate::backoff::Backoff;
 use crate::clock::Clock;
-use crate::driver::IoStats;
-use crate::endpoint::{AppStatus, ConnApp, EndpointPlane, EndpointStats};
-use crate::socket::{BatchStats, RecvMeta, SocketRegistry};
+use crate::driver::{drain_egress, IoStats, BATCH_SEGMENTS, SEND_BUF_CAPACITY};
+use crate::endpoint::{AppStatus, ConnApp, EndpointPlane, EndpointStats, Tombstones};
+use crate::socket::{BatchStats, SocketRegistry};
 use crate::timer::Timer;
 
-/// Messages per loop iteration drained from the demux channel, so a
-/// connection flood cannot starve timers and egress.
-const MAX_MSGS_PER_STEP: usize = 256;
-
-/// Wire datagrams per connection per egress pass (matches the driver's
-/// `MAX_SEND_PER_STEP` so one bulk sender cannot monopolise the shard).
-const MAX_SEND_PER_CONN: usize = 256;
-
-/// Egress queue shape — same as the single-connection driver: segments
-/// per GSO train, and per-buffer pre-allocation comfortably above the
-/// MTU.
-const BATCH_SEGMENTS: usize = 64;
-const SEND_BUF_CAPACITY: usize = 2048;
-
-/// Application error code a shard closes with when the app layer
+/// Application error code a loop closes with when the app layer
 /// reports failure (checksum mismatch, protocol violation).
 const APP_ERROR_CODE: u64 = 0x1;
-
-/// What the demux thread sends a worker shard.
-pub enum ShardMsg {
-    /// A newly accepted connection, handed over exactly once; after
-    /// this the CID's datagrams follow on the same (ordered) channel.
-    Accept {
-        /// The connection ID the demux routes on.
-        cid: u64,
-        /// The freshly created server-side transport (boxed: the
-        /// transport dwarfs the per-datagram variant, and boxing keeps
-        /// every queued message small).
-        transport: Box<QuicTransport>,
-        /// The application serving this connection.
-        app: Box<dyn ConnApp>,
-    },
-    /// One received datagram for a connection this shard owns. The
-    /// buffer comes from the demux thread's pool and must go back via
-    /// [`DemuxCtl::Return`].
-    Datagram {
-        /// Routing key (also [`ShardMsg::Accept`]'s `cid`).
-        cid: u64,
-        /// Receive addressing; `meta.len` bytes of `buf` are payload.
-        meta: RecvMeta,
-        /// Pool buffer holding the datagram payload.
-        buf: Vec<u8>,
-    },
-}
-
-/// What a worker shard sends back to the demux thread.
-pub enum DemuxCtl {
-    /// A datagram buffer, done with, for the demux pool.
-    Return(Vec<u8>),
-    /// A connection fully closed: forget its CID so the slot frees up
-    /// (a later datagram with this CID would be treated as new).
-    Retire {
-        /// The CID to drop from the demux table.
-        cid: u64,
-    },
-    /// A connection issued a NEW_CONNECTION_ID: datagrams carrying
-    /// `alias` belong to the connection the demux knows as `cid`. The
-    /// alias routes to the *same shard* as the canonical CID — a
-    /// connection's packets never cross shards, rotated or not.
-    MapCid {
-        /// The freshly issued connection ID appearing on the wire.
-        alias: u64,
-        /// The canonical CID the demux already routes on.
-        cid: u64,
-    },
-    /// The peer acknowledged a rotation (RETIRE_CONNECTION_ID): the
-    /// old CID is dead. The demux drops its route and tombstones it so
-    /// stragglers are swallowed instead of spawning a ghost accept.
-    UnmapCid {
-        /// The retired connection ID.
-        cid: u64,
-    },
-}
-
-/// A CID-routing change surfaced by [`ShardCore::process`] while
-/// draining connections' [`PathOp`] queues. The caller forwards these
-/// to whatever owns the CID→connection route table: the demux thread
-/// (sharded mode, via [`DemuxCtl`]) or the unified loop's tombstone
-/// set (single-worker mode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CidRouteOp {
-    /// Route datagrams carrying `alias` to the connection keyed by
-    /// `canonical`.
-    Map {
-        /// The new on-wire CID.
-        alias: u64,
-        /// The accept-time CID the connection stays keyed under.
-        canonical: u64,
-    },
-    /// Stop routing the retired CID; tombstone it against re-accept.
-    Unmap {
-        /// The retired on-wire CID.
-        cid: u64,
-    },
-}
 
 /// End-of-run counters for one worker shard.
 #[derive(Debug, Clone, Default)]
@@ -143,130 +36,27 @@ pub struct ShardReport {
     pub shard: usize,
     /// Socket-level counters for this shard's loop.
     pub io: IoStats,
-    /// Datapath batching telemetry for this shard's send handle.
+    /// Datapath batching telemetry for this shard's sockets.
     pub batch: BatchStats,
     /// Datapath backend telemetry (submissions/completions/fallbacks)
-    /// for this shard's send handle.
+    /// for this shard's sockets.
     pub backend: BackendStats,
     /// Connections this shard ever owned.
     pub conns_served: u64,
 }
 
-/// Maps a connection ID to its owning shard.
+/// Maps a connection ID to the loop that owns it: the CID's last byte
+/// modulo the loop count.
 ///
-/// Runs the CID through a [SplitMix64](https://prng.di.unimi.it/splitmix64.c)
-/// finalizer before reducing modulo `shards`: client CIDs are
-/// DetRng-random, but sequential or adversarial CIDs must not pile onto
-/// one shard, and the avalanche makes every input bit flip about half
-/// of the output bits. Deterministic — a CID's shard never changes, so
-/// a connection's packets never cross shards.
+/// This is the userspace statement of the rule the kernel runs on every
+/// datagram ([`crate::mmsg::bind_steered`]'s three-instruction
+/// program), so it has to stay that simple: one byte at a fixed offset,
+/// hence at most [`crate::mmsg::MAX_STEERED`] loops. Client CIDs are
+/// DetRng-random, so the byte is uniform; a rotated CID keeps it
+/// ([`mpquic_core::Connection::rotate_cid`]), so a connection never
+/// changes loops.
 pub fn shard_for_cid(cid: u64, shards: usize) -> usize {
-    let mut z = cid.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z % shards.max(1) as u64) as usize
-}
-
-/// Where drained shard ingress lands.
-///
-/// Implemented by the production [`ShardCore`] (datagrams feed real
-/// connections) and by the protocol doubles the model-checked tests in
-/// `tests/loom.rs` use, so [`drain_shard_ingress`] — the exact code the
-/// shard threads run against the demux channels — can be exercised
-/// under exhaustive interleaving without binding sockets.
-pub trait ShardSink {
-    /// Takes ownership of a newly accepted connection.
-    fn accept(&mut self, cid: u64, transport: Box<QuicTransport>, app: Box<dyn ConnApp>);
-
-    /// Feeds one received datagram (already trimmed to its wire
-    /// length) to the connection owning `cid`. A miss is an ordinary
-    /// race with retirement and must be tolerated.
-    fn deliver(&mut self, cid: u64, meta: &RecvMeta, payload: &[u8]);
-}
-
-/// Outcome of one [`drain_shard_ingress`] pass.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IngressDrain {
-    /// At least one message was drained.
-    pub progressed: bool,
-    /// The demux hung up; the shard should flush and exit.
-    pub disconnected: bool,
-    /// How many messages were drained — the shard's side of the
-    /// channel-occupancy accounting (`queue_received` in the metrics
-    /// plane; the demux counts `queue_sent` at `try_send`).
-    pub msgs: usize,
-}
-
-/// Drains up to `max_msgs` pre-routed messages from the demux channel
-/// into `sink`, returning every datagram buffer to the demux pool via
-/// `ctl`.
-///
-/// This is stage 1 of the shard loop, factored out so the loom tests
-/// interleave the *production* drain code against the demux. The
-/// buffer-recycling contract lives here: a [`ShardMsg::Datagram`]'s
-/// buffer goes back through [`DemuxCtl::Return`] exactly once, whether
-/// or not its connection still exists.
-pub fn drain_shard_ingress(
-    rx: &Receiver<ShardMsg>,
-    ctl: &Sender<DemuxCtl>,
-    sink: &mut impl ShardSink,
-    max_msgs: usize,
-) -> IngressDrain {
-    let mut out = IngressDrain::default();
-    for _ in 0..max_msgs {
-        match rx.try_recv() {
-            Ok(ShardMsg::Accept {
-                cid,
-                transport,
-                app,
-            }) => {
-                sink.accept(cid, transport, app);
-                out.progressed = true;
-                out.msgs += 1;
-            }
-            Ok(ShardMsg::Datagram { cid, meta, buf }) => {
-                let payload = buf.get(..meta.len).unwrap_or(&[]);
-                // A miss is a race with retirement: the dropped
-                // datagram is ordinary loss to the peer.
-                sink.deliver(cid, &meta, payload);
-                // Buffer back to the demux pool either way.
-                let _ = ctl.send(DemuxCtl::Return(buf));
-                out.progressed = true;
-                out.msgs += 1;
-            }
-            Err(TryRecvError::Empty) => break,
-            Err(TryRecvError::Disconnected) => {
-                out.disconnected = true;
-                break;
-            }
-        }
-    }
-    out
-}
-
-/// Final drain after the shard decides to exit: queued datagram
-/// buffers go back to the demux pool and queued-but-never-owned
-/// accepts are retired, so shutdown neither leaks pool buffers nor
-/// strands the accept/close accounting (`accepted == closed + active`
-/// stays an invariant through teardown). Returns how many messages
-/// were flushed, so the caller can keep `queue_received` honest.
-pub fn flush_shard_ingress(rx: &Receiver<ShardMsg>, ctl: &Sender<DemuxCtl>) -> usize {
-    let mut flushed = 0;
-    loop {
-        match rx.try_recv() {
-            Ok(ShardMsg::Accept { cid, .. }) => {
-                let _ = ctl.send(DemuxCtl::Retire { cid });
-                flushed += 1;
-            }
-            Ok(ShardMsg::Datagram { buf, .. }) => {
-                let _ = ctl.send(DemuxCtl::Return(buf));
-                flushed += 1;
-            }
-            Err(_) => break,
-        }
-    }
-    flushed
+    (cid & 0xFF) as usize % shards.clamp(1, crate::mmsg::MAX_STEERED)
 }
 
 /// One connection owned by a shard.
@@ -278,11 +68,7 @@ struct ConnEntry {
     done: bool,
 }
 
-/// The shard loop body, factored out of the thread shell so the
-/// endpoint's single-worker fast path can run the *same* per-connection
-/// machinery (timers → app poll → batched egress → reap) in the demux
-/// thread itself, with ingress fed directly instead of through a
-/// channel.
+/// One loop's connections and everything that routes to them.
 pub(crate) struct ShardCore {
     clock: Clock,
     timer: Timer,
@@ -291,9 +77,13 @@ pub(crate) struct ShardCore {
     conns: HashMap<u64, ConnEntry>,
     /// Rotated on-wire CIDs → the accept-time CID a connection stays
     /// keyed under. Connections are never rekeyed: a rotation adds an
-    /// alias here (and in the demux) so demux and shard keep agreeing
-    /// on the owning entry while old and new CIDs overlap in flight.
+    /// alias here, so old and new CIDs both reach the entry while they
+    /// overlap in flight.
     aliases: HashMap<u64, u64>,
+    /// CIDs this loop stopped routing — reaped connections, their
+    /// aliases, rotated-away CIDs — whose stragglers must be dropped,
+    /// not accepted as new connections.
+    retired: Tombstones,
     reap: Vec<u64>,
     /// Scratch for path ops drained mid-iteration (the connection map
     /// is mutably borrowed there, so alias updates are deferred).
@@ -310,6 +100,7 @@ impl ShardCore {
             io: IoStats::default(),
             conns: HashMap::new(),
             aliases: HashMap::new(),
+            retired: Tombstones::new(),
             reap: Vec::new(),
             path_ops: Vec::new(),
             conns_served: 0,
@@ -327,8 +118,13 @@ impl ShardCore {
         self.conns.contains_key(&cid) || self.aliases.contains_key(&cid)
     }
 
-    /// Takes ownership of a freshly accepted connection.
-    pub(crate) fn accept(
+    /// True if `cid` was retired recently enough to be remembered.
+    pub(crate) fn is_retired(&self, cid: u64) -> bool {
+        self.retired.contains(cid)
+    }
+
+    /// Takes ownership of a freshly built connection under `cid`.
+    pub(crate) fn insert(
         &mut self,
         cid: u64,
         transport: Box<QuicTransport>,
@@ -371,14 +167,14 @@ impl ShardCore {
     /// application, drain batched egress, and reap closed connections
     /// (reporting each retired CID through `on_retire`). Path ops the
     /// connections queued — CID rotations, validation outcomes — bump
-    /// the endpoint counters here and surface routing changes through
-    /// `on_route`. Returns `true` if anything happened.
+    /// the endpoint counters and update the alias table here; every
+    /// CID that stops routing is tombstoned here and nowhere else.
+    /// Returns `true` if anything happened.
     pub(crate) fn process(
         &mut self,
         sockets: &mut SocketRegistry,
         stats: &EndpointStats,
         mut on_retire: impl FnMut(u64),
-        mut on_route: impl FnMut(CidRouteOp),
     ) -> bool {
         let mut progressed = false;
 
@@ -424,51 +220,21 @@ impl ShardCore {
                 }
             }
 
-            // Egress, mirroring Driver::step: fill the pool-backed
-            // queue (GSO coalescing), fan each train out in one
-            // batched syscall on the socket bound to its local
-            // address.
-            let mut sent = 0;
-            while sent < MAX_SEND_PER_CONN {
-                let produced = entry
-                    .transport
-                    .poll_transmit_batch(self.clock.now(), &mut self.queue);
-                if self.queue.is_empty() {
-                    break;
+            // Egress. A socket-level refusal is fatal for this
+            // connection only — close it; the loop and its other
+            // connections keep running.
+            let (datagrams, bytes, result) =
+                drain_egress(&mut *entry.transport, &self.clock, &mut self.queue, sockets);
+            self.io.datagrams_sent += datagrams;
+            self.io.bytes_sent += bytes;
+            progressed |= datagrams > 0;
+            if result.is_err() {
+                if !entry.done {
+                    stats.failed.add(1);
+                    entry.done = true;
                 }
-                while let Some(transmit) = self.queue.pop() {
-                    let result = sockets.send_train(
-                        transmit.local,
-                        transmit.remote,
-                        &transmit.payload,
-                        transmit.segment_size,
-                    );
-                    let accepted = match &result {
-                        Ok(n) => *n,
-                        Err(_) => 0,
-                    };
-                    let bytes: usize = transmit.segments().take(accepted).map(<[u8]>::len).sum();
-                    sent += transmit.segment_count();
-                    // Recycle before acting on any error: pool
-                    // buffers must go back even on a failed send.
-                    self.queue.recycle(transmit.payload);
-                    if result.is_err() {
-                        // A socket-level refusal is fatal for this
-                        // connection only — close it; the shard and
-                        // its other connections keep running.
-                        if !entry.done {
-                            stats.failed.add(1);
-                            entry.done = true;
-                        }
-                        entry.transport.conn.close(APP_ERROR_CODE, "socket error");
-                    }
-                    self.io.datagrams_sent += accepted as u64;
-                    self.io.bytes_sent += bytes as u64;
-                    progressed = true;
-                }
-                if produced == 0 {
-                    break;
-                }
+                entry.transport.conn.close(APP_ERROR_CODE, "socket error");
+                progressed = true;
             }
 
             // Reap once the close frame has hit the wire.
@@ -483,12 +249,11 @@ impl ShardCore {
                 PathOp::MapCid(alias) => {
                     stats.cid_rotations_initiated.add(1);
                     self.aliases.insert(alias, canonical);
-                    on_route(CidRouteOp::Map { alias, canonical });
                 }
                 PathOp::UnmapCid(old) => {
                     stats.cid_rotations_completed.add(1);
                     self.aliases.remove(&old);
-                    on_route(CidRouteOp::Unmap { cid: old });
+                    self.retired.insert(old);
                 }
                 PathOp::ValidationStarted => stats.path_validations_started.add(1),
                 PathOp::ValidationCompleted => stats.path_validations_validated.add(1),
@@ -499,18 +264,17 @@ impl ShardCore {
 
         for cid in self.reap.drain(..) {
             self.conns.remove(&cid);
-            // Any live aliases of the reaped connection die with it;
-            // surface each as an unmap so the routing layer tombstones
-            // them — a straggler carrying a rotated CID must be dropped,
-            // not re-enter the accept path as a phantom connection.
+            // Any live aliases of the reaped connection die with it — a
+            // straggler carrying a rotated CID must be dropped, not
+            // re-enter the accept path as a phantom connection.
+            let retired = &mut self.retired;
             self.aliases.retain(|&alias, &mut canonical| {
                 if canonical == cid {
-                    on_route(CidRouteOp::Unmap { cid: alias });
-                    false
-                } else {
-                    true
+                    retired.insert(alias);
                 }
+                canonical != cid
             });
+            retired.insert(cid);
             on_retire(cid);
             progressed = true;
         }
@@ -519,7 +283,7 @@ impl ShardCore {
     }
 
     /// Consumes the core into its end-of-run report, folding in the
-    /// socket handle's counters.
+    /// registry's counters.
     pub(crate) fn into_report(self, shard: usize, sockets: &SocketRegistry) -> ShardReport {
         let mut io = self.io;
         io.send_drops = sockets.send_drops();
@@ -535,108 +299,6 @@ impl ShardCore {
             conns_served: self.conns_served,
         }
     }
-}
-
-impl ShardSink for ShardCore {
-    fn accept(&mut self, cid: u64, transport: Box<QuicTransport>, app: Box<dyn ConnApp>) {
-        ShardCore::accept(self, cid, transport, app);
-    }
-
-    fn deliver(&mut self, cid: u64, meta: &RecvMeta, payload: &[u8]) {
-        ShardCore::deliver(self, cid, meta.local, meta.remote, payload);
-    }
-}
-
-/// The shard thread body: loops until `stop` (or the demux hangs up),
-/// then reports its counters.
-///
-/// `sockets` must be a send handle (a [`SocketRegistry::try_clone`] of
-/// the listen registry) — the shard never receives from it; ingress
-/// arrives pre-routed on `rx`.
-pub(crate) fn run_shard(
-    shard: usize,
-    rx: Receiver<ShardMsg>,
-    ctl: Sender<DemuxCtl>,
-    mut sockets: SocketRegistry,
-    plane: Arc<EndpointPlane>,
-    stop: Arc<AtomicBool>,
-) -> ShardReport {
-    let mut core = ShardCore::new();
-    let mut backoff = Backoff::new();
-    let mut disconnected = false;
-    let shard_plane = plane.shard(shard);
-    let mut was_idle = true;
-    // Last-published backend counters: each busy iteration folds only
-    // the delta into the shared plane (the copy is a fixed-size struct,
-    // so the fold allocates nothing on the datapath).
-    let mut prev_backend = BackendStats::default();
-
-    loop {
-        let iter_start = Instant::now();
-
-        // 1. Ingress: drain pre-routed messages from the demux.
-        let drained = drain_shard_ingress(&rx, &ctl, &mut core, MAX_MSGS_PER_STEP);
-        let mut progressed = drained.progressed;
-        disconnected |= drained.disconnected;
-        if drained.msgs > 0 {
-            shard_plane.queue_received.add(drained.msgs as u64);
-        }
-
-        // 2. Per connection: timers, application progress, egress.
-        if core.process(
-            &mut sockets,
-            &plane.stats,
-            |cid| {
-                let _ = ctl.send(DemuxCtl::Retire { cid });
-            },
-            |route| {
-                let _ = ctl.send(match route {
-                    CidRouteOp::Map { alias, canonical } => DemuxCtl::MapCid {
-                        alias,
-                        cid: canonical,
-                    },
-                    CidRouteOp::Unmap { cid } => DemuxCtl::UnmapCid { cid },
-                });
-            },
-        ) {
-            progressed = true;
-        }
-
-        shard_plane.loop_iterations.add(1);
-        if progressed {
-            shard_plane.busy_iterations.add(1);
-            if was_idle {
-                shard_plane.wakeups.add(1);
-            }
-            shard_plane
-                .loop_ns
-                .record(iter_start.elapsed().as_nanos() as u64);
-            shard_plane.conns_active.set(core.len() as u64);
-            publish_backend_delta(&plane, &mut prev_backend, &sockets);
-        }
-        was_idle = !progressed;
-
-        // Acquire pairs with the Release store in `Endpoint::shutdown`:
-        // whatever the closer wrote before raising the flag is visible
-        // to this final iteration.
-        if stop.load(Ordering::Acquire) || disconnected {
-            break;
-        }
-        if progressed {
-            backoff.reset();
-        } else {
-            backoff.wait();
-        }
-    }
-
-    // Nothing queued may outlive the shard: buffers go back to the
-    // pool, undrained accepts are retired (see `flush_shard_ingress`).
-    let flushed = flush_shard_ingress(&rx, &ctl);
-    if flushed > 0 {
-        shard_plane.queue_received.add(flushed as u64);
-    }
-    publish_backend_delta(&plane, &mut prev_backend, &sockets);
-    core.into_report(shard, &sockets)
 }
 
 /// Folds the registry's backend counters since the last publish into
@@ -673,8 +335,8 @@ mod tests {
 
     #[test]
     fn shard_assignment_is_stable_and_in_range() {
-        for shards in 1..=16 {
-            for cid in [0u64, 1, 2, 0xABCD, u64::MAX] {
+        for shards in [1, 2, 3, 7, 16, 256, 1000] {
+            for cid in [0u64, 1, 2, 0xABCD, 0xFF, 0x1FF, u64::MAX] {
                 let first = shard_for_cid(cid, shards);
                 assert!(first < shards);
                 assert_eq!(first, shard_for_cid(cid, shards), "stable");
@@ -688,18 +350,26 @@ mod tests {
     }
 
     #[test]
+    fn only_the_last_byte_decides() {
+        // The kernel program reads one byte; userspace must agree.
+        for shards in [2usize, 3, 8] {
+            for low in 0..=255u64 {
+                let expect = low as usize % shards;
+                assert_eq!(shard_for_cid(low, shards), expect);
+                assert_eq!(shard_for_cid(0xDEAD_BEEF_0000_0100 | low, shards), expect);
+            }
+        }
+        // Past 256 loops the extra ones can never be selected.
+        assert_eq!(shard_for_cid(0xFF, 1000), 0xFF);
+    }
+
+    #[test]
     fn sequential_cids_spread_across_shards() {
-        // The avalanche must break up worst-case sequential CIDs.
         let shards = 8;
         let mut counts = vec![0usize; shards];
         for cid in 0..800u64 {
             counts[shard_for_cid(cid, shards)] += 1;
         }
-        for (shard, &n) in counts.iter().enumerate() {
-            assert!(
-                n > 50 && n < 150,
-                "shard {shard} got {n}/800 sequential CIDs"
-            );
-        }
+        assert_eq!(counts, vec![100; shards], "sequential CIDs round-robin");
     }
 }

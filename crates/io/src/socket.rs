@@ -53,9 +53,9 @@ const SEND_RETRIES: u32 = 12;
 /// Kernel buffer size requested for every bound socket (clamped by the
 /// kernel to `rmem_max`/`wmem_max`). The default ~208 KiB receive
 /// buffer holds a listen socket only ~170 full datagrams of burst; with
-/// many connections demuxed through one socket, one scheduling stall of
-/// the demux thread overflows it and triggers an RTO storm. 4 MiB
-/// matches the common `rmem_max` ceiling.
+/// many connections served through one socket, one scheduling stall of
+/// the loop that drains it overflows it and triggers an RTO storm.
+/// 4 MiB matches the common `rmem_max` ceiling.
 const SOCKET_BUFFER_BYTES: usize = 4 << 20;
 
 /// One received datagram's addressing, paired with a caller buffer.
@@ -89,8 +89,8 @@ pub struct BatchStats {
 
 impl BatchStats {
     /// Folds another registry's counters into this one — used to
-    /// aggregate the per-shard registries of an endpoint into one
-    /// report without sharing any state between the shards at runtime.
+    /// aggregate the per-loop registries of an endpoint into one
+    /// report without sharing any state between the loops at runtime.
     pub fn merge(&mut self, other: &BatchStats) {
         self.send_syscalls += other.send_syscalls;
         self.recv_syscalls += other.recv_syscalls;
@@ -108,6 +108,20 @@ struct Entry {
     /// Datagrams abandoned after repeated `WouldBlock` on send — kept
     /// per socket so reports can name the overwhelmed interface.
     send_drops: u64,
+}
+
+impl Entry {
+    /// Takes a bound socket into the registry: non-blocking, kernel
+    /// buffers grown, local address resolved.
+    fn new(socket: UdpSocket) -> io::Result<Entry> {
+        socket.set_nonblocking(true)?;
+        mmsg::set_buffer_sizes(&socket, SOCKET_BUFFER_BYTES);
+        Ok(Entry {
+            local: socket.local_addr()?,
+            socket,
+            send_drops: 0,
+        })
+    }
 }
 
 /// A reusable receive batch: fixed buffers plus the metadata of the
@@ -190,56 +204,62 @@ impl SocketRegistry {
     /// rather than silently running a different datapath than asked.
     pub fn bind_with(addrs: &[SocketAddr], choice: BackendChoice) -> io::Result<SocketRegistry> {
         assert!(!addrs.is_empty(), "at least one local address required");
-        let backend = backend::create(choice)?;
-        let mut sockets = Vec::with_capacity(addrs.len());
-        for &addr in addrs {
-            let socket = UdpSocket::bind(addr)?;
-            socket.set_nonblocking(true)?;
-            mmsg::set_buffer_sizes(&socket, SOCKET_BUFFER_BYTES);
-            let local = socket.local_addr()?;
-            sockets.push(Entry {
-                local,
-                socket,
-                send_drops: 0,
-            });
-        }
-        Ok(SocketRegistry {
-            sockets,
-            cursor: 0,
-            backend,
-            backend_fallbacks: 0,
-            pairs: Vec::with_capacity(mmsg::MAX_BATCH),
-            batch: BatchStats::default(),
-        })
+        let sockets = addrs
+            .iter()
+            .map(UdpSocket::bind)
+            .collect::<io::Result<Vec<_>>>()?;
+        Self::from_sockets(sockets, choice)
     }
 
-    /// Clones the registry: the same underlying sockets (`dup`ed file
-    /// descriptors, so datagrams sent through either handle leave the
-    /// same bound ports) with fresh, independent scratch arrays, batch
-    /// telemetry and drop counters.
+    /// Binds `addrs` once per event loop: up to `loops` registries over
+    /// the *same* addresses, registry `i` receiving exactly the
+    /// datagrams whose connection ID maps to `i` under
+    /// [`crate::shard_for_cid`] — the kernel steers them
+    /// ([`mmsg::bind_steered`]), so no loop ever sees, or has to pass
+    /// on, another loop's traffic. Port 0 is resolved once per address
+    /// and shared by every registry.
     ///
-    /// This is how an endpoint's worker shards each get a send handle
-    /// over the shared listen sockets without any locking: kernel UDP
-    /// sends are atomic per syscall, and everything mutable in the
-    /// registry itself is per-clone. Receiving through more than one
-    /// clone is *not* coordinated — concurrent receivers steal
-    /// datagrams from each other — so keep ingress on one handle.
-    pub fn try_clone(&self) -> io::Result<SocketRegistry> {
-        let mut sockets = Vec::with_capacity(self.sockets.len());
-        for entry in &self.sockets {
-            sockets.push(Entry {
-                local: entry.local,
-                socket: entry.socket.try_clone()?,
-                send_drops: 0,
-            });
+    /// Where the platform cannot steer, one ordinary registry is
+    /// returned instead: the caller runs as many loops as it was given
+    /// registries.
+    pub fn bind_steered(addrs: &[SocketAddr], loops: usize) -> io::Result<Vec<SocketRegistry>> {
+        assert!(!addrs.is_empty(), "at least one local address required");
+        // Socket `i` of every address's group goes to registry `i`.
+        let mut per_loop: Vec<Vec<UdpSocket>> = Vec::new();
+        for &addr in addrs {
+            match mmsg::bind_steered(addr, loops) {
+                Ok(group) => {
+                    per_loop.resize_with(group.len(), Vec::new);
+                    for (sockets, socket) in per_loop.iter_mut().zip(group) {
+                        sockets.push(socket);
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Unsupported => {
+                    if loops > 1 {
+                        eprintln!("warn: no kernel CID steering ({e}); serving with one loop");
+                    }
+                    // Release any group already bound before rebinding
+                    // its (possibly fixed) port the ordinary way.
+                    drop(per_loop);
+                    return Ok(vec![Self::bind(addrs)?]);
+                }
+                Err(e) => return Err(e),
+            }
         }
+        per_loop
+            .into_iter()
+            .map(|sockets| Self::from_sockets(sockets, backend::default_choice()))
+            .collect()
+    }
+
+    fn from_sockets(sockets: Vec<UdpSocket>, choice: BackendChoice) -> io::Result<SocketRegistry> {
         Ok(SocketRegistry {
-            sockets,
+            backend: backend::create(choice)?,
+            sockets: sockets
+                .into_iter()
+                .map(Entry::new)
+                .collect::<io::Result<Vec<_>>>()?,
             cursor: 0,
-            // Rings and registered buffers are per-instance state, so a
-            // clone builds its own backend of the same kind (degrading
-            // a rung if, say, a uring setup now hits a ulimit).
-            backend: backend::create_like(self.backend.kind()),
             backend_fallbacks: 0,
             pairs: Vec::with_capacity(mmsg::MAX_BATCH),
             batch: BatchStats::default(),
@@ -271,12 +291,10 @@ impl SocketRegistry {
             })?;
         let mut fresh = old_local;
         fresh.set_port(0);
-        let socket = UdpSocket::bind(fresh)?;
-        socket.set_nonblocking(true)?;
-        mmsg::set_buffer_sizes(&socket, SOCKET_BUFFER_BYTES);
-        let local = socket.local_addr()?;
+        let rebound = Entry::new(UdpSocket::bind(fresh)?)?;
+        let local = rebound.local;
         if let Some(entry) = self.sockets.get_mut(index) {
-            entry.socket = socket;
+            entry.socket = rebound.socket;
             entry.local = local;
         }
         Ok(local)

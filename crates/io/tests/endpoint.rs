@@ -1,20 +1,26 @@
-//! Multi-connection endpoint integration: demux correctness over real
-//! sockets.
+//! Multi-connection endpoint integration: CID steering correctness
+//! over real sockets.
 //!
-//! These tests are the acceptance gate for the sharded endpoint
+//! These tests are the acceptance gate for the multi-loop endpoint
 //! (DESIGN.md §12): several concurrent clients transfer *distinct*
 //! payloads through one `Endpoint` and each gets exactly its own file
 //! verified back (per-CID stream isolation); datagrams with unknown
-//! connection IDs beyond `--max-conns` are dropped and counted; the
-//! CID-hash shard assignment is stable and balanced over random CIDs;
-//! and one `mpq-server` *process* completes eight concurrent
-//! `mpq-client` transfers.
+//! connection IDs beyond `--max-conns` are dropped and counted, across
+//! loops; every path of a multipath connection, and every CID a
+//! migrating connection rotates through, reaches the one loop that owns
+//! it; every datagram received is delivered or counted under a reason;
+//! the CID→loop assignment is stable and balanced over random CIDs; and
+//! one `mpq-server` *process* completes eight concurrent `mpq-client`
+//! transfers.
 
-use mpquic_core::Config;
-use mpquic_io::{quic_client, shard_for_cid, transfer, BlockingStream, Endpoint, TransferApp};
+use mpquic_core::{Config, PathId, SchedulerKind};
+use mpquic_io::{
+    quic_client, shard_for_cid, transfer, BlockingStream, Driver, Endpoint, QuicTransport, RpcCall,
+    RpcServerApp, TransferApp,
+};
 use mpquic_util::DetRng;
 use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
+use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
 const OP_TIMEOUT: Duration = Duration::from_secs(60);
@@ -45,6 +51,12 @@ fn run_client(server: SocketAddr, seed: u64, payload: &[u8]) {
         .build()
         .expect("client config");
     let driver = quic_client(config, &[loopback0()], server, seed).expect("client bind");
+    run_transfer(driver, seed, payload);
+}
+
+/// [`run_client`] over an already-bound driver (any path count).
+/// Returns the driver, closed, for the caller to inspect.
+fn run_transfer(driver: Driver<QuicTransport>, seed: u64, payload: &[u8]) -> Driver<QuicTransport> {
     let mut stream = BlockingStream::with_timeout(driver, OP_TIMEOUT);
     stream.wait_established().expect("handshake");
 
@@ -58,9 +70,23 @@ fn run_client(server: SocketAddr, seed: u64, payload: &[u8]) {
         "server verified someone else's bytes (seed {seed})"
     );
 
-    let driver = stream.driver_mut();
-    driver.connection_mut().close(0, "transfer complete");
+    let mut driver = stream.into_driver();
+    close(&mut driver);
+    driver
+}
+
+/// Closes cleanly, so the server retires the connection promptly.
+fn close(driver: &mut Driver<QuicTransport>) {
+    driver.connection_mut().close(0, "done");
     let _ = driver.run_until(Duration::from_millis(50), |t| t.conn.is_closed());
+}
+
+/// Waits (bounded) until the endpoint's live counters satisfy `done`.
+fn wait_for(endpoint: &Endpoint, done: impl Fn(&mpquic_io::EndpointSnapshot) -> bool) {
+    let deadline = Instant::now() + OP_TIMEOUT;
+    while !done(&endpoint.stats()) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 #[test]
@@ -97,10 +123,7 @@ fn concurrent_clients_get_their_own_files_back() {
 
     // Every transfer completed server-side too, and the accept path saw
     // exactly one connection per client.
-    let deadline = Instant::now() + OP_TIMEOUT;
-    while (endpoint.stats().completed as usize) < CLIENTS && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_for(&endpoint, |s| s.completed as usize >= CLIENTS);
     let report = endpoint.shutdown();
     assert_eq!(report.totals.accepted as usize, CLIENTS);
     assert_eq!(report.totals.completed as usize, CLIENTS);
@@ -112,10 +135,21 @@ fn concurrent_clients_get_their_own_files_back() {
 
 #[test]
 fn clients_beyond_the_accept_limit_are_rejected_and_counted() {
+    beyond_the_accept_limit(1);
+}
+
+/// The limit is the endpoint's, not each loop's: the rejected client's
+/// CID belongs to the *other* loop, whose own table is empty.
+#[test]
+fn the_accept_limit_holds_across_loops() {
+    beyond_the_accept_limit(2);
+}
+
+fn beyond_the_accept_limit(workers: usize) {
     let config = Config::builder()
         .single_path()
         .max_incoming_connections(1)
-        .worker_shards(1)
+        .worker_shards(workers)
         .build()
         .expect("server config");
     let endpoint = Endpoint::bind(
@@ -141,13 +175,27 @@ fn clients_beyond_the_accept_limit_are_rejected_and_counted() {
 
     // Second client's unknown CID arrives past the limit: every one of
     // its datagrams is dropped and counted, so its handshake times out.
-    let rejected = quic_client(
-        Config::builder().single_path().build().expect("config"),
-        &[loopback0()],
-        server,
-        0xBBBB,
-    )
-    .expect("rejected bind");
+    // Its seed is the first whose CID another loop owns (where there is
+    // another loop).
+    let holder_shard = shard_for_cid(
+        holder.driver().connection().connection_id(),
+        endpoint.workers(),
+    );
+    let rejected = (0xBBBB_u64..)
+        .map(|seed| {
+            quic_client(
+                Config::builder().single_path().build().expect("config"),
+                &[loopback0()],
+                server,
+                seed,
+            )
+            .expect("rejected bind")
+        })
+        .find(|driver| {
+            let cid = driver.connection().connection_id();
+            endpoint.workers() == 1 || shard_for_cid(cid, endpoint.workers()) != holder_shard
+        })
+        .expect("some seed maps to the other loop");
     let mut rejected = BlockingStream::with_timeout(rejected, Duration::from_millis(700));
     assert!(
         rejected.wait_established().is_err(),
@@ -159,12 +207,206 @@ fn clients_beyond_the_accept_limit_are_rejected_and_counted() {
         endpoint.stats()
     );
 
-    let driver = holder.driver_mut();
-    driver.connection_mut().close(0, "done");
-    let _ = driver.run_until(Duration::from_millis(50), |t| t.conn.is_closed());
+    close(holder.driver_mut());
     let report = endpoint.shutdown();
     assert_eq!(report.totals.accepted, 1, "only the holder was accepted");
     assert!(report.totals.rejected >= 1);
+}
+
+/// MPQUIC names a connection by its CID, not by a 4-tuple: a client on
+/// two paths reaches the server from two source ports, and the kernel
+/// must hand both to the one loop that owns the CID.
+#[test]
+fn both_paths_of_a_multipath_client_reach_one_loop() {
+    let server_config = Config::builder()
+        .multipath()
+        .worker_shards(2)
+        .build()
+        .expect("server config");
+    let endpoint = Endpoint::bind(
+        &[loopback0()],
+        server_config,
+        0x2BA7,
+        Box::new(|_cid| Box::new(TransferApp::new())),
+    )
+    .expect("bind endpoint");
+    assert_eq!(endpoint.workers(), 2, "this kernel steers by CID");
+    let server = endpoint.local_addrs()[0];
+
+    // Round-robin, so the second path is certain to carry data.
+    let client_config = Config::builder()
+        .multipath()
+        .scheduler(SchedulerKind::RoundRobin)
+        .build()
+        .expect("client config");
+    let driver = quic_client(client_config, &[loopback0(), loopback0()], server, 0x2BA7)
+        .expect("client bind");
+    let owner = shard_for_cid(driver.connection().connection_id(), 2);
+    let driver = run_transfer(driver, 0x2BA7, &distinct_payload(7, 512 * 1024));
+
+    let conn = driver.connection();
+    let paths = conn.path_ids();
+    assert_eq!(paths.len(), 2, "the client opened its second path");
+    for id in paths {
+        let path = conn.path(id).expect("listed path");
+        assert!(path.bytes_sent > 0, "path {} carried nothing", id.0);
+    }
+
+    wait_for(&endpoint, |s| s.completed == 1);
+    let report = endpoint.shutdown();
+    assert_eq!(report.totals.accepted, 1, "two 4-tuples, one connection");
+    assert_eq!(report.totals.completed, 1);
+    for shard in &report.shards {
+        let received = shard.io.datagrams_received;
+        if shard.shard == owner {
+            assert!(received > 0, "the owning loop served the connection");
+        } else {
+            assert_eq!(received, 0, "loop {} saw another loop's path", shard.shard);
+        }
+    }
+}
+
+/// One verified `mpq-rpc` exchange on `driver`.
+fn rpc(driver: &mut Driver<QuicTransport>, tag: u64, last: bool) {
+    let request = distinct_payload(tag, 2048);
+    let mut call = RpcCall::start(driver.connection_mut(), &request, 4096, last);
+    let mut verdict = None;
+    let done = driver
+        .run_until(OP_TIMEOUT, |t| {
+            verdict = call.poll(&mut t.conn);
+            verdict.is_some()
+        })
+        .expect("pump");
+    assert!(done, "rpc {tag} timed out");
+    assert!(
+        verdict.is_some_and(|v| v.ok && v.intact),
+        "rpc {tag} failed"
+    );
+}
+
+/// A migrating client: new source port, then — once the server has
+/// validated it — a new CID. Neither may move the connection to another
+/// loop, or the other loop would accept the rotated CID as a stranger.
+#[test]
+fn rebind_and_cid_rotation_stay_on_the_owning_loop() {
+    const CLIENTS: u64 = 3;
+    let config = Config::builder()
+        .single_path()
+        .worker_shards(2)
+        .build()
+        .expect("server config");
+    let endpoint = Endpoint::bind(
+        &[loopback0()],
+        config,
+        0x207A,
+        Box::new(|_cid| Box::new(RpcServerApp::new())),
+    )
+    .expect("bind endpoint");
+    assert_eq!(endpoint.workers(), 2, "this kernel steers by CID");
+    let server = endpoint.local_addrs()[0];
+
+    for i in 0..CLIENTS {
+        let mut driver = quic_client(
+            Config::builder().single_path().build().expect("config"),
+            &[loopback0()],
+            server,
+            0x207A + i,
+        )
+        .expect("client bind");
+        let first_cid = driver.connection().connection_id();
+        rpc(&mut driver, 10 * i, false);
+        // Stragglers of the previous client (its last ACKs, after the
+        // server closed) are long counted by now; from here on only
+        // this connection talks to the endpoint.
+        let tombstoned_before = endpoint.stats().tombstoned;
+
+        driver.rebind_path(PathId::INITIAL).expect("rebind");
+        rpc(&mut driver, 10 * i + 1, false);
+        // Validation of the new address triggers the rotation; keep the
+        // connection pumping until the old CID is retired.
+        let rotated = driver
+            .run_until(OP_TIMEOUT, |_| endpoint.stats().cid_rotations_completed > i)
+            .expect("pump");
+        assert!(rotated, "client {i}: rotation never completed");
+        let new_cid = driver.connection().connection_id();
+        assert_ne!(new_cid, first_cid, "client {i} switched CIDs");
+        assert_eq!(new_cid & 0xFF, first_cid & 0xFF, "steering byte kept");
+
+        // Traffic on the rotated CID is served by the same connection.
+        rpc(&mut driver, 10 * i + 2, false);
+        let stats = endpoint.stats();
+        assert_eq!(stats.accepted, i + 1, "a rotated CID was accepted anew");
+        assert_eq!(
+            stats.tombstoned, tombstoned_before,
+            "a live connection's datagram was dropped as a straggler"
+        );
+
+        rpc(&mut driver, 10 * i + 3, true);
+        close(&mut driver);
+    }
+
+    wait_for(&endpoint, |s| s.closed == CLIENTS);
+    let report = endpoint.shutdown();
+    assert_eq!(report.totals.accepted, CLIENTS);
+    assert_eq!(report.totals.completed, CLIENTS);
+    assert_eq!(report.totals.closed, CLIENTS);
+    assert_eq!(report.totals.failed, 0);
+}
+
+/// No silent drops: after connection churn plus some garbage, every
+/// datagram the loops received was delivered to a connection or counted
+/// under exactly one reason.
+#[test]
+fn every_received_datagram_is_delivered_or_counted() {
+    const WAVES: usize = 2;
+    const CLIENTS: usize = 3;
+    let config = Config::builder()
+        .single_path()
+        .max_incoming_connections(CLIENTS)
+        .worker_shards(2)
+        .build()
+        .expect("server config");
+    let endpoint = Endpoint::bind(
+        &[loopback0()],
+        config,
+        0xACC7,
+        Box::new(|_cid| Box::new(TransferApp::new())),
+    )
+    .expect("bind endpoint");
+    let server = endpoint.local_addrs()[0];
+
+    for wave in 0..WAVES {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|i| {
+                let tag = (wave * CLIENTS + i) as u64;
+                std::thread::spawn(move || {
+                    run_client(server, 0xACC7_0000 + tag, &distinct_payload(tag, 16 * 1024));
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().expect("client thread");
+        }
+        let target = ((wave + 1) * CLIENTS) as u64;
+        wait_for(&endpoint, |s| s.closed == target);
+    }
+    // Two datagrams no connection can own: no fixed bit, and too short
+    // to hold a CID.
+    let stray = UdpSocket::bind(loopback0()).expect("stray socket");
+    stray.send_to(&[0u8; 32], server).expect("send garbage");
+    stray.send_to(&[0x40, 1, 2], server).expect("send runt");
+    wait_for(&endpoint, |s| s.malformed == 2);
+
+    let report = endpoint.shutdown();
+    let t = report.totals;
+    assert_eq!(t.accepted as usize, WAVES * CLIENTS);
+    assert_eq!(t.malformed, 2);
+    assert_eq!(t.recv_errors, 0);
+    assert_eq!(
+        t.datagrams_in,
+        report.merged_io().datagrams_received + t.malformed + t.rejected + t.tombstoned,
+        "a datagram was dropped without a reason: {t:?}"
+    );
 }
 
 /// Property test over the repo's deterministic RNG: shard assignment is

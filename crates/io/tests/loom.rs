@@ -1,267 +1,24 @@
-//! Model-checked protocol tests for the sharded endpoint's
-//! cross-thread seams (build with `RUSTFLAGS="--cfg loom"`).
+//! Model-checked test for the endpoint loop's idle wait (build with
+//! `RUSTFLAGS="--cfg loom"`).
 //!
-//! Each test drives the **production** demux/shard protocol code —
-//! [`DemuxCore::route`]/[`DemuxCore::drain_ctl`] on one side,
-//! [`drain_shard_ingress`]/[`flush_shard_ingress`] on the other,
-//! talking over the same `mpquic_util::sync` channels the endpoint
-//! threads use — under `mpquic_util::model`'s exhaustive interleaving
-//! explorer. The properties checked are the ones a single lucky
-//! `cargo test` schedule cannot establish:
-//!
-//! * **buffer lifecycle** — every pool buffer loaned to a shard queue
-//!   comes back exactly once, on every schedule, including shutdown
-//!   and backpressure-drop paths (no leak, no double recycle);
-//! * **close accounting** — `accepted == closed + active` survives
-//!   every interleaving of accept, retire, and teardown;
-//! * **no lost wakeup** — the yield-first idle ladder (`workers=1`
-//!   regression, PR 6) always observes a racing ingress datagram.
+//! The endpoint's loops hand nothing to each other — the kernel steers
+//! each connection's datagrams to the loop that owns it (DESIGN.md
+//! §12) — so the one cross-thread protocol left to check is the loop
+//! against whoever feeds and stops it: under `mpquic_util::model`'s
+//! exhaustive interleaving explorer, the yield-first idle ladder
+//! (single-core regression, PR 6) always observes a racing ingress
+//! datagram — **no lost wakeup**, which no single lucky `cargo test`
+//! schedule can establish.
 
 #![cfg(loom)]
 
-use mpquic_core::Config;
-use mpquic_io::socket::RecvMeta;
-use mpquic_io::{
-    drain_shard_ingress, flush_shard_ingress, Backoff, ConnApp, DemuxCore, DemuxCtl, EndpointPlane,
-    QuicTransport, ShardMsg, ShardSink, TransferApp,
-};
+use mpquic_io::Backoff;
 use mpquic_util::model;
 use mpquic_util::sync::atomic::{AtomicBool, Ordering};
-use mpquic_util::sync::mpsc::{channel, sync_channel, Receiver, Sender};
+use mpquic_util::sync::mpsc::channel;
 use mpquic_util::sync::Arc;
-use std::net::SocketAddr;
 
-fn addr(port: u16) -> SocketAddr {
-    SocketAddr::from(([127, 0, 0, 1], port))
-}
-
-/// A datagram `PublicHeader::connection_id_of` routes to `cid`: fixed
-/// bit set, reserved bits clear, CID big-endian in bytes 1..9.
-fn datagram(cid: u64) -> Vec<u8> {
-    let mut d = vec![0u8; 16];
-    d[0] = 0x40;
-    d[1..9].copy_from_slice(&cid.to_be_bytes());
-    d
-}
-
-fn meta_for(payload: &[u8]) -> RecvMeta {
-    RecvMeta {
-        local: addr(1000),
-        remote: addr(2000),
-        len: payload.len(),
-    }
-}
-
-fn demux_core(
-    shard_txs: Vec<mpquic_util::sync::mpsc::SyncSender<ShardMsg>>,
-) -> (DemuxCore, Arc<EndpointPlane>) {
-    let plane = Arc::new(EndpointPlane::new(shard_txs.len()));
-    let config = Config::builder().single_path().build().expect("config");
-    let core = DemuxCore::new(
-        config,
-        7,
-        vec![addr(1000)],
-        Box::new(|_cid| Box::new(TransferApp::new())),
-        shard_txs,
-        Arc::clone(&plane),
-    );
-    (core, plane)
-}
-
-/// Shard-side protocol double: records what arrived, drops the
-/// transports (connection processing is covered by the std tests; the
-/// model checks the channel protocol around it).
-#[derive(Default)]
-struct RecordingSink {
-    accepted: Vec<u64>,
-    delivered: usize,
-}
-
-impl ShardSink for RecordingSink {
-    fn accept(&mut self, cid: u64, _t: Box<QuicTransport>, _a: Box<dyn ConnApp>) {
-        self.accepted.push(cid);
-    }
-
-    fn deliver(&mut self, _cid: u64, _meta: &RecvMeta, _payload: &[u8]) {
-        self.delivered += 1;
-    }
-}
-
-/// The shard thread body the models run: the production ingress drain
-/// in the production loop shape (drain → stop check → yield), then
-/// the production shutdown path (retire owned connections, flush the
-/// queue) on exit.
-fn model_shard(
-    rx: Receiver<ShardMsg>,
-    ctl: Sender<DemuxCtl>,
-    stop: Arc<AtomicBool>,
-) -> RecordingSink {
-    let mut sink = RecordingSink::default();
-    loop {
-        let drained = drain_shard_ingress(&rx, &ctl, &mut sink, 16);
-        if drained.disconnected {
-            break;
-        }
-        // As in `run_shard`: once the stop flag is observed the loop
-        // exits; anything still queued (a datagram racing the flag) is
-        // handed to the flush below, which recycles its buffer without
-        // delivering it.
-        if stop.load(Ordering::Acquire) && !drained.progressed {
-            break;
-        }
-        if !drained.progressed {
-            mpquic_util::sync::thread::yield_now();
-        }
-    }
-    for &cid in &sink.accepted {
-        let _ = ctl.send(DemuxCtl::Retire { cid });
-    }
-    flush_shard_ingress(&rx, &ctl);
-    sink
-}
-
-/// Ingress-channel + buffer-return + close-accounting protocol: one
-/// accepted connection, two routed datagrams, a clean retire. On every
-/// interleaving every buffer is recycled exactly once and the counters
-/// balance to `accepted == closed`, `active == 0`.
-#[test]
-fn ingress_accept_retire_accounting_holds_on_every_interleaving() {
-    model::run(|| {
-        let (tx, rx) = sync_channel::<ShardMsg>(4);
-        let (ctl_tx, ctl_rx) = channel::<DemuxCtl>();
-        let (mut core, plane) = demux_core(vec![tx]);
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let shard = {
-            let stop = Arc::clone(&stop);
-            model::thread::spawn(move || model_shard(rx, ctl_tx, stop))
-        };
-
-        let cid = 0xAB;
-        let d = datagram(cid);
-        core.route(meta_for(&d), &d);
-        core.route(meta_for(&d), &d);
-        // Quiesce before stopping: block until every loaned buffer is
-        // back (the shard returns each only after delivering it), so
-        // this test asserts the delivery guarantee of a *running*
-        // endpoint. The stop-races-ingress case — where an undelivered
-        // message is legitimately flushed instead — is the shutdown
-        // test's subject.
-        while core.outstanding_buffers() > 0 {
-            core.apply_ctl(ctl_rx.recv().expect("shard alive"));
-        }
-        stop.store(true, Ordering::Release);
-
-        let sink = shard.join().expect("shard thread");
-        // Shard exited: everything it sent is in the control queue.
-        core.drain_ctl(&ctl_rx);
-
-        assert_eq!(sink.accepted, vec![cid]);
-        assert_eq!(sink.delivered, 2, "both datagrams reached the shard");
-        let snap = plane.stats.snapshot();
-        assert_eq!(snap.accepted, 1);
-        assert_eq!(snap.closed, 1, "retire must reach the accounting");
-        assert_eq!(snap.active, 0);
-        assert_eq!(snap.backpressure_drops, 0, "queue depth 4 never fills");
-        assert_eq!(
-            core.outstanding_buffers(),
-            0,
-            "every loaned buffer recycled exactly once"
-        );
-        drop(core); // BufferPool's drop re-asserts the leak check.
-    });
-}
-
-/// Backpressure path: a depth-1 queue forces schedule-dependent
-/// `try_send` failures. Dropped or delivered, every datagram's buffer
-/// is back in the pool at quiescence, and drops are counted exactly.
-#[test]
-fn backpressure_drops_recycle_buffers_on_every_interleaving() {
-    model::run(|| {
-        let (tx, rx) = sync_channel::<ShardMsg>(1);
-        let (ctl_tx, ctl_rx) = channel::<DemuxCtl>();
-        let (mut core, plane) = demux_core(vec![tx]);
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let shard = {
-            let stop = Arc::clone(&stop);
-            model::thread::spawn(move || model_shard(rx, ctl_tx, stop))
-        };
-
-        let cid = 0xCD;
-        let d = datagram(cid);
-        // Accept fills the depth-1 queue; each datagram then either
-        // squeezes in (shard drained in time) or drops.
-        core.route(meta_for(&d), &d);
-        core.route(meta_for(&d), &d);
-        // Quiesce before stopping (see the ingress test): a queued
-        // datagram's buffer stays outstanding until the shard returns
-        // it, so after this loop each datagram is fully delivered or
-        // was drop-counted at try_send time — the stop flag cannot
-        // strand a third state.
-        while core.outstanding_buffers() > 0 {
-            core.apply_ctl(ctl_rx.recv().expect("shard alive"));
-        }
-        stop.store(true, Ordering::Release);
-
-        let sink = shard.join().expect("shard thread");
-        core.drain_ctl(&ctl_rx);
-
-        let snap = plane.stats.snapshot();
-        assert_eq!(snap.accepted, 1, "the queue is empty at accept time");
-        assert_eq!(
-            sink.delivered as u64 + snap.backpressure_drops,
-            2,
-            "each datagram was delivered or counted as dropped, never both"
-        );
-        assert_eq!(snap.closed, 1);
-        assert_eq!(snap.active, 0);
-        assert_eq!(core.outstanding_buffers(), 0, "drops recycle immediately");
-        drop(core);
-    });
-}
-
-/// Shutdown teardown protocol: the demux stops routing, raises the
-/// stop flag, and drains the control channel to disconnect
-/// ([`DemuxCore::finish`]) while the shard races its own stop check,
-/// retire-and-flush. No interleaving leaks a buffer or strands the
-/// accounting: `accepted == closed + active` at quiescence.
-#[test]
-fn shutdown_drain_leaks_nothing_on_every_interleaving() {
-    model::run(|| {
-        let (tx, rx) = sync_channel::<ShardMsg>(4);
-        let (ctl_tx, ctl_rx) = channel::<DemuxCtl>();
-        let (mut core, plane) = demux_core(vec![tx]);
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let shard = {
-            let stop = Arc::clone(&stop);
-            model::thread::spawn(move || model_shard(rx, ctl_tx, stop))
-        };
-
-        let cid = 0xEF;
-        let d = datagram(cid);
-        core.route(meta_for(&d), &d);
-        core.route(meta_for(&d), &d);
-        // Shut down immediately: the shard may not have drained
-        // anything yet — its flush and the demux's blocking
-        // drain-to-disconnect must still account for every message.
-        stop.store(true, Ordering::Release);
-        core.finish(&ctl_rx); // asserts the pool drained internally
-
-        shard.join().expect("shard thread");
-        let snap = plane.stats.snapshot();
-        assert_eq!(snap.accepted, 1);
-        assert_eq!(
-            snap.accepted,
-            snap.closed + snap.active,
-            "teardown stranded the close accounting: {snap:?}"
-        );
-        assert_eq!(snap.closed, 1, "shutdown retires queued or owned accepts");
-    });
-}
-
-/// PR 6 `workers=1` regression: the unified loop's yield-first idle
+/// PR 6 single-core regression: the endpoint loop's yield-first idle
 /// ladder ([`Backoff::yielding`]) races an ingress burst and a stop
 /// request. No interleaving may lose a wakeup — after the stop flag is
 /// observed, one final drain sees every message sent before it.
@@ -282,7 +39,7 @@ fn yield_first_idle_ladder_never_loses_a_wakeup() {
             })
         };
 
-        // The unified-loop shape: drain, stop check, graduated idle
+        // The endpoint-loop shape: drain, stop check, graduated idle
         // wait. On a single core the ladder starts at the yield stage.
         let mut backoff = Backoff::yielding();
         let mut got = 0;

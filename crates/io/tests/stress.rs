@@ -1,15 +1,14 @@
-//! Accept/close churn stress for the sharded endpoint — the
-//! sanitizer-facing companion to the model-checked protocol tests
+//! Accept/close churn stress for the multi-loop endpoint — the
+//! sanitizer-facing companion to the model-checked idle-wait test
 //! (`tests/loom.rs`).
 //!
-//! Where the loom models explore every interleaving of a *small*
-//! protocol instance, this test hammers the real thing: waves of
-//! concurrent clients handshake, transfer, and close against one
-//! `Endpoint`, exercising the accept handoff, the buffer-return path,
-//! CID retirement/tombstoning, and the teardown drain under genuine
-//! thread concurrency. On its own it is a smoke test; under
-//! ThreadSanitizer (CI job `tsan`, see DESIGN.md §14) every data race
-//! in the churned paths is a hard failure.
+//! This test hammers the real thing: waves of concurrent clients
+//! handshake, transfer, and close against one two-loop `Endpoint`,
+//! exercising kernel steering, the shared accept limit, CID
+//! retirement/tombstoning, and teardown under genuine thread
+//! concurrency. On its own it is a smoke test; under ThreadSanitizer
+//! (CI job `tsan`, see DESIGN.md §14) every data race in the churned
+//! paths is a hard failure.
 //!
 //! `#[ignore]` by default: it opens dozens of real sockets and runs for
 //! seconds. Run with `cargo test -p mpquic-io --test stress -- --ignored`.
@@ -63,9 +62,9 @@ fn churn_client(server: SocketAddr, seed: u64, payload: &[u8]) {
 }
 
 /// Waves of concurrent connect/transfer/close churn. Each wave fully
-/// drains before the next starts, so the same accept slots and pool
-/// buffers are reused wave after wave — the recycling paths, not just
-/// the steady state, carry the load.
+/// drains before the next starts, so the same accept slots are reused
+/// wave after wave — the retire paths, not just the steady state,
+/// carry the load.
 #[test]
 #[ignore = "sanitizer workload: seconds of real-socket churn; run with -- --ignored"]
 fn accept_close_churn_is_race_free() {
@@ -101,8 +100,8 @@ fn accept_close_churn_is_race_free() {
             client.join().expect("client thread");
         }
         // Let the wave's closes retire server-side before reusing the
-        // accept slots: the endpoint only frees a slot once the shard's
-        // Retire reaches the demux accounting.
+        // accept slots: the endpoint only frees a slot once the owning
+        // loop has reaped the connection.
         let deadline = Instant::now() + OP_TIMEOUT;
         let target = ((wave + 1) * CLIENTS_PER_WAVE) as u64;
         while endpoint.stats().completed < target && Instant::now() < deadline {

@@ -13,8 +13,8 @@
 //!   bimodal sizes: the classic RPC mix.
 //! * **streaming** — few connections pulling paced large chunks, the
 //!   video-segment shape.
-//! * **incast** — synchronized fan-in bursts that stress the demux
-//!   queues and accept path.
+//! * **incast** — synchronized fan-in bursts that stress the receive
+//!   buffers and accept path.
 //! * **churn** — many short-lived connections, one exchange each:
 //!   connection setup/teardown rate.
 //!

@@ -101,14 +101,6 @@ fn scenario_block(o: &ScenarioOutcome) -> String {
         plane.loop_ns.quantile(0.99)
     ));
     s.push_str(&format!(
-        "  \"{n}_queue_depth_p99\": {},\n",
-        plane.queue_depth.quantile(0.99)
-    ));
-    s.push_str(&format!(
-        "  \"{n}_pool_outstanding_p99\": {},\n",
-        plane.pool_outstanding.quantile(0.99)
-    ));
-    s.push_str(&format!(
         "  \"{n}_flight_recorded\": {},\n",
         plane.flight_recorded
     ));
@@ -143,13 +135,11 @@ pub fn print_summary(o: &ScenarioOutcome) {
         o.endpoint.backpressure_drops
     );
     println!(
-        "    plane: Δaccepted {}, Δdrops {}, {} wakeups, loop p99 {} ns, \
-         queue depth p99 {}, {} flight events",
+        "    plane: Δaccepted {}, Δdrops {}, {} wakeups, loop p99 {} ns, {} flight events",
         o.delta.accepted,
         o.delta.backpressure_drops,
         o.report.plane.wakeups,
         o.report.plane.loop_ns.quantile(0.99),
-        o.report.plane.queue_depth.quantile(0.99),
         o.report.plane.flight_recorded,
     );
 }

@@ -1,7 +1,7 @@
 //! The load runner: executes a [`Schedule`] against a real
 //! [`Endpoint`] over loopback.
 //!
-//! One server endpoint (the sharded demux from `mpquic-io`, running
+//! One server endpoint (the multi-loop `Endpoint` from `mpquic-io`, running
 //! [`RpcServerApp`] on every accepted connection) and a small pool of
 //! client threads, each driving its partition of the logical
 //! connections through non-blocking [`Driver`] loops. Arrivals are
@@ -28,8 +28,7 @@ pub struct RunOptions {
     /// Master seed: schedules, payload sizes, and connection seeds all
     /// derive from it, so a run is reproducible end to end.
     pub seed: u64,
-    /// Endpoint worker shards (0 = auto; 1 selects the unified
-    /// in-thread fast path).
+    /// Endpoint worker loops (0 = auto: one per core).
     pub workers: usize,
     /// Client driver threads; logical connections are partitioned
     /// round-robin across them.

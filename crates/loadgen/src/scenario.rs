@@ -168,7 +168,7 @@ pub enum ScenarioKind {
     },
     /// `fan_in` connections fire one request at exactly the same
     /// instant, repeated every wave — the synchronized burst that
-    /// stresses demux queues and accept paths.
+    /// stresses receive buffers and accept paths.
     Incast {
         /// Synchronized senders.
         fan_in: usize,

@@ -2,29 +2,25 @@
 //! histograms, a constant-memory flight recorder, and a dependency-free
 //! scrape surface.
 //!
-//! The sharded endpoint (DESIGN.md §12) runs one demux thread and N
-//! worker shards; ROADMAP item 1 asks for wakeups/sec, channel depths
-//! and per-connection accounting to be *measured*, not guessed. This
-//! module is the fixed-memory, always-on plane those measurements live
-//! on — the s2n-quic shape: cheap enough that it is never turned off.
+//! The endpoint (DESIGN.md §12) runs N identical event loops; wakeups
+//! per second, loop time and per-connection accounting are to be
+//! *measured*, not guessed. This module is the fixed-memory, always-on
+//! plane those measurements live on — the s2n-quic shape: cheap enough
+//! that it is never turned off.
 //!
 //! * [`EndpointStats`] — the endpoint-level counters (accept, retire,
-//!   shed, backpressure, drop), each a cache-line-padded Relaxed
-//!   atomic so the demux and every shard can hammer their own counters
+//!   shed, and one counter per reason a datagram is dropped), each a
+//!   cache-line-padded Relaxed atomic so every loop can hammer them
 //!   without false sharing.
-//! * [`ShardPlane`] — per-worker loop telemetry: iteration counts,
-//!   idle→busy wakeups, channel send/receive tallies (whose difference
-//!   is the live queue occupancy), and [`AtomicHistogram`]s of busy
-//!   loop-iteration time and sampled queue depth.
+//! * [`ShardPlane`] — per-loop telemetry: iteration counts, idle→busy
+//!   wakeups, and an [`AtomicHistogram`] of busy loop-iteration time.
 //! * [`EndpointPlane`] — one [`EndpointStats`] plus one padded
-//!   [`ShardPlane`] per worker plus the buffer-pool occupancy
-//!   histogram and the [`FlightRecorder`]; aggregated on demand into a
-//!   typed [`PlaneSnapshot`].
+//!   [`ShardPlane`] per loop plus the [`FlightRecorder`]; aggregated
+//!   on demand into a typed [`PlaneSnapshot`].
 //! * [`FlightRecorder`] — a fixed-capacity ring of the last N
-//!   endpoint-level events (accept, retire, backpressure, shed,
-//!   teardown, …) dumped as JSON lines when an SLO fails, the endpoint
-//!   sheds load, or on demand (`cargo xtask qlog-check` validates the
-//!   dump format).
+//!   endpoint-level events (accept, retire, shed, teardown, …) dumped
+//!   as JSON lines when an SLO fails, the endpoint sheds load, or on
+//!   demand (`cargo xtask qlog-check` validates the dump format).
 //! * [`MetricsServer`] / [`SnapshotWriter`] — the scrape surface:
 //!   Prometheus text exposition plus periodic JSON-lines snapshots,
 //!   on `std::net::TcpListener` alone.
@@ -85,8 +81,8 @@ impl<T> std::ops::DerefMut for CachePadded<T> {
 /// lint rejects any operation stronger than Relaxed on it. Relaxed is
 /// correct by construction here: cells carry commutative tallies and
 /// last-writer-wins gauges, and nothing is published *through* them —
-/// cross-thread hand-off in the endpoint goes over channels and the
-/// Release/Acquire stop flags, never a statistic.
+/// the endpoint's loops hand nothing to each other, and shutdown goes
+/// over the Release/Acquire stop flag, never a statistic.
 #[derive(Debug, Default)]
 pub struct RelaxedCell {
     cell: AtomicU64,
@@ -103,6 +99,13 @@ impl RelaxedCell {
     /// Adds `n` (counter use).
     pub fn add(&self, n: u64) {
         self.cell.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Adds `n` and returns the value before the add — what makes a
+    /// gauge reservable across threads: add, look at what was there,
+    /// [`RelaxedCell::sub`] again if that was already too many.
+    pub fn fetch_add(&self, n: u64) -> u64 {
+        self.cell.fetch_add(n, Ordering::Relaxed)
     }
 
     /// Subtracts `n` (gauge use, e.g. `active` on retire).
@@ -200,11 +203,10 @@ impl AtomicHistogram {
     }
 }
 
-/// Endpoint-level counters shared by the demux thread, every shard and
-/// the endpoint handle. Each cell sits on its own cache line: the demux
-/// bumps `datagrams_in` on every ingress datagram while shards bump
-/// verdict counters, and pre-padding those writes shared lines (the
-/// PR 5 layout packed all nine atomics into two lines).
+/// Endpoint-level counters shared by every loop and the endpoint
+/// handle. Each cell sits on its own cache line: `datagrams_in` is
+/// bumped on every ingress datagram, and unpadded it would drag the
+/// verdict counters' lines between cores with it.
 #[derive(Debug, Default)]
 pub struct EndpointStats {
     /// Connections created for a first-seen CID.
@@ -224,9 +226,20 @@ pub struct EndpointStats {
     pub rejected: CachePadded<RelaxedCell>,
     /// Datagrams whose public header yielded no CID.
     pub malformed: CachePadded<RelaxedCell>,
-    /// Datagrams dropped because the owning shard's queue was full.
+    /// Always zero: there is no shard queue to overflow any more
+    /// (receive overload drops in the kernel socket buffer). The field
+    /// is read by `perf/`; its removal waits for a `benchmark` PR.
     pub backpressure_drops: CachePadded<RelaxedCell>,
-    /// Every datagram the demux pulled off the listen sockets.
+    /// Datagrams for a retired CID (stragglers of a closed connection
+    /// or a rotated-away CID), dropped instead of re-accepted.
+    pub tombstoned: CachePadded<RelaxedCell>,
+    /// Batched receives that failed with an error the socket layer
+    /// does not absorb; datagrams the batch took in before the error
+    /// are still served.
+    pub recv_errors: CachePadded<RelaxedCell>,
+    /// Every datagram pulled off the listen sockets. Each is delivered
+    /// to a connection or counted in exactly one of `malformed`,
+    /// `rejected`, `tombstoned`.
     pub datagrams_in: CachePadded<RelaxedCell>,
     /// Path validations started (rebound addresses quarantined).
     pub path_validations_started: CachePadded<RelaxedCell>,
@@ -236,7 +249,7 @@ pub struct EndpointStats {
     pub path_validations_abandoned: CachePadded<RelaxedCell>,
     /// CID rotations initiated (NEW_CONNECTION_ID issued / received).
     pub cid_rotations_initiated: CachePadded<RelaxedCell>,
-    /// CID rotations completed (demux now follows the new CID).
+    /// CID rotations completed (the old CID is retired).
     pub cid_rotations_completed: CachePadded<RelaxedCell>,
     /// Datapath-backend entries handed to the kernel (SQEs, `mmsghdr`
     /// slots or portable datagrams).
@@ -265,9 +278,20 @@ pub struct EndpointSnapshot {
     pub rejected: u64,
     /// Datagrams whose public header yielded no CID.
     pub malformed: u64,
-    /// Datagrams dropped because the owning shard's queue was full.
+    /// Always zero: there is no shard queue to overflow any more
+    /// (receive overload drops in the kernel socket buffer). The field
+    /// is read by `perf/`; its removal waits for a `benchmark` PR.
     pub backpressure_drops: u64,
-    /// Every datagram the demux pulled off the listen sockets.
+    /// Datagrams for a retired CID (stragglers of a closed connection
+    /// or a rotated-away CID), dropped instead of re-accepted.
+    pub tombstoned: u64,
+    /// Batched receives that failed with an error the socket layer
+    /// does not absorb; datagrams the batch took in before the error
+    /// are still served.
+    pub recv_errors: u64,
+    /// Every datagram pulled off the listen sockets. Each is delivered
+    /// to a connection or counted in exactly one of `malformed`,
+    /// `rejected`, `tombstoned`.
     pub datagrams_in: u64,
     /// Path validations started (rebound addresses quarantined).
     pub path_validations_started: u64,
@@ -277,7 +301,7 @@ pub struct EndpointSnapshot {
     pub path_validations_abandoned: u64,
     /// CID rotations initiated (NEW_CONNECTION_ID issued / received).
     pub cid_rotations_initiated: u64,
-    /// CID rotations completed (demux now follows the new CID).
+    /// CID rotations completed (the old CID is retired).
     pub cid_rotations_completed: u64,
     /// Datapath-backend entries handed to the kernel.
     pub backend_submissions: u64,
@@ -299,6 +323,8 @@ impl EndpointStats {
             rejected: self.rejected.get(),
             malformed: self.malformed.get(),
             backpressure_drops: self.backpressure_drops.get(),
+            tombstoned: self.tombstoned.get(),
+            recv_errors: self.recv_errors.get(),
             datagrams_in: self.datagrams_in.get(),
             path_validations_started: self.path_validations_started.get(),
             path_validations_validated: self.path_validations_validated.get(),
@@ -328,6 +354,8 @@ impl EndpointSnapshot {
             backpressure_drops: self
                 .backpressure_drops
                 .saturating_sub(before.backpressure_drops),
+            tombstoned: self.tombstoned.saturating_sub(before.tombstoned),
+            recv_errors: self.recv_errors.saturating_sub(before.recv_errors),
             datagrams_in: self.datagrams_in.saturating_sub(before.datagrams_in),
             path_validations_started: self
                 .path_validations_started
@@ -357,10 +385,9 @@ impl EndpointSnapshot {
     }
 }
 
-/// Per-worker loop telemetry. One of these per shard (the `workers=1`
-/// unified loop uses shard 0's), each padded onto its own cache lines
-/// inside [`EndpointPlane`] so shard A's loop counter never bounces
-/// shard B's.
+/// Per-loop telemetry. One of these per shard, each padded onto its
+/// own cache lines inside [`EndpointPlane`] so shard A's loop counter
+/// never bounces shard B's.
 #[derive(Debug, Default)]
 pub struct ShardPlane {
     /// Loop iterations, busy or idle.
@@ -368,34 +395,14 @@ pub struct ShardPlane {
     /// Iterations that made progress (drained ingress, moved a
     /// connection, sent egress).
     pub busy_iterations: RelaxedCell,
-    /// Idle→busy transitions — the wakeups/sec ROADMAP item 1 asks
-    /// for. A shard that never parks between bursts scores low here
-    /// even at high iteration counts.
+    /// Idle→busy transitions. A shard that never parks between bursts
+    /// scores low here even at high iteration counts.
     pub wakeups: RelaxedCell,
-    /// Messages the demux placed on this shard's ingress channel.
-    pub queue_sent: RelaxedCell,
-    /// Messages this shard drained off its ingress channel. The
-    /// difference `queue_sent - queue_received` is the live channel
-    /// occupancy.
-    pub queue_received: RelaxedCell,
     /// Connections currently owned by the shard (last-writer gauge,
-    /// refreshed each loop iteration).
+    /// refreshed each busy loop iteration).
     pub conns_active: RelaxedCell,
     /// Busy loop-iteration wall time, nanoseconds.
     pub loop_ns: AtomicHistogram,
-    /// Ingress-channel occupancy sampled by the demux each busy
-    /// iteration.
-    pub queue_depth: AtomicHistogram,
-}
-
-impl ShardPlane {
-    /// Live ingress-channel occupancy: sends minus receives
-    /// (saturating — the two cells are read at different instants).
-    pub fn queue_occupancy(&self) -> u64 {
-        self.queue_sent
-            .get()
-            .saturating_sub(self.queue_received.get())
-    }
 }
 
 /// A point-in-time copy of one [`ShardPlane`].
@@ -409,18 +416,10 @@ pub struct ShardPlaneSnapshot {
     pub busy_iterations: u64,
     /// Idle→busy transitions.
     pub wakeups: u64,
-    /// Messages enqueued to this shard.
-    pub queue_sent: u64,
-    /// Messages this shard drained.
-    pub queue_received: u64,
-    /// Live channel occupancy at snapshot time.
-    pub queue_occupancy: u64,
     /// Connections owned at snapshot time.
     pub conns_active: u64,
     /// Busy loop-iteration time distribution, ns.
     pub loop_ns: LogHistogram,
-    /// Sampled ingress-channel depth distribution.
-    pub queue_depth: LogHistogram,
 }
 
 /// A typed aggregate of the whole plane: endpoint counters, per-shard
@@ -431,16 +430,14 @@ pub struct PlaneSnapshot {
     pub stats: EndpointSnapshot,
     /// Per-shard loop telemetry, in shard order.
     pub shards: Vec<ShardPlaneSnapshot>,
-    /// Demux buffer-pool occupancy (buffers loaned out), sampled each
-    /// busy demux iteration.
-    pub pool_outstanding: LogHistogram,
     /// Datapath-backend entries per kernel submission boundary (SQE
     /// batch sizes for io_uring, datagrams per `sendmmsg` otherwise),
     /// merged across shards.
     pub backend_sqe_batch: LogHistogram,
     /// All shards' busy-iteration times merged.
     pub loop_ns: LogHistogram,
-    /// All shards' sampled queue depths merged.
+    /// Always empty: there is no shard queue to sample any more. The
+    /// field is read by `perf/`; its removal waits for a `benchmark` PR.
     pub queue_depth: LogHistogram,
     /// Total idle→busy transitions across shards.
     pub wakeups: u64,
@@ -448,8 +445,8 @@ pub struct PlaneSnapshot {
     pub flight_recorded: u64,
 }
 
-/// The endpoint's whole metrics plane, shared (`Arc`) by the demux
-/// thread, every shard, the endpoint handle and the scrape surface.
+/// The endpoint's whole metrics plane, shared (`Arc`) by every loop,
+/// the endpoint handle and the scrape surface.
 #[derive(Debug)]
 pub struct EndpointPlane {
     /// Endpoint-level counters.
@@ -459,8 +456,6 @@ pub struct EndpointPlane {
     /// happen in the endpoint's own wiring, but [`EndpointPlane::shard`]
     /// stays total either way). Excluded from snapshots.
     spare: CachePadded<ShardPlane>,
-    /// Demux buffer-pool occupancy, sampled each busy demux iteration.
-    pub pool_outstanding: AtomicHistogram,
     /// Datapath-backend entries per kernel submission boundary, folded
     /// in by each shard loop as deltas of its registry's counters.
     pub backend_sqe_batch: AtomicHistogram,
@@ -486,7 +481,6 @@ impl EndpointPlane {
             stats: EndpointStats::default(),
             shards: shards.into_boxed_slice(),
             spare: CachePadded::new(ShardPlane::default()),
-            pool_outstanding: AtomicHistogram::default(),
             backend_sqe_batch: AtomicHistogram::default(),
             recorder: FlightRecorder::new(flight_capacity),
         }
@@ -512,34 +506,26 @@ impl EndpointPlane {
     pub fn snapshot(&self) -> PlaneSnapshot {
         let mut shards = Vec::with_capacity(self.shards.len());
         let mut loop_ns = LogHistogram::default();
-        let mut queue_depth = LogHistogram::default();
         let mut wakeups = 0u64;
         for (i, plane) in self.shards.iter().enumerate() {
             let shard_loop = plane.loop_ns.snapshot();
-            let shard_queue = plane.queue_depth.snapshot();
             loop_ns.merge(&shard_loop);
-            queue_depth.merge(&shard_queue);
             wakeups += plane.wakeups.get();
             shards.push(ShardPlaneSnapshot {
                 shard: i,
                 loop_iterations: plane.loop_iterations.get(),
                 busy_iterations: plane.busy_iterations.get(),
                 wakeups: plane.wakeups.get(),
-                queue_sent: plane.queue_sent.get(),
-                queue_received: plane.queue_received.get(),
-                queue_occupancy: plane.queue_occupancy(),
                 conns_active: plane.conns_active.get(),
                 loop_ns: shard_loop,
-                queue_depth: shard_queue,
             });
         }
         PlaneSnapshot {
             stats: self.stats.snapshot(),
             shards,
-            pool_outstanding: self.pool_outstanding.snapshot(),
             backend_sqe_batch: self.backend_sqe_batch.snapshot(),
             loop_ns,
-            queue_depth,
+            queue_depth: LogHistogram::default(),
             wakeups,
             flight_recorded: self.recorder.total_recorded(),
         }
@@ -562,8 +548,6 @@ pub enum FlightKind {
     Accept,
     /// A connection fully closed and its CID was released.
     Retire,
-    /// A datagram (or accept) was dropped on a full shard queue.
-    Backpressure,
     /// A new-CID datagram was shed at the accept limit.
     Shed,
     /// A datagram's public header yielded no CID.
@@ -580,7 +564,6 @@ impl FlightKind {
         match self {
             FlightKind::Accept => "accept",
             FlightKind::Retire => "retire",
-            FlightKind::Backpressure => "backpressure",
             FlightKind::Shed => "shed",
             FlightKind::Malformed => "malformed",
             FlightKind::Teardown => "teardown",
@@ -601,8 +584,8 @@ pub struct FlightEvent {
     pub cid: u64,
     /// The shard involved (0 when not applicable).
     pub shard: u32,
-    /// Kind-specific detail: occupancy for backpressure, live count
-    /// for shed/teardown, p99 µs for slo_fail.
+    /// Kind-specific detail: live count for shed/teardown, p99 µs for
+    /// slo_fail.
     pub value: u64,
 }
 
@@ -844,15 +827,18 @@ pub fn render_prometheus(snap: &PlaneSnapshot) -> String {
     prom_value(&mut out, "mpq_endpoint_malformed_total", s.malformed);
     prom_header(
         &mut out,
-        "mpq_endpoint_backpressure_drops_total",
+        "mpq_endpoint_tombstoned_total",
         "counter",
-        "datagrams dropped on a full shard queue",
+        "datagrams dropped because their CID was retired",
     );
-    prom_value(
+    prom_value(&mut out, "mpq_endpoint_tombstoned_total", s.tombstoned);
+    prom_header(
         &mut out,
-        "mpq_endpoint_backpressure_drops_total",
-        s.backpressure_drops,
+        "mpq_endpoint_recv_errors_total",
+        "counter",
+        "batched receives that failed with an unabsorbed error",
     );
+    prom_value(&mut out, "mpq_endpoint_recv_errors_total", s.recv_errors);
     prom_header(
         &mut out,
         "mpq_endpoint_datagrams_in_total",
@@ -908,7 +894,7 @@ pub fn render_prometheus(snap: &PlaneSnapshot) -> String {
         &mut out,
         "mpq_cid_rotation_completed_total",
         "counter",
-        "connection-ID rotations the demux completed",
+        "connection-ID rotations completed (old CID retired)",
     );
     prom_value(
         &mut out,
@@ -1001,38 +987,11 @@ pub fn render_prometheus(snap: &PlaneSnapshot) -> String {
     prom_per_shard(&mut out, "mpq_shard_wakeups_total", snap, |s| s.wakeups);
     prom_header(
         &mut out,
-        "mpq_shard_queue_sent_total",
-        "counter",
-        "messages enqueued to the shard's ingress channel",
-    );
-    prom_per_shard(&mut out, "mpq_shard_queue_sent_total", snap, |s| {
-        s.queue_sent
-    });
-    prom_header(
-        &mut out,
-        "mpq_shard_queue_received_total",
-        "counter",
-        "messages the shard drained off its ingress channel",
-    );
-    prom_per_shard(&mut out, "mpq_shard_queue_received_total", snap, |s| {
-        s.queue_received
-    });
-    prom_header(
-        &mut out,
         "mpq_shard_conns_active",
         "gauge",
         "connections currently owned by the shard",
     );
     prom_per_shard(&mut out, "mpq_shard_conns_active", snap, |s| s.conns_active);
-    prom_header(
-        &mut out,
-        "mpq_shard_queue_occupancy",
-        "gauge",
-        "ingress-channel occupancy (sent minus received)",
-    );
-    prom_per_shard(&mut out, "mpq_shard_queue_occupancy", snap, |s| {
-        s.queue_occupancy
-    });
 
     prom_header(
         &mut out,
@@ -1041,24 +1000,6 @@ pub fn render_prometheus(snap: &PlaneSnapshot) -> String {
         "busy shard-loop iteration wall time, nanoseconds (all shards)",
     );
     prom_histogram(&mut out, "mpq_shard_loop_ns", &snap.loop_ns);
-    prom_header(
-        &mut out,
-        "mpq_shard_queue_depth",
-        "histogram",
-        "sampled ingress-channel depth (all shards)",
-    );
-    prom_histogram(&mut out, "mpq_shard_queue_depth", &snap.queue_depth);
-    prom_header(
-        &mut out,
-        "mpq_endpoint_pool_outstanding",
-        "histogram",
-        "demux buffer-pool buffers loaned out, sampled per busy iteration",
-    );
-    prom_histogram(
-        &mut out,
-        "mpq_endpoint_pool_outstanding",
-        &snap.pool_outstanding,
-    );
     prom_header(
         &mut out,
         "mpq_backend_sqe_batch",
@@ -1078,11 +1019,11 @@ pub fn render_snapshot_json(snap: &PlaneSnapshot) -> String {
     out.push_str(&format!(
         "{{\"kind\":\"endpoint_snapshot\",\"accepted\":{},\"active\":{},\"completed\":{},\
          \"failed\":{},\"closed\":{},\"rejected\":{},\"malformed\":{},\
-         \"backpressure_drops\":{},\"datagrams_in\":{},\"wakeups\":{},\
+         \"tombstoned\":{},\"recv_errors\":{},\"datagrams_in\":{},\"wakeups\":{},\
          \"backend_submissions\":{},\"backend_completions\":{},\
          \"backend_fallbacks\":{},\"backend_sqe_batch_p99\":{},\
-         \"loop_ns_p50\":{},\"loop_ns_p99\":{},\"queue_depth_p99\":{},\
-         \"pool_outstanding_p99\":{},\"flight_recorded\":{},\"shards\":[",
+         \"loop_ns_p50\":{},\"loop_ns_p99\":{},\
+         \"flight_recorded\":{},\"shards\":[",
         s.accepted,
         s.active,
         s.completed,
@@ -1090,7 +1031,8 @@ pub fn render_snapshot_json(snap: &PlaneSnapshot) -> String {
         s.closed,
         s.rejected,
         s.malformed,
-        s.backpressure_drops,
+        s.tombstoned,
+        s.recv_errors,
         s.datagrams_in,
         snap.wakeups,
         s.backend_submissions,
@@ -1099,8 +1041,6 @@ pub fn render_snapshot_json(snap: &PlaneSnapshot) -> String {
         snap.backend_sqe_batch.quantile(0.99),
         snap.loop_ns.quantile(0.50),
         snap.loop_ns.quantile(0.99),
-        snap.queue_depth.quantile(0.99),
-        snap.pool_outstanding.quantile(0.99),
         snap.flight_recorded,
     ));
     for (i, sh) in snap.shards.iter().enumerate() {
@@ -1109,12 +1049,11 @@ pub fn render_snapshot_json(snap: &PlaneSnapshot) -> String {
         }
         out.push_str(&format!(
             "{{\"shard\":{},\"loop_iterations\":{},\"busy_iterations\":{},\"wakeups\":{},\
-             \"queue_occupancy\":{},\"conns_active\":{},\"loop_ns_p99\":{}}}",
+             \"conns_active\":{},\"loop_ns_p99\":{}}}",
             sh.shard,
             sh.loop_iterations,
             sh.busy_iterations,
             sh.wakeups,
-            sh.queue_occupancy,
             sh.conns_active,
             sh.loop_ns.quantile(0.99),
         ));
@@ -1359,6 +1298,8 @@ mod tests {
         c.add(3);
         c.sub(2);
         assert_eq!(c.get(), 6);
+        assert_eq!(c.fetch_add(1), 6, "fetch_add returns the value before");
+        c.sub(1);
         c.set(100);
         assert_eq!(c.get(), 100);
         c.record_max(50);
@@ -1418,16 +1359,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_occupancy_is_sent_minus_received() {
-        let plane = ShardPlane::default();
-        plane.queue_sent.add(10);
-        plane.queue_received.add(7);
-        assert_eq!(plane.queue_occupancy(), 3);
-        plane.queue_received.add(5); // racing reads must not underflow
-        assert_eq!(plane.queue_occupancy(), 0);
-    }
-
-    #[test]
     fn flight_recorder_wraps_keeping_newest() {
         let r = FlightRecorder::new(4);
         for i in 0..10u64 {
@@ -1442,12 +1373,12 @@ mod tests {
     #[test]
     fn flight_dump_is_json_lines_with_header() {
         let r = FlightRecorder::new(8);
-        r.record(FlightKind::Backpressure, 0xAB, 2, 511);
+        r.record(FlightKind::Shed, 0xAB, 2, 511);
         let dump = r.dump_json_lines();
         let lines: Vec<&str> = dump.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("{\"kind\":\"flight_header\""));
-        assert!(lines[1].contains("\"kind\":\"backpressure\""));
+        assert!(lines[1].contains("\"kind\":\"shed\""));
         assert!(lines[1].contains("\"cid\":171"));
         for line in &lines {
             assert!(line.starts_with('{') && line.ends_with('}'));
@@ -1463,6 +1394,8 @@ mod tests {
         let text = render_prometheus(&plane.snapshot());
         assert!(text.contains("# TYPE mpq_endpoint_accepted_total counter"));
         assert!(text.contains("mpq_endpoint_accepted_total 3"));
+        assert!(text.contains("mpq_endpoint_tombstoned_total 0"));
+        assert!(text.contains("mpq_endpoint_recv_errors_total 0"));
         assert!(text.contains("mpq_shard_wakeups_total{shard=\"1\"} 0"));
         assert!(text.contains("mpq_shard_loop_ns_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("mpq_shard_loop_ns_count 2"));
@@ -1477,6 +1410,7 @@ mod tests {
         assert!(!line.contains('\n'));
         assert!(line.starts_with("{\"kind\":\"endpoint_snapshot\""));
         assert!(line.contains("\"datagrams_in\":42"));
+        assert!(line.contains("\"tombstoned\":0,\"recv_errors\":0"));
         assert!(line.ends_with("]}"));
     }
 

@@ -12,10 +12,9 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Every kind, in a fixed order so event `i` is reconstructible from
 /// its index alone.
-const KINDS: [FlightKind; 7] = [
+const KINDS: [FlightKind; 6] = [
     FlightKind::Accept,
     FlightKind::Retire,
-    FlightKind::Backpressure,
     FlightKind::Shed,
     FlightKind::Malformed,
     FlightKind::Teardown,
@@ -24,7 +23,7 @@ const KINDS: [FlightKind; 7] = [
 
 /// The deterministic i-th event (kind, cid, shard, value).
 fn event(i: u64) -> (FlightKind, u64, u32, u64) {
-    (KINDS[(i % 7) as usize], i.wrapping_mul(31), i as u32, i)
+    (KINDS[(i % 6) as usize], i.wrapping_mul(31), i as u32, i)
 }
 
 proptest! {
@@ -91,8 +90,7 @@ fn record_path_never_allocates_after_construction() {
         plane.stats.active.set(i % 7);
         shard.loop_iterations.add(1);
         shard.loop_ns.record(i * 37);
-        shard.queue_depth.record(i % 513);
-        plane.pool_outstanding.record(i % 65);
+        plane.backend_sqe_batch.record(i % 65);
     }
     let counts = alloc_count::thread_counts();
     assert_eq!(

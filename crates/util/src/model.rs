@@ -1,9 +1,8 @@
 //! In-tree exhaustive interleaving explorer for concurrent protocols.
 //!
-//! The sharded endpoint's correctness claims — no buffer leaked across
-//! the demux/shard recycling loop, `accepted == closed` on every
-//! schedule, no lost wakeup in the idle ladder — are statements about
-//! *all* interleavings, but `cargo test` observes exactly one. This
+//! A concurrent protocol's correctness claims — the endpoint loop's
+//! idle ladder never loses a wakeup, say — are statements about *all*
+//! interleavings, but `cargo test` observes exactly one. This
 //! module is a small model checker in the spirit of `loom`: the types
 //! in [`thread`], [`sync`], and [`hint`] mirror their `std`
 //! counterparts, and [`run`] executes a closure under **every**

@@ -1,9 +1,9 @@
 //! Switchable concurrency primitives: `std` normally, the in-tree
 //! model checker under `--cfg loom`.
 //!
-//! Code that participates in a cross-thread protocol (the demux→shard
-//! ingress channel, the buffer-return control channel, stats counters,
-//! the idle-backoff ladder) imports its primitives from here instead
+//! Code that participates in a cross-thread protocol (the endpoint's
+//! stop flag, stats counters, the idle-backoff ladder) imports its
+//! primitives from here instead
 //! of `std::sync`/`std::thread`/`std::hint`. A normal build re-exports
 //! the `std` types — zero overhead, identical semantics. A build with
 //! `RUSTFLAGS="--cfg loom"` swaps in the [`crate::model`] types, whose
@@ -19,10 +19,9 @@
 //! - [`hint::spin_loop`] yields, because a pause instruction cannot
 //!   make another model thread run.
 //!
-//! OS-facing thread management (`std::thread::spawn` for the demux and
-//! shard workers, socket I/O) intentionally stays on `std`: model
-//! tests drive the extracted cores directly rather than binding
-//! sockets.
+//! OS-facing thread management (`std::thread::spawn` for the endpoint's
+//! loops, socket I/O) intentionally stays on `std`: model tests drive
+//! the extracted protocol directly rather than binding sockets.
 
 /// Shared-ownership pointer; the model does not instrument `Arc`
 /// itself, so both builds use [`std::sync::Arc`].

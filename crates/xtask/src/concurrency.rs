@@ -1,8 +1,8 @@
 //! Concurrency-correctness lints (DESIGN.md §14).
 //!
-//! Three passes over the stripped source view from [`crate::scan`],
-//! guarding the sharded endpoint's cross-thread protocol the way the
-//! protocol lints in [`crate::lints`] guard the wire format:
+//! Two passes over the stripped source view from [`crate::scan`],
+//! guarding what the endpoint's threads share the way the protocol
+//! lints in [`crate::lints`] guard the wire format:
 //!
 //! 1. **atomic-ordering** — every atomic operation carrying a memory
 //!    ordering must name an atomic registered in `atomics.toml`, and
@@ -18,13 +18,6 @@
 //!    must be immediately preceded (modulo attributes) by a `//`
 //!    comment block containing `SAFETY:`. The compiler checks that
 //!    unsafe code is *declared*; this checks that it is *argued*.
-//! 3. **channel-topology** — every channel endpoint operation in the
-//!    io crate (`send`/`try_send`/`recv`/`try_recv`/`recv_timeout`)
-//!    must map onto a channel declared in `channels.toml`, bounded
-//!    channels may only be sent to with `try_send` (a blocking send
-//!    inside the demux or a shard loop can deadlock against a peer
-//!    blocked the other way), and the declared blocking-wait edges
-//!    between threads must form no cycle.
 
 use crate::lints::{SourceFile, Violation};
 use crate::scan;
@@ -506,279 +499,6 @@ pub fn check_unsafe_audit(file: &SourceFile) -> Vec<Violation> {
     out
 }
 
-// ---------------------------------------------------------------------
-// Pass 3: channel-topology
-// ---------------------------------------------------------------------
-
-/// One declared channel.
-pub struct ChannelEntry {
-    /// Registry name.
-    pub name: String,
-    /// `bounded` or `unbounded`.
-    pub bounded: bool,
-    /// The thread (role name) holding the send half.
-    pub tx_thread: String,
-    /// The thread (role name) holding the receive half.
-    pub rx_thread: String,
-}
-
-/// One declared endpoint-operation site: `file::var` doing `op` on
-/// `channel`.
-pub struct SiteEntry {
-    /// Workspace-relative path suffix.
-    pub file: String,
-    /// Receiver identifier at the call site.
-    pub var: String,
-    /// `send` / `try_send` / `recv` / `try_recv` / `recv_timeout`.
-    pub op: String,
-    /// Name of the [`ChannelEntry`] this endpoint belongs to.
-    pub channel: String,
-}
-
-/// Parses `channels.toml` into channels and sites.
-pub fn parse_channels_registry(
-    text: &str,
-    file: &str,
-) -> Result<(Vec<ChannelEntry>, Vec<SiteEntry>), String> {
-    let mut channels = Vec::new();
-    let mut sites = Vec::new();
-    for t in parse_tables(text).map_err(|e| format!("{file}: {e}"))? {
-        match t.kind.as_str() {
-            "channel" => {
-                let kind = required(&t, "kind", file)?;
-                let bounded = match kind {
-                    "bounded" => true,
-                    "unbounded" => false,
-                    other => {
-                        return Err(format!(
-                            "{file}: line {}: kind `{other}` is not bounded|unbounded",
-                            t.line
-                        ))
-                    }
-                };
-                if bounded {
-                    required(&t, "depth", file)?; // documented, not re-derived
-                }
-                required(&t, "justification", file)?;
-                channels.push(ChannelEntry {
-                    name: required(&t, "name", file)?.to_string(),
-                    bounded,
-                    tx_thread: required(&t, "tx_thread", file)?.to_string(),
-                    rx_thread: required(&t, "rx_thread", file)?.to_string(),
-                });
-            }
-            "site" => sites.push(SiteEntry {
-                file: required(&t, "file", file)?.to_string(),
-                var: required(&t, "var", file)?.to_string(),
-                op: required(&t, "op", file)?.to_string(),
-                channel: required(&t, "channel", file)?.to_string(),
-            }),
-            other => {
-                return Err(format!(
-                    "{file}: unknown table [[{other}]] at line {}",
-                    t.line
-                ))
-            }
-        }
-    }
-    for s in &sites {
-        if !channels.iter().any(|c| c.name == s.channel) {
-            return Err(format!(
-                "{file}: site {}::{} names undeclared channel `{}`",
-                s.file, s.var, s.channel
-            ));
-        }
-    }
-    Ok((channels, sites))
-}
-
-/// Channel endpoint methods the scan recognizes.
-const CHANNEL_OPS: &[&str] = &["send", "try_send", "recv", "try_recv", "recv_timeout"];
-
-/// Checks one io-crate file's channel operations against the registry,
-/// and marks which declared sites were seen (for the staleness check).
-pub fn check_channel_topology(
-    file: &SourceFile,
-    channels: &[ChannelEntry],
-    sites: &[SiteEntry],
-    seen: &mut [bool],
-) -> Vec<Violation> {
-    let stripped = scan::strip(&file.content);
-    let tests = scan::test_item_ranges(&stripped);
-    let b = stripped.as_bytes();
-    let mut out = Vec::new();
-    for &op in CHANNEL_OPS {
-        for at in scan::word_offsets(&stripped, op) {
-            if tests.iter().any(|r| r.contains(&at)) {
-                continue;
-            }
-            // A method call: `.op(`.
-            if at == 0 || b[at - 1] != b'.' {
-                continue;
-            }
-            let mut j = at + op.len();
-            while j < b.len() && b[j].is_ascii_whitespace() {
-                j += 1;
-            }
-            if b.get(j) != Some(&b'(') {
-                continue;
-            }
-            let Some((rs, re)) = ident_before(b, at - 1) else {
-                continue;
-            };
-            let var = &stripped[rs..re];
-            let mut push = |message: String| {
-                out.push(Violation {
-                    file: file.path.clone(),
-                    line: scan::line_of(&stripped, at),
-                    lint: "channel-topology",
-                    message,
-                    line_text: scan::line_text(&file.content, at).to_string(),
-                });
-            };
-            let declared = sites
-                .iter()
-                .position(|s| file.path.ends_with(&s.file) && s.var == var && s.op == op);
-            let Some(idx) = declared else {
-                push(format!(
-                    "channel operation `{var}.{op}(..)` has no [[site]] entry in \
-                     channels.toml — declare which channel this endpoint belongs to"
-                ));
-                continue;
-            };
-            seen[idx] = true;
-            let channel = channels
-                .iter()
-                .find(|c| c.name == sites[idx].channel)
-                .expect("site channels validated at parse time");
-            if channel.bounded && op == "send" {
-                push(format!(
-                    "blocking send on bounded channel `{}`: demux/shard loops must \
-                     use try_send and count the drop, or they deadlock when the \
-                     peer stalls",
-                    channel.name
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// After scanning: declared-but-unseen sites are stale, and the
-/// blocking-wait edges implied by the *seen* blocking receives must be
-/// acyclic.
-pub fn finish_channel_topology(
-    channels: &[ChannelEntry],
-    sites: &[SiteEntry],
-    seen: &[bool],
-    registry_file: &str,
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (site, &was_seen) in sites.iter().zip(seen) {
-        if !was_seen {
-            out.push(Violation {
-                file: registry_file.to_string(),
-                line: 1,
-                lint: "channel-topology",
-                message: format!(
-                    "stale channels.toml site: `{}::{}` doing `{}` no longer exists",
-                    site.file, site.var, site.op
-                ),
-                line_text: String::new(),
-            });
-        }
-    }
-    // Wait-for edges: a blocking `recv` makes the receiving thread wait
-    // on the sending thread. (Blocking bounded sends are rejected per
-    // site above; unbounded sends never block.)
-    let mut edges: Vec<(&str, &str)> = Vec::new();
-    for (site, &was_seen) in sites.iter().zip(seen) {
-        if !was_seen || (site.op != "recv" && site.op != "recv_timeout") {
-            continue;
-        }
-        let c = channels
-            .iter()
-            .find(|c| c.name == site.channel)
-            .expect("validated at parse time");
-        let edge = (c.rx_thread.as_str(), c.tx_thread.as_str());
-        if !edges.contains(&edge) {
-            edges.push(edge);
-        }
-    }
-    if let Some(cycle) = find_cycle(&edges) {
-        out.push(Violation {
-            file: registry_file.to_string(),
-            line: 1,
-            lint: "channel-topology",
-            message: format!(
-                "blocking-wait cycle between threads: {} — a full queue or quiet \
-                 peer deadlocks the loop",
-                cycle.join(" -> ")
-            ),
-            line_text: String::new(),
-        });
-    }
-    out
-}
-
-/// DFS cycle detection over the thread wait-for graph; returns one
-/// cycle's node sequence if any exists.
-fn find_cycle<'e>(edges: &[(&'e str, &'e str)]) -> Option<Vec<&'e str>> {
-    let mut nodes: Vec<&str> = Vec::new();
-    for &(a, b) in edges {
-        if !nodes.contains(&a) {
-            nodes.push(a);
-        }
-        if !nodes.contains(&b) {
-            nodes.push(b);
-        }
-    }
-    // 0 = white, 1 = on stack, 2 = done.
-    let mut color = vec![0u8; nodes.len()];
-    let mut stack: Vec<&str> = Vec::new();
-    fn visit<'e>(
-        n: usize,
-        nodes: &[&'e str],
-        edges: &[(&'e str, &'e str)],
-        color: &mut [u8],
-        stack: &mut Vec<&'e str>,
-    ) -> Option<Vec<&'e str>> {
-        color[n] = 1;
-        stack.push(nodes[n]);
-        for &(a, b) in edges {
-            if a != nodes[n] {
-                continue;
-            }
-            let m = nodes.iter().position(|&x| x == b).expect("node indexed");
-            match color[m] {
-                1 => {
-                    let start = stack.iter().position(|&x| x == b).unwrap_or(0);
-                    let mut cycle = stack[start..].to_vec();
-                    cycle.push(b);
-                    return Some(cycle);
-                }
-                0 => {
-                    if let Some(c) = visit(m, nodes, edges, color, stack) {
-                        return Some(c);
-                    }
-                }
-                _ => {}
-            }
-        }
-        stack.pop();
-        color[n] = 2;
-        None
-    }
-    for n in 0..nodes.len() {
-        if color[n] == 0 {
-            if let Some(c) = visit(n, &nodes, edges, &mut color, &mut stack) {
-                return Some(c);
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -920,81 +640,5 @@ mod tests {
             "fn safe() {}\n#[cfg(test)]\nmod tests {\n fn t() { unsafe { g() } }\n}",
         );
         assert!(check_unsafe_audit(&src).is_empty());
-    }
-
-    fn channel_registry() -> (Vec<ChannelEntry>, Vec<SiteEntry>) {
-        parse_channels_registry(
-            "[[channel]]\nname = \"ingress\"\nkind = \"bounded\"\ndepth = \"512\"\n\
-             tx_thread = \"demux\"\nrx_thread = \"shard\"\njustification = \"j\"\n\
-             [[channel]]\nname = \"ctl\"\nkind = \"unbounded\"\n\
-             tx_thread = \"shard\"\nrx_thread = \"demux\"\njustification = \"j\"\n\
-             [[site]]\nfile = \"endpoint.rs\"\nvar = \"tx\"\nop = \"try_send\"\nchannel = \"ingress\"\n\
-             [[site]]\nfile = \"endpoint.rs\"\nvar = \"ctl_rx\"\nop = \"recv\"\nchannel = \"ctl\"\n\
-             [[site]]\nfile = \"shard.rs\"\nvar = \"rx\"\nop = \"try_recv\"\nchannel = \"ingress\"\n",
-            "channels.toml",
-        )
-        .expect("registry parses")
-    }
-
-    #[test]
-    fn declared_sites_are_clean_and_marked_seen() {
-        let (channels, sites) = channel_registry();
-        let mut seen = vec![false; sites.len()];
-        let ep = file(
-            "crates/io/src/endpoint.rs",
-            "fn f() { tx.try_send(m); while let Ok(c) = ctl_rx.recv() { g(c); } }",
-        );
-        let sh = file(
-            "crates/io/src/shard.rs",
-            "fn g() { let _ = rx.try_recv(); }",
-        );
-        assert!(check_channel_topology(&ep, &channels, &sites, &mut seen).is_empty());
-        assert!(check_channel_topology(&sh, &channels, &sites, &mut seen).is_empty());
-        assert_eq!(seen, vec![true, true, true]);
-        assert!(finish_channel_topology(&channels, &sites, &seen, "channels.toml").is_empty());
-    }
-
-    #[test]
-    fn undeclared_site_is_flagged() {
-        let (channels, sites) = channel_registry();
-        let mut seen = vec![false; sites.len()];
-        let src = file("crates/io/src/endpoint.rs", "fn f() { mystery.send(m); }");
-        let v = check_channel_topology(&src, &channels, &sites, &mut seen);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("no [[site]] entry"));
-    }
-
-    #[test]
-    fn blocking_send_on_bounded_channel_is_flagged() {
-        let (channels, mut sites) = channel_registry();
-        sites.push(SiteEntry {
-            file: "endpoint.rs".into(),
-            var: "tx".into(),
-            op: "send".into(),
-            channel: "ingress".into(),
-        });
-        let mut seen = vec![false; sites.len()];
-        let src = file("crates/io/src/endpoint.rs", "fn f() { tx.send(m); }");
-        let v = check_channel_topology(&src, &channels, &sites, &mut seen);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("blocking send on bounded channel"));
-    }
-
-    #[test]
-    fn stale_site_and_wait_cycle_are_flagged() {
-        let (channels, mut sites) = channel_registry();
-        // Add a blocking recv the *other* way: shard waits on demux via
-        // ingress — combined with demux waiting on shard via ctl, a cycle.
-        sites.push(SiteEntry {
-            file: "shard.rs".into(),
-            var: "rx".into(),
-            op: "recv".into(),
-            channel: "ingress".into(),
-        });
-        let seen = vec![true, true, false, true];
-        let v = finish_channel_topology(&channels, &sites, &seen, "channels.toml");
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v[0].message.contains("stale"));
-        assert!(v[1].message.contains("blocking-wait cycle"));
     }
 }

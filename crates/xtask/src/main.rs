@@ -32,9 +32,6 @@ const PN_SCOPE: &[&str] = &[
     "crates/crypto/src",
     "crates/netsim/src",
 ];
-/// Directory scanned by the channel-topology lint: the only crate with
-/// cross-thread channels on a datapath.
-const CHANNEL_SCOPE: &str = "crates/io/src";
 /// Files exempt from the atomic-ordering lint: the model checker
 /// deliberately executes modelled atomics at SeqCst (the scheduler, not
 /// the hardware, supplies weak behaviours).
@@ -145,7 +142,7 @@ fn run_lint(root: &Path, verbose: bool) -> ExitCode {
         }
     }
 
-    // Lints 4–6: concurrency (DESIGN.md §14). Scope: every crate's src
+    // Lints 4–5: concurrency (DESIGN.md §14). Scope: every crate's src
     // tree except xtask itself (its fixtures spell the forbidden tokens).
     let concurrency_files: Vec<SourceFile> = rust_files(&root.join("crates"))
         .into_iter()
@@ -194,42 +191,7 @@ fn run_lint(root: &Path, verbose: bool) -> ExitCode {
         violations.extend(concurrency::check_unsafe_audit(file));
     }
 
-    // Lint 6: channel-topology against the declared topology.
-    let channels_path = root.join("crates/xtask/channels.toml");
-    let (channels, sites) = match std::fs::read_to_string(&channels_path)
-        .map_err(|e| format!("cannot read {}: {e}", channels_path.display()))
-        .and_then(|t| concurrency::parse_channels_registry(&t, "crates/xtask/channels.toml"))
-    {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("xtask: error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if verbose {
-        eprintln!(
-            "xtask: channel-topology: {} channels, {} declared sites",
-            channels.len(),
-            sites.len()
-        );
-    }
-    let mut seen = vec![false; sites.len()];
-    for file in concurrency_files
-        .iter()
-        .filter(|f| f.path.starts_with(CHANNEL_SCOPE))
-    {
-        violations.extend(concurrency::check_channel_topology(
-            file, &channels, &sites, &mut seen,
-        ));
-    }
-    violations.extend(concurrency::finish_channel_topology(
-        &channels,
-        &sites,
-        &seen,
-        "crates/xtask/channels.toml",
-    ));
-
-    // Lint 7: metrics-registry against the exported scrape surface
+    // Lint 6: metrics-registry against the exported scrape surface
     // (DESIGN.md §15). Scans the *raw* plane source — the family names
     // live inside string literals the stripped view erases.
     let metrics_path = root.join("crates/xtask/metrics.toml");
