@@ -3,10 +3,9 @@
 //! **`datapath` mode (default)** measures what the batched datapath
 //! (DESIGN.md §11) buys over the one-datagram-per-syscall path on this
 //! machine's loopback: a sender registry pushes fixed-size datagrams at
-//! a draining receiver thread, once via [`SocketRegistry::send_from`]
-//! (one syscall per datagram) and once via
-//! [`SocketRegistry::send_train`] (one `sendmmsg` per 16-segment train
-//! on Linux). Steady-state allocations on the sender thread are counted
+//! a draining receiver thread, once as one-segment
+//! [`SocketRegistry::send_train`] calls (one syscall per datagram) and
+//! once as 16-segment trains (one `sendmmsg` each on Linux). Steady-state allocations on the sender thread are counted
 //! by the workspace's counting global allocator.
 //!
 //! **`conns` mode** measures connection scaling through the sharded
@@ -735,9 +734,7 @@ fn send_once(
     } else {
         let mut sent = 0;
         for chunk in payload.chunks(SEGMENT) {
-            if sender.send_from(from, to, chunk).unwrap_or(false) {
-                sent += 1;
-            }
+            sent += sender.send_train(from, to, chunk, None).unwrap_or(0) as u64;
         }
         sent
     }

@@ -7,7 +7,7 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 use crate::rtt::DEFAULT_INITIAL_RTT;
-use crate::scheduler::{SchedulePolicy, SchedulerKind};
+use crate::scheduler::SchedulerKind;
 use crate::stream::StreamId;
 
 /// Connection configuration.
@@ -29,13 +29,8 @@ pub struct Config {
     pub multipath: bool,
     /// Congestion control algorithm for every path.
     pub cc: CcAlgorithm,
-    /// Packet scheduler policy (one of the built-ins; ignored when
-    /// [`Config::scheduler_policy`] supplies a custom implementation).
+    /// Packet scheduler policy.
     pub scheduler: SchedulerKind,
-    /// Custom scheduling policy. `Some` takes precedence over
-    /// [`Config::scheduler`]; the boxed policy is cloned into each
-    /// connection built from this configuration.
-    pub scheduler_policy: Option<Box<dyn SchedulePolicy>>,
     /// Ablation: allocate packet numbers from one shared space instead of
     /// one space per path. Loses the per-path monotonicity that makes
     /// multipath loss detection robust to cross-path reordering — the
@@ -70,14 +65,6 @@ pub struct Config {
     /// does not support it answers with version negotiation and the
     /// client retries (one extra round trip), per paper §2.
     pub quic_version: u32,
-    /// Record a qlog-style structured event log
-    /// ([`crate::Connection::qlog`]).
-    pub enable_qlog: bool,
-    /// Maximum events retained by the in-memory qlog; once full, further
-    /// events are counted ([`crate::Qlog::dropped`]) but not stored, so a
-    /// long transfer cannot grow the log without bound. Use the streaming
-    /// subscriber ([`mpquic_telemetry::StreamingQlog`]) for full traces.
-    pub qlog_event_limit: usize,
     /// Maximum concurrently accepted server-side connections. An
     /// endpoint's demux drops (and counts) datagrams carrying unknown
     /// CIDs once this many connections are live. Ignored by clients.
@@ -94,7 +81,6 @@ impl Default for Config {
             multipath: true,
             cc: CcAlgorithm::Olia,
             scheduler: SchedulerKind::LowestRtt,
-            scheduler_policy: None,
             shared_pn_space: false,
             max_datagram_size: MAX_DATAGRAM_SIZE,
             conn_recv_window: 16 << 20,
@@ -107,8 +93,6 @@ impl Default for Config {
             idle_timeout: Some(Duration::from_secs(30)),
             max_ack_ranges: mpquic_wire::MAX_ACK_RANGES,
             quic_version: mpquic_crypto::handshake::SUPPORTED_VERSION,
-            enable_qlog: false,
-            qlog_event_limit: crate::qlog::DEFAULT_EVENT_LIMIT,
             max_incoming_connections: 64,
             worker_shards: 0,
         }
@@ -178,9 +162,6 @@ impl Config {
         if self.idle_timeout.is_some_and(|t| t.is_zero()) {
             return Err(ConfigError::ZeroDuration("idle_timeout"));
         }
-        if self.enable_qlog && self.qlog_event_limit == 0 {
-            return Err(ConfigError::ZeroQlogLimit);
-        }
         if self.max_incoming_connections == 0 {
             return Err(ConfigError::ZeroAcceptLimit);
         }
@@ -220,9 +201,6 @@ pub enum ConfigError {
     },
     /// A duration (named field) is zero.
     ZeroDuration(&'static str),
-    /// qlog is enabled with a zero event limit: every event would be
-    /// dropped, which is never what the caller meant.
-    ZeroQlogLimit,
     /// `max_incoming_connections` is zero: the endpoint could never
     /// accept anything, which is never what a server meant.
     ZeroAcceptLimit,
@@ -243,9 +221,6 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "max_ack_ranges {got} outside [1, {max}]")
             }
             ConfigError::ZeroDuration(field) => write!(f, "{field} must be > 0"),
-            ConfigError::ZeroQlogLimit => {
-                write!(f, "enable_qlog with qlog_event_limit 0 drops every event")
-            }
             ConfigError::ZeroAcceptLimit => {
                 write!(f, "max_incoming_connections must be > 0")
             }
@@ -307,18 +282,9 @@ impl ConfigBuilder {
         self
     }
 
-    /// Packet scheduler policy (a built-in kind). Clears any custom
-    /// policy previously set with [`ConfigBuilder::scheduler_policy`].
+    /// Packet scheduler policy.
     pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
         self.config.scheduler = scheduler;
-        self.config.scheduler_policy = None;
-        self
-    }
-
-    /// Installs a custom scheduling policy, overriding the built-in
-    /// [`ConfigBuilder::scheduler`] kind.
-    pub fn scheduler_policy(mut self, policy: Box<dyn SchedulePolicy>) -> Self {
-        self.config.scheduler_policy = Some(policy);
         self
     }
 
@@ -400,18 +366,6 @@ impl ConfigBuilder {
     /// Protocol version the client proposes in its CHLO.
     pub fn quic_version(mut self, version: u32) -> Self {
         self.config.quic_version = version;
-        self
-    }
-
-    /// Record a qlog-style structured event log.
-    pub fn enable_qlog(mut self, on: bool) -> Self {
-        self.config.enable_qlog = on;
-        self
-    }
-
-    /// Maximum events retained by the in-memory qlog.
-    pub fn qlog_event_limit(mut self, limit: usize) -> Self {
-        self.config.qlog_event_limit = limit;
         self
     }
 

@@ -42,7 +42,6 @@ use crate::config::{Config, ConnStats, Event, Role, Transmit};
 use crate::flow::ConnFlowControl;
 use crate::invariant::InvariantChecker;
 use crate::path::{ChallengeTimeout, Path, PathState};
-use crate::qlog::Qlog;
 use crate::recovery::SentPacket;
 use crate::scheduler::{PathView, Scheduler, SchedulerReason};
 use crate::stream::{RecvStream, SendStream, StreamId};
@@ -169,14 +168,12 @@ pub struct Connection {
     /// Frames bound to a specific path (WINDOW_UPDATE duplicates, probes).
     per_path_queue: BTreeMap<PathId, VecDeque<Frame>>,
     /// Stream frames duplicated toward a specific path by the scheduler's
-    /// unknown-RTT phase.
-    duplicate_queue: BTreeMap<PathId, VecDeque<StreamFrame>>,
+    /// unknown-RTT phase (always `Frame::Stream`).
+    duplicate_queue: BTreeMap<PathId, VecDeque<Frame>>,
 
     // --- lifecycle ---
     /// Last time any authenticated packet was received.
     last_activity: Option<SimTime>,
-    /// Structured event log (enabled via `Config::enable_qlog`).
-    qlog: Qlog,
     /// Telemetry subscriber stack ([`Connection::set_subscriber`]). Every
     /// instrumentation point emits a [`mpquic_telemetry::Event`] through
     /// it; the default `()` stack discards everything.
@@ -267,17 +264,6 @@ impl Connection {
             "at least one local address required"
         );
         let flow = ConnFlowControl::new(config.conn_recv_window, config.conn_recv_window);
-        // An installed policy object wins over the named kind; cloning it
-        // keeps `Config` reusable across connections.
-        let scheduler = match &config.scheduler_policy {
-            Some(policy) => Scheduler::from_policy(policy.clone_box()),
-            None => Scheduler::new(config.scheduler),
-        };
-        let qlog = if config.enable_qlog {
-            Qlog::with_limit(config.qlog_event_limit)
-        } else {
-            Qlog::disabled()
-        };
         Connection {
             role,
             cid,
@@ -288,7 +274,6 @@ impl Connection {
             rng,
             path_ops: VecDeque::new(),
             shared_pn: 0,
-            qlog,
             subscriber: Box::new(()),
             client_hs: None,
             server_hs: None,
@@ -311,7 +296,7 @@ impl Connection {
             },
             stream_cursor: 0,
             flow,
-            scheduler,
+            scheduler: Scheduler::new(config.scheduler),
             control_queue: VecDeque::new(),
             per_path_queue: BTreeMap::new(),
             duplicate_queue: BTreeMap::new(),
@@ -383,11 +368,6 @@ impl Connection {
         self.events.pop_front()
     }
 
-    /// The structured event log (empty unless `Config::enable_qlog`).
-    pub fn qlog(&self) -> &Qlog {
-        &self.qlog
-    }
-
     /// Installs a telemetry subscriber stack, replacing the current one.
     ///
     /// Compose subscribers with tuples —
@@ -399,17 +379,27 @@ impl Connection {
         self.subscriber = subscriber;
     }
 
-    /// True when anything is listening: the legacy qlog or an installed
-    /// subscriber. Emission points that must *allocate* to describe an
-    /// event (candidate lists, path vectors) check this first.
+    /// True when a subscriber is listening. Emission points that must
+    /// *allocate* to describe an event (candidate lists, path vectors)
+    /// check this first.
     fn telemetry_enabled(&self) -> bool {
-        Subscriber::is_enabled(&self.qlog) || self.subscriber.is_enabled()
+        self.subscriber.is_enabled()
     }
 
-    /// Delivers one event to the legacy qlog and the subscriber stack.
+    /// Delivers one event to the subscriber stack.
     fn emit(&mut self, event: telemetry::Event) {
-        self.qlog.on_event(&event);
         self.subscriber.on_event(&event);
+    }
+
+    /// Reports a path's new liveness state to the subscriber stack.
+    fn emit_path_state(&mut self, now: SimTime, path: PathId, state: telemetry::PathState) {
+        self.emit(telemetry::Event::PathStateChanged(
+            telemetry::PathStateChanged {
+                time: now,
+                path,
+                state,
+            },
+        ));
     }
 
     // ------------------------------------------------------------------
@@ -427,58 +417,46 @@ impl Connection {
         id
     }
 
-    /// Returns a handle bundling all per-stream operations for `id` —
-    /// the preferred stream API. The handle borrows the connection, so
-    /// drive it in its own statement:
-    ///
-    /// ```ignore
-    /// conn.stream(id).write(data)?;
-    /// let chunk = conn.stream(id).read(4096);
-    /// ```
-    pub fn stream(&mut self, id: StreamId) -> StreamHandle<'_> {
-        StreamHandle { conn: self, id }
-    }
-
     /// Appends data to a stream's send buffer.
     ///
-    /// Thin shim over [`StreamHandle::write`]; prefer
-    /// `conn.stream(id).write(data)`.
+    /// # Panics
+    /// Panics if the stream is unknown (open streams with
+    /// [`Connection::open_stream`]).
     pub fn stream_write(
         &mut self,
         id: StreamId,
         data: Bytes,
     ) -> Result<(), crate::stream::StreamError> {
-        self.stream(id).write(data)
+        self.send_streams
+            .get_mut(&id)
+            .expect("unknown stream")
+            .write(data)
     }
 
     /// Marks a stream finished at its current write offset.
     ///
-    /// Thin shim over [`StreamHandle::finish`]; prefer
-    /// `conn.stream(id).finish()`.
+    /// # Panics
+    /// Panics if the stream is unknown.
     pub fn stream_finish(&mut self, id: StreamId) {
-        self.stream(id).finish();
+        self.send_streams
+            .get_mut(&id)
+            .expect("unknown stream")
+            .finish();
     }
 
     /// Reads up to `max` in-order bytes from a stream.
-    ///
-    /// Thin shim over [`StreamHandle::read`]; prefer
-    /// `conn.stream(id).read(max)`.
     pub fn stream_read(&mut self, id: StreamId, max: usize) -> Option<Bytes> {
-        self.stream(id).read(max)
+        let data = self.recv_streams.get_mut(&id)?.read(max)?;
+        self.flow.on_data_consumed(data.len() as u64);
+        Some(data)
     }
 
     /// True once the peer's FIN and all stream data have been read.
-    ///
-    /// Thin shim over [`StreamHandle::is_finished`]; prefer
-    /// `conn.stream(id).is_finished()`.
     pub fn stream_is_finished(&self, id: StreamId) -> bool {
         self.recv_streams.get(&id).is_some_and(|s| s.is_finished())
     }
 
     /// True once everything written (and the FIN) was acknowledged.
-    ///
-    /// Thin shim over [`StreamHandle::is_fully_acked`]; prefer
-    /// `conn.stream(id).is_fully_acked()`.
     pub fn stream_fully_acked(&self, id: StreamId) -> bool {
         self.send_streams
             .get(&id)
@@ -530,14 +508,16 @@ impl Connection {
             return;
         };
         let header_len = data.len() - cursor.len();
-        if self.role == Role::Server && self.cid == 0 {
-            self.cid = header.connection_id;
-        }
+        // A fresh server has no CID yet and takes its first packet's — but
+        // only once that packet authenticates (below): no state from
+        // unauthenticated bytes.
+        let unadopted = self.role == Role::Server && self.cid == 0;
         // During a CID rotation, three IDs route here: the current one,
         // the freshly issued one (the peer may adopt it before our
         // bookkeeping catches up), and the just-retired one (in-flight
         // stragglers).
-        let cid_known = header.connection_id == self.cid
+        let cid_known = unadopted
+            || header.connection_id == self.cid
             || self.prev_cid == Some(header.connection_id)
             || self.pending_new_cid.map(|(_, cid)| cid) == Some(header.connection_id);
         if !cid_known {
@@ -572,6 +552,9 @@ impl Connection {
             self.stats.decrypt_failures += 1;
             return;
         };
+        if unadopted {
+            self.cid = header.connection_id;
+        }
 
         // Locate or create the path (peer-opened paths carry data in
         // their first packet; no handshake needed).
@@ -627,13 +610,7 @@ impl Connection {
                         path: path_id,
                     },
                 ));
-                self.emit(telemetry::Event::PathStateChanged(
-                    telemetry::PathStateChanged {
-                        time: now,
-                        path: path_id,
-                        state: telemetry::PathState::Validating,
-                    },
-                ));
+                self.emit_path_state(now, path_id, telemetry::PathState::Validating);
             }
         }
 
@@ -747,13 +724,7 @@ impl Connection {
                 }
                 self.peer_paths = infos;
                 for (path, state) in changes {
-                    self.emit(telemetry::Event::PathStateChanged(
-                        telemetry::PathStateChanged {
-                            time: now,
-                            path,
-                            state,
-                        },
-                    ));
+                    self.emit_path_state(now, path, state);
                 }
             }
             Frame::PathChallenge { token } => {
@@ -788,13 +759,7 @@ impl Connection {
             time: now,
             path: path_id,
         }));
-        self.emit(telemetry::Event::PathStateChanged(
-            telemetry::PathStateChanged {
-                time: now,
-                path: path_id,
-                state: telemetry::PathState::Active,
-            },
-        ));
+        self.emit_path_state(now, path_id, telemetry::PathState::Active);
         if self.role == Role::Server {
             self.rotate_cid();
         }
@@ -994,13 +959,7 @@ impl Connection {
         }
         if recovered {
             self.events.push_back(Event::PathActive(ack.path_id));
-            self.emit(telemetry::Event::PathStateChanged(
-                telemetry::PathStateChanged {
-                    time: now,
-                    path: ack.path_id,
-                    state: telemetry::PathState::Active,
-                },
-            ));
+            self.emit_path_state(now, ack.path_id, telemetry::PathState::Active);
         }
         if let Some(window_after) = window_after {
             self.emit(telemetry::Event::CongestionEvent(
@@ -1138,13 +1097,7 @@ impl Connection {
         let cc = self.config.cc.build(self.config.max_datagram_size as u64);
         let path = Path::new(id, local, remote, self.config.initial_rtt, cc);
         self.paths.insert(id, path);
-        self.emit(telemetry::Event::PathStateChanged(
-            telemetry::PathStateChanged {
-                time: now,
-                path: id,
-                state: telemetry::PathState::Active,
-            },
-        ));
+        self.emit_path_state(now, id, telemetry::PathState::Active);
     }
 
     /// Client-side: opens additional paths once the handshake is complete
@@ -1217,13 +1170,7 @@ impl Connection {
             .or_default()
             .push_back(Frame::Ping);
         self.events.push_back(Event::PathActive(id));
-        self.emit(telemetry::Event::PathStateChanged(
-            telemetry::PathStateChanged {
-                time: now,
-                path: id,
-                state: telemetry::PathState::Active,
-            },
-        ));
+        self.emit_path_state(now, id, telemetry::PathState::Active);
     }
 
     /// Closes a path: the paper's path manager controls "the creation
@@ -1247,22 +1194,22 @@ impl Connection {
             let frames: Vec<Frame> = queue.drain(..).collect();
             self.control_queue.extend(frames);
         }
-        if let Some(dups) = self.duplicate_queue.get_mut(&id) {
-            for frame in dups.drain(..).collect::<Vec<_>>() {
-                if let Some(s) = self.send_streams.get_mut(&frame.stream_id) {
-                    s.on_lost(frame);
+        self.reclaim_duplicates(id);
+        self.queue_paths_frame();
+        self.events.push_back(Event::PathClosed(id));
+        self.emit_path_state(now, id, telemetry::PathState::Closed);
+    }
+
+    /// Duplicates still queued for a path that will carry nothing more go
+    /// back to their streams as lost, so another path resends the bytes.
+    fn reclaim_duplicates(&mut self, id: PathId) {
+        for frame in self.duplicate_queue.remove(&id).unwrap_or_default() {
+            if let Frame::Stream(f) = frame {
+                if let Some(s) = self.send_streams.get_mut(&f.stream_id) {
+                    s.on_lost(f);
                 }
             }
         }
-        self.queue_paths_frame();
-        self.events.push_back(Event::PathClosed(id));
-        self.emit(telemetry::Event::PathStateChanged(
-            telemetry::PathStateChanged {
-                time: now,
-                path: id,
-                state: telemetry::PathState::Closed,
-            },
-        ));
     }
 
     fn queue_paths_frame(&mut self) {
@@ -1412,13 +1359,7 @@ impl Connection {
                 }
                 if was_active {
                     self.events.push_back(Event::PathPotentiallyFailed(id));
-                    self.emit(telemetry::Event::PathStateChanged(
-                        telemetry::PathStateChanged {
-                            time: now,
-                            path: id,
-                            state: telemetry::PathState::PotentiallyFailed,
-                        },
-                    ));
+                    self.emit_path_state(now, id, telemetry::PathState::PotentiallyFailed);
                 }
                 // Tell the peer which path failed so it does not have to
                 // discover it through its own RTO (Fig. 11).
@@ -1495,14 +1436,7 @@ impl Connection {
                 .collect();
             self.control_queue.extend(rerouted);
         }
-        if let Some(dups) = self.duplicate_queue.get_mut(&id) {
-            let stranded: Vec<StreamFrame> = dups.drain(..).collect();
-            for frame in stranded {
-                if let Some(s) = self.send_streams.get_mut(&frame.stream_id) {
-                    s.on_lost(frame);
-                }
-            }
-        }
+        self.reclaim_duplicates(id);
         if self.paths.len() > 1 {
             self.queue_paths_frame();
         }
@@ -1514,13 +1448,7 @@ impl Connection {
                 path: id,
             },
         ));
-        self.emit(telemetry::Event::PathStateChanged(
-            telemetry::PathStateChanged {
-                time: now,
-                path: id,
-                state: telemetry::PathState::Closed,
-            },
-        ));
+        self.emit_path_state(now, id, telemetry::PathState::Closed);
     }
 
     // ------------------------------------------------------------------
@@ -1530,10 +1458,11 @@ impl Connection {
     /// Produces the next outgoing datagram, if any. Call repeatedly until
     /// it returns `None`.
     ///
-    /// One-shot shim over the batched egress path: each call allocates
-    /// its own payload. Hot loops should prefer
-    /// [`Connection::poll_transmit_batch`], which fills pool-backed
-    /// buffers and coalesces same-path runs GSO-style.
+    /// The one-datagram API (what the simulator and `TcpStack`-style
+    /// drivers speak): each call allocates its own payload. Hot loops
+    /// should prefer [`Connection::poll_transmit_batch`], which fills
+    /// pool-backed buffers and coalesces same-path runs GSO-style. Both
+    /// sit on the same packet assembler and produce the same bytes.
     pub fn poll_transmit(&mut self, now: SimTime) -> Option<Transmit> {
         let mut payload = Vec::new();
         let (local, remote) = self.poll_transmit_into(now, &mut payload)?;
@@ -1583,21 +1512,42 @@ impl Connection {
             return None;
         }
         // 0. Pending CONNECTION_CLOSE.
-        if let Some((code, reason)) = self.close_pending.clone() {
-            if !self.close_sent {
-                let meta = self.emit_close(now, code, reason, out);
-                self.close_sent = true;
-                self.closed = true;
-                return meta;
+        if let Some((error_code, reason)) = self.close_pending.clone() {
+            if self.close_sent {
+                return None;
             }
-            return None;
+            let path_id = self
+                .paths
+                .values()
+                .find(|p| p.state == PathState::Active)
+                .or_else(|| self.paths.values().next())
+                .map(|p| p.id);
+            let sent = path_id.and_then(|id| {
+                self.assemble(now, id, self.keyed_packet_type(), out, |_, builder| {
+                    builder.try_push(Frame::ConnectionClose { error_code, reason });
+                    true
+                })
+            });
+            self.close_sent = true;
+            self.closed = true;
+            return sent;
         }
         // 1. Generate window updates (duplicated on all paths).
         self.flush_window_updates(now);
         // 2. Handshake packets (initial path, initial keys).
-        if !self.crypto_queue.is_empty() {
-            if let Some(t) = self.emit_handshake(now, out) {
-                return Some(t);
+        if !self.crypto_queue.is_empty() && self.paths.contains_key(&PathId::INITIAL) {
+            let sent = self.assemble(
+                now,
+                PathId::INITIAL,
+                PacketType::Handshake,
+                out,
+                |conn, builder| {
+                    fill_from(&mut conn.crypto_queue, builder);
+                    true
+                },
+            );
+            if sent.is_some() {
+                return sent;
             }
         }
         // 3. Path-bound control frames (window-update duplicates, probes).
@@ -1629,8 +1579,15 @@ impl Connection {
             .find(|(_, q)| !q.is_empty())
             .map(|(&id, _)| id);
         if let Some(id) = path_with_control {
-            if let Some(t) = self.emit_control(now, id, out) {
-                return Some(t);
+            let sent = self.assemble(now, id, PacketType::OneRtt, out, |conn, builder| {
+                if let Some(queue) = conn.per_path_queue.get_mut(&id) {
+                    fill_from(queue, builder);
+                }
+                // Nothing but ACKs would go out: leave those to step 5.
+                builder.has_retransmittable()
+            });
+            if sent.is_some() {
+                return sent;
             }
         }
         // 4. Data packets, scheduled per the paper.
@@ -1661,8 +1618,11 @@ impl Connection {
                     .or(Some(due_path))
             };
             if let Some(id) = send_on {
-                if let Some(t) = self.emit_ack_only(now, id, out) {
-                    return Some(t);
+                // The assembler's own ACK pass is the whole packet (and
+                // an empty one is never sealed).
+                let sent = self.assemble(now, id, self.keyed_packet_type(), out, |_, _| true);
+                if sent.is_some() {
+                    return sent;
                 }
             }
         }
@@ -1672,12 +1632,14 @@ impl Connection {
             .values()
             .find(|p| p.probe_at.is_some_and(|at| at <= now))
             .map(|p| p.id);
-        if let Some(id) = probe_path {
-            if let Some(t) = self.emit_probe(now, id, out) {
-                return Some(t);
-            }
-        }
-        None
+        let id = probe_path?;
+        // One probe per backoff period; the probe's own RTO (or its ACK)
+        // schedules what happens next.
+        self.paths.get_mut(&id)?.probe_at = None;
+        self.assemble(now, id, PacketType::OneRtt, out, |_, builder| {
+            builder.try_push(Frame::Ping);
+            true
+        })
     }
 
     fn flush_window_updates(&mut self, now: SimTime) {
@@ -1835,11 +1797,10 @@ impl Connection {
         now: SimTime,
         builder: PacketBuilder,
         path_id: PathId,
-        packet_type: PacketType,
+        aead: &Aead,
         out: &mut Vec<u8>,
     ) -> Option<(SocketAddr, SocketAddr)> {
         let packet = builder.finish()?;
-        let aead = self.send_aead(packet_type)?;
         let ack_eliciting = packet.is_ack_eliciting();
         let mut header_buf = std::mem::take(&mut self.scratch_header);
         let mut payload_buf = std::mem::take(&mut self.scratch_payload);
@@ -1895,80 +1856,40 @@ impl Connection {
         Some((local, remote))
     }
 
-    fn emit_close(
-        &mut self,
-        now: SimTime,
-        code: u64,
-        reason: String,
-        out: &mut Vec<u8>,
-    ) -> Option<(SocketAddr, SocketAddr)> {
-        let packet_type = if self.session_keys.is_some() {
+    /// The packet type the connection's newest keys protect: 1-RTT once
+    /// the session keys exist, Handshake before.
+    fn keyed_packet_type(&self) -> PacketType {
+        if self.session_keys.is_some() {
             PacketType::OneRtt
         } else {
             PacketType::Handshake
-        };
-        let path_id = self
-            .paths
-            .values()
-            .find(|p| p.state == PathState::Active)
-            .or_else(|| self.paths.values().next())
-            .map(|p| p.id)?;
-        let header = self.provisional_header(path_id, packet_type);
-        let mut builder = PacketBuilder::with_datagram_size(header, self.config.max_datagram_size);
-        self.push_acks(now, &mut builder, path_id);
-        builder.try_push(Frame::ConnectionClose {
-            error_code: code,
-            reason,
-        });
-        self.finalize(now, builder, path_id, packet_type, out)
+        }
     }
 
-    fn emit_handshake(
-        &mut self,
-        now: SimTime,
-        out: &mut Vec<u8>,
-    ) -> Option<(SocketAddr, SocketAddr)> {
-        let path_id = PathId::INITIAL;
-        if !self.paths.contains_key(&path_id) {
-            return None;
-        }
-        let header = self.provisional_header(path_id, PacketType::Handshake);
-        let mut builder = PacketBuilder::with_datagram_size(header, self.config.max_datagram_size);
-        self.push_acks(now, &mut builder, path_id);
-        while let Some(frame) = self.crypto_queue.front() {
-            if builder.remaining() < frame.wire_size() {
-                break;
-            }
-            let frame = self.crypto_queue.pop_front().expect("checked");
-            builder.try_push(frame);
-        }
-        self.finalize(now, builder, path_id, PacketType::Handshake, out)
-    }
-
-    fn emit_control(
+    /// The one packet assembler: every datagram this connection sends is
+    /// built here. Opens a `packet_type` packet on `path_id`, gives due
+    /// ACKs their ride, lets `source` add its frames, and seals the result
+    /// into `out` through [`Connection::finalize`]. Frames are independent
+    /// of packets (paper §3), so a source only decides *what* goes — and,
+    /// by returning `false`, that what fitted is not worth a packet.
+    /// `None` when nothing was sent.
+    fn assemble(
         &mut self,
         now: SimTime,
         path_id: PathId,
+        packet_type: PacketType,
         out: &mut Vec<u8>,
+        source: impl FnOnce(&mut Connection, &mut PacketBuilder) -> bool,
     ) -> Option<(SocketAddr, SocketAddr)> {
-        let header = self.provisional_header(path_id, PacketType::OneRtt);
-        self.session_keys?;
+        // No keys for this packet type yet: touch nothing.
+        let aead = self.send_aead(packet_type)?;
+        let header = self.provisional_header(path_id, packet_type);
         let mut builder = PacketBuilder::with_datagram_size(header, self.config.max_datagram_size);
         self.push_acks(now, &mut builder, path_id);
-        if let Some(queue) = self.per_path_queue.get_mut(&path_id) {
-            while let Some(frame) = queue.front() {
-                if builder.remaining() < frame.wire_size() {
-                    break;
-                }
-                let frame = queue.pop_front().expect("checked");
-                builder.try_push(frame);
-            }
-        }
-        if !builder.has_retransmittable() {
-            // Nothing but ACKs would go out; leave those to emit_ack_only.
+        if !source(self, &mut builder) {
             return None;
         }
-        self.finalize(now, builder, path_id, PacketType::OneRtt, out)
+        self.finalize(now, builder, path_id, &aead, out)
     }
 
     fn emit_data(&mut self, now: SimTime, out: &mut Vec<u8>) -> Option<(SocketAddr, SocketAddr)> {
@@ -2005,89 +1926,16 @@ impl Connection {
             self.scheduler
                 .select_for_data(&views, self.config.max_datagram_size as u64)?
         };
-        let path_id = decision.path;
-        let header = self.provisional_header(path_id, PacketType::OneRtt);
-        let mut builder = PacketBuilder::with_datagram_size(header, self.config.max_datagram_size);
-        self.push_acks(now, &mut builder, path_id);
-        // Path-agnostic control frames ride along.
-        while let Some(frame) = self.control_queue.front() {
-            if builder.remaining() < frame.wire_size() {
-                break;
-            }
-            let frame = self.control_queue.pop_front().expect("checked");
-            builder.try_push(frame);
-        }
-        // Duplicated stream frames targeted at this path.
-        if let Some(queue) = self.duplicate_queue.get_mut(&path_id) {
-            while let Some(frame) = queue.front() {
-                let wrapped_size = Frame::Stream(frame.clone()).wire_size();
-                if builder.remaining() < wrapped_size {
-                    break;
-                }
-                let frame = queue.pop_front().expect("checked");
-                builder.try_push(Frame::Stream(frame));
-            }
-        }
-        // Fresh stream data (and retransmissions), subject to connection
-        // flow control.
-        let mut credit = self.flow.send_credit();
-        // Service streams round-robin, starting after the last stream
-        // served, so concurrent streams share the paths fairly.
-        let mut stream_ids: Vec<StreamId> = self.send_streams.keys().copied().collect();
-        let pivot = stream_ids
-            .iter()
-            .position(|&id| id > self.stream_cursor)
-            .unwrap_or(0);
-        stream_ids.rotate_left(pivot);
-        loop {
-            let mut progressed = false;
-            for &sid in &stream_ids {
-                let stream = self.send_streams.get_mut(&sid).expect("listed");
-                if !stream.wants_to_send() {
-                    if stream.should_report_blocked() {
-                        let f = Frame::Blocked { stream_id: sid };
-                        if builder.remaining() >= f.wire_size() {
-                            builder.try_push(f);
-                        }
-                    }
-                    continue;
-                }
-                let overhead =
-                    StreamFrame::overhead(sid, stream.next_send_offset(), builder.remaining());
-                if builder.remaining() <= overhead {
-                    continue;
-                }
-                let max_payload = builder.remaining() - overhead;
-                if let Some((frame, consumed)) = stream.next_frame(max_payload, credit) {
-                    credit -= consumed;
-                    self.stream_cursor = sid;
-                    self.flow.on_new_data_sent(consumed);
-                    for &dup_target in &decision.duplicate_on {
-                        self.duplicate_queue
-                            .entry(dup_target)
-                            .or_default()
-                            .push_back(frame.clone());
-                        self.stats.duplicated_stream_frames += 1;
-                    }
-                    let ok = builder.try_push(Frame::Stream(frame));
-                    debug_assert!(ok, "frame was sized to fit");
-                    progressed = true;
-                }
-            }
-            if !progressed || builder.remaining() < 16 {
-                break;
-            }
-        }
-        if self.flow.should_report_blocked() {
-            let f = Frame::Blocked { stream_id: 0 };
-            if builder.remaining() >= f.wire_size() {
-                builder.try_push(f);
-            }
-        }
-        if !builder.has_retransmittable() {
-            return None;
-        }
-        let transmit = self.finalize(now, builder, path_id, PacketType::OneRtt, out);
+        let transmit = self.assemble(
+            now,
+            decision.path,
+            PacketType::OneRtt,
+            out,
+            |conn, builder| {
+                conn.fill_data(builder, decision.path, &decision.duplicate_on);
+                builder.has_retransmittable()
+            },
+        );
         // Record the decision only for packets that actually left, so the
         // scheduler-share statistic matches bytes on the wire.
         if transmit.is_some() && self.telemetry_enabled() {
@@ -2110,44 +1958,66 @@ impl Connection {
         transmit
     }
 
-    fn emit_ack_only(
-        &mut self,
-        now: SimTime,
-        path_id: PathId,
-        out: &mut Vec<u8>,
-    ) -> Option<(SocketAddr, SocketAddr)> {
-        let packet_type = if self.session_keys.is_some() {
-            PacketType::OneRtt
-        } else {
-            PacketType::Handshake
-        };
-        let header = self.provisional_header(path_id, packet_type);
-        let mut builder = PacketBuilder::with_datagram_size(header, self.config.max_datagram_size);
-        self.push_acks(now, &mut builder, path_id);
-        if builder.is_empty() {
-            return None;
+    /// The frame source of a data packet on `path_id`: path-agnostic
+    /// control frames, duplicates bound for this path, then stream data
+    /// (copied toward each `duplicate_on` path as it is packed).
+    fn fill_data(&mut self, builder: &mut PacketBuilder, path_id: PathId, duplicate_on: &[PathId]) {
+        // Path-agnostic control frames ride along.
+        fill_from(&mut self.control_queue, builder);
+        // Duplicated stream frames targeted at this path.
+        if let Some(queue) = self.duplicate_queue.get_mut(&path_id) {
+            fill_from(queue, builder);
         }
-        self.finalize(now, builder, path_id, packet_type, out)
-    }
-
-    fn emit_probe(
-        &mut self,
-        now: SimTime,
-        path_id: PathId,
-        out: &mut Vec<u8>,
-    ) -> Option<(SocketAddr, SocketAddr)> {
-        {
-            let path = self.paths.get_mut(&path_id)?;
-            // One probe per backoff period; the probe's own RTO (or its
-            // ACK) schedules what happens next.
-            path.probe_at = None;
+        // Fresh stream data (and retransmissions), subject to connection
+        // flow control.
+        let mut credit = self.flow.send_credit();
+        // Service streams round-robin, starting after the last stream
+        // served, so concurrent streams share the paths fairly.
+        let mut stream_ids: Vec<StreamId> = self.send_streams.keys().copied().collect();
+        let pivot = stream_ids
+            .iter()
+            .position(|&id| id > self.stream_cursor)
+            .unwrap_or(0);
+        stream_ids.rotate_left(pivot);
+        loop {
+            let mut progressed = false;
+            for &sid in &stream_ids {
+                let stream = self.send_streams.get_mut(&sid).expect("listed");
+                if !stream.wants_to_send() {
+                    if stream.should_report_blocked() {
+                        builder.try_push(Frame::Blocked { stream_id: sid });
+                    }
+                    continue;
+                }
+                let overhead =
+                    StreamFrame::overhead(sid, stream.next_send_offset(), builder.remaining());
+                if builder.remaining() <= overhead {
+                    continue;
+                }
+                let max_payload = builder.remaining() - overhead;
+                if let Some((frame, consumed)) = stream.next_frame(max_payload, credit) {
+                    credit -= consumed;
+                    self.stream_cursor = sid;
+                    self.flow.on_new_data_sent(consumed);
+                    for &dup_target in duplicate_on {
+                        self.duplicate_queue
+                            .entry(dup_target)
+                            .or_default()
+                            .push_back(Frame::Stream(frame.clone()));
+                        self.stats.duplicated_stream_frames += 1;
+                    }
+                    let ok = builder.try_push(Frame::Stream(frame));
+                    debug_assert!(ok, "frame was sized to fit");
+                    progressed = true;
+                }
+            }
+            if !progressed || builder.remaining() < 16 {
+                break;
+            }
         }
-        let header = self.provisional_header(path_id, PacketType::OneRtt);
-        self.session_keys?;
-        let mut builder = PacketBuilder::with_datagram_size(header, self.config.max_datagram_size);
-        self.push_acks(now, &mut builder, path_id);
-        builder.try_push(Frame::Ping);
-        self.finalize(now, builder, path_id, PacketType::OneRtt, out)
+        if self.flow.should_report_blocked() {
+            builder.try_push(Frame::Blocked { stream_id: 0 });
+        }
     }
 
     fn path_views(&self) -> Vec<PathView> {
@@ -2170,64 +2040,15 @@ impl Connection {
     }
 }
 
-/// All per-stream operations for one stream, obtained from
-/// [`Connection::stream`].
-///
-/// Consolidates the historical `stream_write`/`stream_read`/
-/// `stream_finish`/`stream_is_finished`/`stream_fully_acked` method
-/// family; those methods still exist as thin shims over this handle.
-pub struct StreamHandle<'a> {
-    conn: &'a mut Connection,
-    id: StreamId,
-}
-
-impl StreamHandle<'_> {
-    /// The stream this handle operates on.
-    pub fn id(&self) -> StreamId {
-        self.id
-    }
-
-    /// Appends data to the stream's send buffer.
-    ///
-    /// # Panics
-    /// Panics if the stream is unknown (the historical `stream_write`
-    /// contract; open streams with [`Connection::open_stream`]).
-    pub fn write(&mut self, data: Bytes) -> Result<(), crate::stream::StreamError> {
-        self.conn
-            .send_streams
-            .get_mut(&self.id)
-            .expect("unknown stream")
-            .write(data)
-    }
-
-    /// Marks the stream finished at its current write offset.
-    ///
-    /// # Panics
-    /// Panics if the stream is unknown.
-    pub fn finish(&mut self) {
-        self.conn
-            .send_streams
-            .get_mut(&self.id)
-            .expect("unknown stream")
-            .finish();
-    }
-
-    /// Reads up to `max` in-order bytes from the stream.
-    pub fn read(&mut self, max: usize) -> Option<Bytes> {
-        let stream = self.conn.recv_streams.get_mut(&self.id)?;
-        let data = stream.read(max)?;
-        self.conn.flow.on_data_consumed(data.len() as u64);
-        Some(data)
-    }
-
-    /// True once the peer's FIN and all stream data have been read.
-    pub fn is_finished(&self) -> bool {
-        self.conn.stream_is_finished(self.id)
-    }
-
-    /// True once everything written (and the FIN) was acknowledged.
-    pub fn is_fully_acked(&self) -> bool {
-        self.conn.stream_fully_acked(self.id)
+/// Moves frames from the front of `queue` into `builder`, in order, until
+/// the next one no longer fits.
+fn fill_from(queue: &mut VecDeque<Frame>, builder: &mut PacketBuilder) {
+    while queue
+        .front()
+        .is_some_and(|frame| frame.wire_size() <= builder.remaining())
+    {
+        let frame = queue.pop_front().expect("front checked");
+        builder.try_push(frame);
     }
 }
 
@@ -2390,6 +2211,24 @@ mod tests {
         let after = server.stats();
         assert_eq!(after.packets_received, before.packets_received);
         assert_eq!(after.decrypt_failures, before.decrypt_failures + 1);
+    }
+
+    #[test]
+    fn unauthenticated_datagram_cannot_pin_a_fresh_server_to_its_cid() {
+        let (mut client, mut server) = pair();
+        let chlo = client.poll_transmit(SimTime::ZERO).expect("CHLO");
+        // Garbage naming some other connection ID reaches the server
+        // first...
+        let mut garbage = chlo.payload.clone();
+        garbage[3] ^= 0xFF; // a CID byte in the public header
+        server.handle_datagram(SimTime::ZERO, chlo.remote, chlo.local, &garbage);
+        assert_eq!(server.stats().decrypt_failures, 1);
+        // ...and must leave no state behind: the genuine CHLO still lands.
+        server.handle_datagram(SimTime::ZERO, chlo.remote, chlo.local, &chlo.payload);
+        shuttle(&mut client, &mut server, SimTime::from_millis(1));
+        assert!(client.is_established() && server.is_established());
+        assert_eq!(server.connection_id(), client.connection_id());
+        assert_eq!(server.stats().decrypt_failures, 1);
     }
 
     #[test]

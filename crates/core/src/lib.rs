@@ -48,7 +48,6 @@ pub mod connection;
 pub mod flow;
 pub mod invariant;
 pub mod path;
-pub mod qlog;
 pub mod recovery;
 pub mod rtt;
 pub mod scheduler;
@@ -56,9 +55,8 @@ pub mod stream;
 
 pub use buffer::{BufferPool, PoolStats, TransmitQueue};
 pub use config::{Config, ConfigBuilder, ConfigError, ConnStats, Event, Role, Transmit};
-pub use connection::{error_codes, Connection, PathOp, StreamHandle};
+pub use connection::{error_codes, Connection, PathOp};
 pub use path::{Path, PathState};
-pub use qlog::{Qlog, QlogEvent};
 pub use scheduler::{
     Decision, ParseSchedulerError, PathView, SchedulePolicy, Scheduler, SchedulerKind,
     SCHEDULER_KINDS,

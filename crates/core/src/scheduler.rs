@@ -11,13 +11,11 @@
 //!    path is usable immediately without risking head-of-line blocking if
 //!    it turns out slow.
 //!
-//! Scheduling is a *policy*: the [`SchedulePolicy`] trait is object-safe
-//! so applications can plug their own
-//! (`Config::builder().scheduler_policy(...)`), while the built-in zoo —
-//! lowest-RTT, no-duplicate, round-robin, redundant and a BLEST/ECF-style
-//! head-of-line-aware pick — stays constructible from the
-//! [`SchedulerKind`] enum (and by name via `FromStr`, which is what the
-//! `--scheduler` CLI flags parse).
+//! Scheduling is a *policy*: the object-safe [`SchedulePolicy`] trait has
+//! five implementations — lowest-RTT, no-duplicate, round-robin,
+//! redundant and a BLEST/ECF-style head-of-line-aware pick — chosen with
+//! the [`SchedulerKind`] enum (and by name via `FromStr`, which is what
+//! the `--scheduler` CLI flags parse).
 
 use mpquic_wire::PathId;
 use std::time::Duration;
@@ -46,10 +44,10 @@ pub struct PathView {
 
 /// The built-in scheduling policies, by name.
 ///
-/// This stays the cheap, copyable constructor enum: `Scheduler::new(kind)`
-/// builds the matching [`SchedulePolicy`]. Parse one from a CLI string
-/// with [`FromStr`] (`"lowest-rtt"`, `"no-duplicate"`, `"round-robin"`,
-/// `"redundant"`, `"blest"`).
+/// `Scheduler::new(kind)` builds the matching [`SchedulePolicy`]; this
+/// enum is the only way to choose one. Parse a kind from a CLI string
+/// with [`std::str::FromStr`] (`"lowest-rtt"`, `"no-duplicate"`,
+/// `"round-robin"`, `"redundant"`, `"blest"`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulerKind {
     /// The paper's scheduler: lowest RTT with available window, with
@@ -157,14 +155,10 @@ pub struct Decision {
 /// [`PathView`] per path and calls [`SchedulePolicy::select_for_data`]
 /// for data-bearing packets, [`SchedulePolicy::select_for_control`] for
 /// control traffic not pinned to a path. `Send` because connections are
-/// driven from worker threads; `clone_box` because `Config` (which may
-/// carry a custom policy) is `Clone`.
+/// driven from worker threads.
 pub trait SchedulePolicy: Send + std::fmt::Debug {
     /// Policy name, for reports and `Debug` output.
     fn name(&self) -> &'static str;
-
-    /// A boxed copy of this policy in its current state.
-    fn clone_box(&self) -> Box<dyn SchedulePolicy>;
 
     /// Picks a path for a data-bearing packet, or `None` if no path
     /// (usable or not) has congestion window space.
@@ -187,12 +181,6 @@ pub trait SchedulePolicy: Send + std::fmt::Debug {
             .min_by_key(|p| p.srtt)
             .or_else(|| paths.iter().min_by_key(|p| p.srtt))
             .map(|p| p.id)
-    }
-}
-
-impl Clone for Box<dyn SchedulePolicy> {
-    fn clone(&self) -> Box<dyn SchedulePolicy> {
-        self.clone_box()
     }
 }
 
@@ -235,10 +223,6 @@ impl SchedulePolicy for LowestRttPolicy {
         } else {
             "no-duplicate"
         }
-    }
-
-    fn clone_box(&self) -> Box<dyn SchedulePolicy> {
-        Box::new(self.clone())
     }
 
     fn select_for_data(&mut self, paths: &[PathView], min_space: u64) -> Option<Decision> {
@@ -294,10 +278,6 @@ impl SchedulePolicy for RoundRobinPolicy {
         "round-robin"
     }
 
-    fn clone_box(&self) -> Box<dyn SchedulePolicy> {
-        Box::new(self.clone())
-    }
-
     fn select_for_data(&mut self, paths: &[PathView], min_space: u64) -> Option<Decision> {
         let (candidates, only) = candidates(paths, min_space);
         if candidates.is_empty() {
@@ -325,10 +305,6 @@ pub struct RedundantPolicy;
 impl SchedulePolicy for RedundantPolicy {
     fn name(&self) -> &'static str {
         "redundant"
-    }
-
-    fn clone_box(&self) -> Box<dyn SchedulePolicy> {
-        Box::new(self.clone())
     }
 
     fn select_for_data(&mut self, paths: &[PathView], min_space: u64) -> Option<Decision> {
@@ -383,10 +359,6 @@ impl SchedulePolicy for BlestPolicy {
         "blest"
     }
 
-    fn clone_box(&self) -> Box<dyn SchedulePolicy> {
-        Box::new(self.clone())
-    }
-
     fn select_for_data(&mut self, paths: &[PathView], min_space: u64) -> Option<Decision> {
         let (candidates, only) = candidates(paths, min_space);
         if candidates.is_empty() {
@@ -405,11 +377,10 @@ impl SchedulePolicy for BlestPolicy {
     }
 }
 
-/// Packet scheduler state: a boxed [`SchedulePolicy`] plus the kind it
-/// was built from (when it was a built-in).
+/// Packet scheduler state: the boxed [`SchedulePolicy`] a
+/// [`SchedulerKind`] names.
 #[derive(Debug)]
 pub struct Scheduler {
-    kind: Option<SchedulerKind>,
     policy: Box<dyn SchedulePolicy>,
 }
 
@@ -429,21 +400,7 @@ impl Scheduler {
             SchedulerKind::Redundant => Box::new(RedundantPolicy),
             SchedulerKind::Blest => Box::new(BlestPolicy),
         };
-        Scheduler {
-            kind: Some(kind),
-            policy,
-        }
-    }
-
-    /// Creates a scheduler running a custom policy.
-    pub fn from_policy(policy: Box<dyn SchedulePolicy>) -> Scheduler {
-        Scheduler { kind: None, policy }
-    }
-
-    /// The built-in kind, if the policy was constructed from one
-    /// (`None` for custom policies).
-    pub fn kind(&self) -> Option<SchedulerKind> {
-        self.kind
+        Scheduler { policy }
     }
 
     /// The active policy's name.
@@ -700,47 +657,12 @@ mod tests {
     }
 
     #[test]
-    fn custom_policy_plugs_in_and_clones() {
-        /// Always picks the highest-numbered usable path.
-        #[derive(Debug, Clone)]
-        struct HighestId;
-        impl SchedulePolicy for HighestId {
-            fn name(&self) -> &'static str {
-                "highest-id"
-            }
-            fn clone_box(&self) -> Box<dyn SchedulePolicy> {
-                Box::new(self.clone())
-            }
-            fn select_for_data(&mut self, paths: &[PathView], min_space: u64) -> Option<Decision> {
-                paths
-                    .iter()
-                    .filter(|p| p.usable && p.cwnd_available >= min_space)
-                    .max_by_key(|p| p.id.0)
-                    .map(|p| Decision {
-                        path: p.id,
-                        duplicate_on: Vec::new(),
-                        reason: SchedulerReason::OnlyAvailable,
-                    })
-            }
-        }
-        let boxed: Box<dyn SchedulePolicy> = Box::new(HighestId);
-        let mut s = Scheduler::from_policy(boxed.clone());
-        assert_eq!(s.kind(), None);
-        assert_eq!(s.name(), "highest-id");
-        let paths = [
-            view(0, 10, true, 10_000, true),
-            view(7, 99, true, 10_000, true),
-        ];
-        assert_eq!(s.select_for_data(&paths, 1350).unwrap().path, PathId(7));
-    }
-
-    #[test]
     fn every_builtin_schedules_on_a_two_path_set() {
         // The zoo smoke: each kind must produce a decision (and a name
         // that parses back to itself) on a plain two-path set.
         for kind in SCHEDULER_KINDS {
             let mut s = Scheduler::new(kind);
-            assert_eq!(s.kind(), Some(kind));
+            assert_eq!(s.name(), kind.name());
             let paths = [
                 view(0, 50, true, 10_000, true),
                 view(1, 20, true, 10_000, true),

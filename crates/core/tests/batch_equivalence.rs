@@ -119,12 +119,10 @@ fn run_scenario(
         // as the handshake completes (identical in both modes).
         if client.is_established() && written < size {
             let end = (written + chunk).min(size);
-            let _ = client
-                .stream(stream)
-                .write(Bytes::copy_from_slice(&payload[written..end]));
+            let _ = client.stream_write(stream, Bytes::copy_from_slice(&payload[written..end]));
             written = end;
             if written == size {
-                client.stream(stream).finish();
+                client.stream_finish(stream);
             }
         }
 
@@ -230,8 +228,8 @@ fn coalesced_trains_have_uniform_segments() {
     for _ in 0..2_000 {
         if client.is_established() && !wrote {
             let bulk = vec![0xa5u8; 48 * 1024];
-            let _ = client.stream(stream).write(Bytes::from(bulk));
-            client.stream(stream).finish();
+            let _ = client.stream_write(stream, Bytes::from(bulk));
+            client.stream_finish(stream);
             wrote = true;
         }
         let mut round = Vec::new();

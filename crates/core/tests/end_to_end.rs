@@ -677,18 +677,24 @@ fn paths_frame_shares_rtt_estimates() {
 }
 
 #[test]
-fn qlog_records_the_connection_story() {
-    let mut config = Config::multipath();
-    config.enable_qlog = true;
-    let client = Connection::client(config.clone(), vec![addr(C0), addr(C1)], 0, addr(S0), 1);
-    let server = Connection::server(config, vec![addr(S0), addr(S1)], 2);
+fn telemetry_records_the_connection_story() {
+    let (metrics, handle) = mpquic_core::telemetry::MetricsSubscriber::new();
+    let mut client = Connection::client(
+        Config::multipath(),
+        vec![addr(C0), addr(C1)],
+        0,
+        addr(S0),
+        1,
+    );
+    client.set_subscriber(Box::new(metrics));
+    let server = Connection::server(Config::multipath(), vec![addr(S0), addr(S1)], 2);
     let mut net = Net::new(client, server);
     let stream = net.client.open_stream();
     net.client
         .stream_write(stream, Bytes::from(vec![3u8; 200_000]))
         .unwrap();
     net.client.stream_finish(stream);
-    // A few mid-stream drops so loss events appear in the log.
+    // A few mid-stream drops so loss events appear in the trace.
     net.drop_seqs = (40..60).step_by(4).collect();
     assert!(net.run_until(
         |n| {
@@ -697,33 +703,24 @@ fn qlog_records_the_connection_story() {
         },
         SimTime::from_secs(60),
     ));
-    let qlog = net.client.qlog();
-    assert!(!qlog.is_empty());
-    use mpquic_core::QlogEvent;
-    let sent = qlog
-        .events()
-        .iter()
-        .filter(|e| matches!(e, QlogEvent::PacketSent { .. }))
-        .count();
-    let received = qlog
-        .events()
-        .iter()
-        .filter(|e| matches!(e, QlogEvent::PacketReceived { .. }))
-        .count();
-    assert_eq!(sent as u64, net.client.stats().packets_sent);
-    assert_eq!(received as u64, net.client.stats().packets_received);
+    let snapshot = handle.snapshot();
+    let paths = &snapshot.paths;
+    let stats = net.client.stats();
+    assert_eq!(
+        paths.iter().map(|p| p.packets_sent).sum::<u64>(),
+        stats.packets_sent
+    );
+    assert_eq!(
+        paths.iter().map(|p| p.packets_received).sum::<u64>(),
+        stats.packets_received
+    );
     assert!(
-        qlog.events()
-            .iter()
-            .any(|e| matches!(e, QlogEvent::PacketsLost { .. })),
+        paths.iter().any(|p| p.lost_bytes > 0),
         "drops must surface as loss events"
     );
-    assert!(qlog.bytes_sent_on(PathId::INITIAL) > 0);
-    assert!(qlog.bytes_sent_on(PathId(1)) > 0);
-    // JSON export sanity.
-    let json = qlog.to_json_lines();
-    assert!(json.lines().count() == qlog.len());
-    // The default config records nothing.
-    let plain = Connection::client(Config::multipath(), vec![addr(C0)], 0, addr(S0), 9);
-    assert!(plain.qlog().is_empty());
+    for id in [PathId::INITIAL, PathId(1)] {
+        let summary = snapshot.path(id).expect("both paths carried traffic");
+        assert!(summary.bytes_sent > 0);
+        assert_eq!(summary.bytes_sent, net.client.path(id).unwrap().bytes_sent);
+    }
 }

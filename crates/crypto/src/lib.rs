@@ -1,6 +1,6 @@
 //! Packet protection and handshake for mpquic.
 //!
-//! The paper's evaluation uses real cryptography (QUIC crypto [31] /
+//! The paper's evaluation uses real cryptography (QUIC crypto \[31\] /
 //! TLS 1.2) because crypto costs CPU on their emulation platform; *this*
 //! reproduction measures transport dynamics in a simulator where CPU time
 //! is not the metric, so we substitute a **toy AEAD** (documented in

@@ -1,9 +1,9 @@
 //! # mpquic-expdesign — the paper's experimental design
 //!
 //! The evaluation does not cherry-pick network conditions: "we use an
-//! experimental design approach similar to the one used for MPTCP [37]
-//! and cover a wide range of parameters ... Our experimental design [37]
-//! selects the values of these parameters using the WSP algorithm [45]
+//! experimental design approach similar to the one used for MPTCP \[37\]
+//! and cover a wide range of parameters ... Our experimental design \[37\]
+//! selects the values of these parameters using the WSP algorithm \[45\]
 //! over the ranges listed on Tab. 1."
 //!
 //! * [`wsp`] — the WSP (Wootton, Sergent, Phan-Tan-Luu) space-filling

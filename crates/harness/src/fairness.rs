@@ -2,7 +2,7 @@
 //!
 //! §3 of the paper: "To achieve a fair distribution of network resources,
 //! transport protocols rely on congestion control algorithms. ... Using
-//! CUBIC in a multipath protocol would cause unfairness [48]." The
+//! CUBIC in a multipath protocol would cause unfairness \[48\]." The
 //! two-host simulator cannot show this (fairness is about *competing
 //! connections*), so this experiment uses
 //! [`mpquic_netsim::MultiSimulation`]: a multipath connection whose two

@@ -145,6 +145,17 @@ impl IoStats {
         self.recv_syscalls += other.recv_syscalls;
         self.syscalls_saved += other.syscalls_saved;
     }
+
+    /// These loop-counted fields plus the four counters `sockets` keeps
+    /// itself (send drops and the syscall tallies).
+    pub(crate) fn with_socket_counters(mut self, sockets: &SocketRegistry) -> IoStats {
+        self.send_drops = sockets.send_drops();
+        let batch = sockets.batch_stats();
+        self.send_syscalls = batch.send_syscalls;
+        self.recv_syscalls = batch.recv_syscalls;
+        self.syscalls_saved = batch.syscalls_saved;
+        self
+    }
 }
 
 /// Drives one sans-IO [`Transport`] over real UDP sockets.
@@ -206,13 +217,7 @@ impl<T: Transport> Driver<T> {
 
     /// Socket-level counters.
     pub fn stats(&self) -> IoStats {
-        let mut stats = self.stats;
-        stats.send_drops = self.sockets.send_drops();
-        let batch = self.sockets.batch_stats();
-        stats.send_syscalls = batch.send_syscalls;
-        stats.recv_syscalls = batch.recv_syscalls;
-        stats.syscalls_saved = batch.syscalls_saved;
-        stats
+        self.stats.with_socket_counters(&self.sockets)
     }
 
     /// Datapath batching telemetry (datagrams-per-syscall histograms).

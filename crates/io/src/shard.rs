@@ -285,16 +285,10 @@ impl ShardCore {
     /// Consumes the core into its end-of-run report, folding in the
     /// registry's counters.
     pub(crate) fn into_report(self, shard: usize, sockets: &SocketRegistry) -> ShardReport {
-        let mut io = self.io;
-        io.send_drops = sockets.send_drops();
-        let batch = sockets.batch_stats();
-        io.send_syscalls = batch.send_syscalls;
-        io.recv_syscalls = batch.recv_syscalls;
-        io.syscalls_saved = batch.syscalls_saved;
         ShardReport {
             shard,
-            io,
-            batch: batch.clone(),
+            io: self.io.with_socket_counters(sockets),
+            batch: sockets.batch_stats().clone(),
             backend: sockets.backend_stats(),
             conns_served: self.conns_served,
         }

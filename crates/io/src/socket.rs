@@ -20,8 +20,7 @@
 //! the replacement, so a probe failure never loses queued datagrams.
 //! Per-batch telemetry ([`BatchStats`]) records the datagrams-per-
 //! syscall histogram and the syscalls saved versus a one-at-a-time
-//! loop. The one-at-a-time [`SocketRegistry::send_from`] /
-//! [`SocketRegistry::poll_recv`] remain as thin shims.
+//! loop. A lone datagram is a one-segment train (`segment_size: None`).
 //!
 //! Send-buffer drops are counted **per socket** so a report can show
 //! *which* interface was overwhelmed, not just that one was.
@@ -456,21 +455,6 @@ impl SocketRegistry {
         Ok(sent)
     }
 
-    /// Sends a single datagram from the socket bound to `local` to
-    /// `remote` (a one-segment [`SocketRegistry::send_train`]).
-    ///
-    /// Returns `Ok(true)` if handed to the OS, `Ok(false)` if the socket
-    /// buffer stayed full and the datagram was dropped.
-    pub fn send_from(
-        &mut self,
-        local: SocketAddr,
-        remote: SocketAddr,
-        payload: &[u8],
-    ) -> io::Result<bool> {
-        let sent = self.send_train(local, remote, payload, None)?;
-        Ok(sent > 0)
-    }
-
     /// Fills `batch` with as many pending datagrams as one pass over
     /// the sockets yields (one batched receive syscall per socket,
     /// starting after the socket served last). Returns how many
@@ -530,34 +514,6 @@ impl SocketRegistry {
         }
         Ok(total)
     }
-
-    /// Polls every socket once (starting after the last one served) and
-    /// returns the first datagram found, or `None` when all sockets are
-    /// dry. `buf` must be at least [`MAX_DATAGRAM`] bytes.
-    pub fn poll_recv(&mut self, buf: &mut [u8]) -> io::Result<Option<RecvMeta>> {
-        let n = self.sockets.len();
-        for i in 0..n {
-            let index = (self.cursor + i) % n;
-            let Some(entry) = self.sockets.get(index) else {
-                continue;
-            };
-            match entry.socket.recv_from(buf) {
-                Ok((len, remote)) => {
-                    let local = entry.local;
-                    self.cursor = (index + 1) % n;
-                    return Ok(Some(RecvMeta { local, remote, len }));
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
-                    ) => {}
-                Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(None)
-    }
 }
 
 #[cfg(test)]
@@ -579,49 +535,15 @@ mod tests {
     }
 
     #[test]
-    fn send_routes_by_local_address_and_recv_reports_it() {
+    fn train_fans_out_and_batch_recv_collects() {
         let mut a = SocketRegistry::bind(&[loopback(0), loopback(0)]).unwrap();
         let mut b = SocketRegistry::bind(&[loopback(0)]).unwrap();
-        let a_addrs = a.local_addrs();
+        let (a_addr, a_other) = (a.local_addrs()[0], a.local_addrs()[1]);
         let b_addr = b.local_addrs()[0];
 
-        // Send one datagram from each of A's interfaces.
-        assert!(a.send_from(a_addrs[0], b_addr, b"first").unwrap());
-        assert!(a.send_from(a_addrs[1], b_addr, b"second").unwrap());
-
-        let mut buf = vec![0u8; MAX_DATAGRAM];
-        let mut seen = Vec::new();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-        while seen.len() < 2 && std::time::Instant::now() < deadline {
-            if let Some(meta) = b.poll_recv(&mut buf).unwrap() {
-                assert_eq!(meta.local, b_addr);
-                seen.push((meta.remote, buf[..meta.len].to_vec()));
-            } else {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-            }
-        }
-        seen.sort_by_key(|(_, payload)| payload.clone());
-        assert_eq!(seen.len(), 2, "both datagrams arrive");
-        assert_eq!(seen[0].0, a_addrs[0], "source address identifies the path");
-        assert_eq!(seen[1].0, a_addrs[1]);
-        assert_eq!(seen[0].1, b"first");
-        assert_eq!(seen[1].1, b"second");
-    }
-
-    #[test]
-    fn send_from_unknown_local_address_errors() {
-        let mut a = SocketRegistry::bind(&[loopback(0)]).unwrap();
-        let bogus = loopback(9); // not bound by us
-        let err = a.send_from(bogus, loopback(10), b"x").unwrap_err();
+        // A local address the registry never bound is an error, not a drop.
+        let err = a.send_train(loopback(9), b_addr, b"x", None).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
-    }
-
-    #[test]
-    fn train_fans_out_and_batch_recv_collects() {
-        let mut a = SocketRegistry::bind(&[loopback(0)]).unwrap();
-        let mut b = SocketRegistry::bind(&[loopback(0)]).unwrap();
-        let a_addr = a.local_addrs()[0];
-        let b_addr = b.local_addrs()[0];
 
         // A 5-segment train: 4 × 100 B + 1 × 60 B.
         let payload: Vec<u8> = (0..460).map(|i| (i % 251) as u8).collect();
@@ -635,21 +557,35 @@ mod tests {
             assert_eq!(a.batch_stats().send_batch_size.max(), 5);
         }
 
+        // One lone datagram (`None`: no segmentation) from A's other
+        // interface: sends route by local address.
+        const LONE: &[u8] = b"second";
+        assert_eq!(a.send_train(a_other, b_addr, LONE, None).unwrap(), 1);
+
         let mut batch = RecvBatch::new(16);
         let mut rejoined = Vec::new();
+        let mut lone = Vec::new();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-        while rejoined.len() < payload.len() && std::time::Instant::now() < deadline {
+        while rejoined.len() + lone.len() < payload.len() + LONE.len()
+            && std::time::Instant::now() < deadline
+        {
             if b.poll_recv_batch(&mut batch).unwrap() == 0 {
                 std::thread::sleep(std::time::Duration::from_micros(200));
                 continue;
             }
             for (meta, bytes) in batch.iter() {
                 assert_eq!(meta.local, b_addr);
-                assert_eq!(meta.remote, a_addr);
-                rejoined.extend_from_slice(bytes);
+                // The source address identifies the sending interface.
+                if meta.remote == a_addr {
+                    rejoined.extend_from_slice(bytes);
+                } else {
+                    assert_eq!(meta.remote, a_other);
+                    lone.extend_from_slice(bytes);
+                }
             }
         }
         assert_eq!(rejoined, payload, "segments reassemble byte-for-byte");
+        assert_eq!(lone, LONE);
         assert!(b.batch_stats().recv_syscalls >= 1);
         if mmsg::NATIVE_BATCH {
             assert!(
@@ -740,9 +676,8 @@ mod tests {
         let mut b = SocketRegistry::bind(&[loopback(0)]).unwrap();
         let a_addr = a.local_addrs()[0];
         let b_addr = b.local_addrs()[0];
-        assert!(a
-            .send_from(a_addr, b_addr, b"held in kernel buffer")
-            .unwrap());
+        let held = a.send_train(a_addr, b_addr, b"held in kernel buffer", None);
+        assert_eq!(held.unwrap(), 1);
 
         b.set_backend_for_tests(Box::new(FailingBackend::default()));
         let mut batch = RecvBatch::new(4);

@@ -107,13 +107,8 @@ fn run_transfer_with(
 #[test]
 fn multipath_loopback_transfer_uses_both_paths() {
     const SIZE: usize = 2 * MIB;
-    let client_config = Config::builder()
-        .multipath()
-        .enable_qlog(true)
-        .build()
-        .expect("valid config");
-    let server_config = Config::builder().multipath().build().expect("valid config");
-    let (driver, payload) = run_transfer(client_config, server_config, 2, SIZE);
+    let config = Config::builder().multipath().build().expect("valid config");
+    let (driver, payload) = run_transfer(config.clone(), config, 2, SIZE);
 
     // In-order, verified delivery of every byte over real sockets.
     assert_eq!(payload.len(), SIZE);
@@ -130,7 +125,7 @@ fn multipath_loopback_transfer_uses_both_paths() {
         "the path manager opened the second path over real sockets (paths: {ids:?})"
     );
 
-    // Both paths carried ≥ 10% of the bytes (ConnStats view ...)
+    // Both paths carried ≥ 10% of the bytes.
     let stats = conn.stats();
     let per_path: Vec<(u32, u64)> = ids
         .iter()
@@ -166,18 +161,6 @@ fn multipath_loopback_transfer_uses_both_paths() {
             "batching saved no syscalls on a 2 MiB multipath transfer"
         );
     }
-
-    // (... and the qlog view agrees.)
-    let qlog = conn.qlog();
-    assert!(!qlog.is_empty(), "qlog was recorded");
-    for &id in &ids {
-        assert_eq!(
-            qlog.bytes_sent_on(id),
-            conn.path(id).unwrap().bytes_sent,
-            "qlog and path counters agree for path {}",
-            id.0
-        );
-    }
 }
 
 #[test]
@@ -203,6 +186,14 @@ fn scheduler_decision_share_matches_bytes_on_wire() {
         let summary = snapshot
             .path(id)
             .unwrap_or_else(|| panic!("telemetry saw path {}", id.0));
+        // Every packet_sent event reached the subscriber: its per-path
+        // byte count is the path's own.
+        assert_eq!(
+            summary.bytes_sent,
+            conn.path(id).unwrap().bytes_sent,
+            "telemetry and path counters agree for path {}",
+            id.0
+        );
         // scheduler_decision events were emitted for this path, and
         // metrics_updated filled in its RTT gauge.
         assert!(

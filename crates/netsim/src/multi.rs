@@ -3,7 +3,7 @@
 //! The two-host [`crate::Simulation`] covers the paper's Fig. 2
 //! (disjoint paths). The *fairness* argument behind the paper's choice of
 //! OLIA ("Using CUBIC in a multipath protocol would cause unfairness
-//! [48]", §3) needs more: several connections competing on a **shared
+//! \[48\]", §3) needs more: several connections competing on a **shared
 //! bottleneck**. [`MultiSimulation`] drives any number of endpoints over
 //! routes that may traverse multiple links, with hop-by-hop queueing.
 

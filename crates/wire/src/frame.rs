@@ -218,7 +218,7 @@ impl AckFrame {
     ///
     /// A structurally empty ACK (no ranges — unreachable through
     /// [`AckFrame::from_range_set`]) has size 0, matching the zero bytes
-    /// [`AckFrame::encode`] emits for it.
+    /// `AckFrame::encode` emits for it.
     pub fn wire_size(&self) -> usize {
         let Some(&(first_start, first_end)) = self.ranges.first() else {
             return 0;

@@ -49,9 +49,6 @@ pub enum DecodeError {
     Invalid(&'static str),
 }
 
-/// Former name of [`DecodeError`], kept for downstream compatibility.
-pub type WireError = DecodeError;
-
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
