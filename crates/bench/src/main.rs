@@ -23,16 +23,14 @@
 //! state.
 //!
 //! `datapath` mode finishes with a **per-backend matrix**: the batched
-//! train is re-run once per datapath backend (`uring`, `mmsg`,
-//! `portable` — DESIGN.md §17) with that arm forced, so
-//! `BENCH_datapath.json` records io_uring vs `sendmmsg` vs the portable
-//! loop on the same hardware, plus which backend `auto` probing picked.
-//! An arm the kernel lacks is recorded as unavailable, not an error.
+//! train is re-run once per datapath backend (`mmsg`, `portable` —
+//! DESIGN.md §17) with that arm pinned, so `BENCH_datapath.json`
+//! records `sendmmsg` vs the portable loop on the same hardware, plus
+//! which of the two the platform default is.
 //!
 //! ```text
 //! mpquic-bench [conns] [--smoke] [--out PATH] [--baseline PATH]
 //!              [--conns M] [--workers N] [--gate-overhead]
-//!              [--backend auto|uring|mmsg|portable]
 //! ```
 //!
 //! Results go to `BENCH_datapath.json` / `BENCH_endpoint.json`
@@ -43,7 +41,7 @@
 
 use mpquic_bench::gate::{enforce_baseline, Direction};
 use mpquic_core::Config;
-use mpquic_io::backend::{self, BackendChoice};
+use mpquic_io::backend::BackendChoice;
 use mpquic_io::transfer;
 use mpquic_io::{quic_client, Endpoint, RecvBatch, SocketRegistry, TransferApp};
 use mpquic_telemetry::endpoint::EndpointPlane;
@@ -73,6 +71,8 @@ const TRANSFER_BYTES: usize = 2 << 20;
 const TRANSFER_BYTES_SMOKE: usize = 128 << 10;
 
 struct ModeResult {
+    /// The backend the sender ran on.
+    backend: &'static str,
     datagrams: u64,
     bytes: u64,
     syscalls: u64,
@@ -98,7 +98,6 @@ fn main() {
     let mut conns = CONNS_DEFAULT;
     let mut workers = WORKERS_DEFAULT;
     let mut gate_overhead = false;
-    let mut choice = BackendChoice::Auto;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -123,20 +122,10 @@ fn main() {
                     .unwrap_or_else(|| usage("--workers needs a number"))
             }
             "--gate-overhead" => gate_overhead = true,
-            "--backend" => {
-                let raw = args
-                    .next()
-                    .unwrap_or_else(|| usage("--backend needs a value"));
-                match raw.parse() {
-                    Ok(c) => choice = c,
-                    Err(e) => usage(&format!("--backend: {e}")),
-                }
-            }
             "--help" => {
                 println!(
                     "usage: mpquic-bench [conns] [--smoke] [--out PATH] [--baseline PATH] \
-                     [--conns M] [--workers N] [--gate-overhead] \
-                     [--backend auto|uring|mmsg|portable]"
+                     [--conns M] [--workers N] [--gate-overhead]"
                 );
                 return;
             }
@@ -144,11 +133,6 @@ fn main() {
             other => usage(&format!("unknown flag {other:?}")),
         }
     }
-
-    // Every registry the process binds — conns-mode endpoint shards
-    // included — follows the chosen backend; datapath mode additionally
-    // forces each arm of its per-backend matrix.
-    backend::set_default_choice(choice);
 
     match mode.as_str() {
         "conns" => run_conns_bench(
@@ -163,7 +147,6 @@ fn main() {
             &out_path.unwrap_or_else(|| "BENCH_datapath.json".to_string()),
             baseline_path.as_deref(),
             gate_overhead,
-            choice,
         ),
     }
 }
@@ -175,13 +158,7 @@ const OVERHEAD_FLOOR: f64 = 0.97;
 /// The PR-4 datapath benchmark: raw registry throughput, single
 /// syscalls versus batched trains, plus a metered arm that prices the
 /// endpoint metrics plane on the same hot loop.
-fn run_datapath_bench(
-    smoke: bool,
-    out_path: &str,
-    baseline_path: Option<&str>,
-    gate: bool,
-    choice: BackendChoice,
-) {
+fn run_datapath_bench(smoke: bool, out_path: &str, baseline_path: Option<&str>, gate: bool) {
     let measure = if smoke {
         Duration::from_millis(300)
     } else {
@@ -196,23 +173,16 @@ fn run_datapath_bench(
         if smoke { " (smoke)" } else { "" },
     );
 
-    // The three classic arms run on the user's chosen backend (auto by
-    // default). A forced backend the kernel cannot construct is a hard
-    // error here — the user asked for that arm specifically.
-    let must = |r: std::io::Result<ModeResult>| -> ModeResult {
-        r.unwrap_or_else(|e| {
-            eprintln!("mpquic-bench: backend {choice}: {e}");
-            std::process::exit(1);
-        })
-    };
-    let single = must(run_mode(false, warmup, measure, None, choice));
+    // The three classic arms run on the platform's default backend.
+    let auto = BackendChoice::Auto;
+    let single = run_mode(false, warmup, measure, None, auto);
     println!(
         "  single : {:>12.0} datagrams/s  {:>7.1} MB/s  {} syscalls",
         single.datagrams_per_sec(),
         single.bytes_per_sec() / 1e6,
         single.syscalls,
     );
-    let batched = must(run_mode(true, warmup, measure, None, choice));
+    let batched = run_mode(true, warmup, measure, None, auto);
     println!(
         "  batched: {:>12.0} datagrams/s  {:>7.1} MB/s  {} syscalls  \
          {:.1} allocs/s steady-state",
@@ -226,7 +196,7 @@ fn run_datapath_bench(
     // counters + loop-time histogram). Its cost relative to `batched`
     // is exactly what turning metrics on costs the datapath.
     let plane = EndpointPlane::new(1);
-    let metered = must(run_mode(true, warmup, measure, Some(&plane), choice));
+    let metered = run_mode(true, warmup, measure, Some(&plane), auto);
     let overhead = metered.datagrams_per_sec() / batched.datagrams_per_sec().max(1.0);
     println!(
         "  metered: {:>12.0} datagrams/s  {:>7.1} MB/s  {} syscalls  \
@@ -243,51 +213,23 @@ fn run_datapath_bench(
     println!("  speedup: {speedup:.2}x  ({saved} syscalls saved in batched mode)");
 
     // Per-backend matrix (DESIGN.md §17): the identical batched train,
-    // once per forced backend. An arm whose registry cannot bind
-    // (kernel without io_uring, say) is recorded as unavailable rather
-    // than failing the benchmark — that is exactly what `auto` probing
-    // protects production traffic from.
-    let loopback: SocketAddr = "127.0.0.1:0".parse().expect("loopback literal");
-    let auto_backend = SocketRegistry::bind_with(&[loopback], BackendChoice::Auto)
-        .map(|r| r.backend_kind().name())
-        .unwrap_or("unknown");
-    println!("  backend matrix (auto probes to {auto_backend}):");
-    let arms = [
-        BackendChoice::Uring,
-        BackendChoice::Mmsg,
-        BackendChoice::Portable,
-    ];
-    let mut matrix: Vec<(BackendChoice, Option<ModeResult>)> = Vec::new();
-    for arm in arms {
-        match run_mode(true, warmup, measure, None, arm) {
-            Ok(result) => {
-                println!(
-                    "    {:<8}: {:>12.0} datagrams/s  {} syscalls  \
-                     {:.1} allocs/s steady-state",
-                    arm.to_string(),
-                    result.datagrams_per_sec(),
-                    result.syscalls,
-                    result.allocs_per_sec,
-                );
-                matrix.push((arm, Some(result)));
-            }
-            Err(e) => {
-                println!("    {:<8}: unavailable ({e})", arm.to_string());
-                matrix.push((arm, None));
-            }
-        }
-    }
+    // once per pinned backend.
+    println!("  backend matrix (auto is {}):", batched.backend);
+    let matrix = [BackendChoice::Mmsg, BackendChoice::Portable].map(|arm| {
+        let result = run_mode(true, warmup, measure, None, arm);
+        println!(
+            "    {:<8}: {:>12.0} datagrams/s  {} syscalls  \
+             {:.1} allocs/s steady-state",
+            result.backend,
+            result.datagrams_per_sec(),
+            result.syscalls,
+            result.allocs_per_sec,
+        );
+        result
+    });
 
     let json = render_json(
-        &single,
-        &batched,
-        &metered,
-        speedup,
-        overhead,
-        smoke,
-        choice,
-        auto_backend,
-        &matrix,
+        &single, &batched, &metered, speedup, overhead, smoke, &matrix,
     );
     std::fs::write(out_path, &json).unwrap_or_else(|e| {
         eprintln!("mpquic-bench: cannot write {out_path}: {e}");
@@ -622,8 +564,7 @@ fn usage(message: &str) -> ! {
     eprintln!("mpquic-bench: {message}");
     eprintln!(
         "usage: mpquic-bench [conns] [--smoke] [--out PATH] [--baseline PATH] \
-         [--conns M] [--workers N] [--gate-overhead] \
-         [--backend auto|uring|mmsg|portable]"
+         [--conns M] [--workers N] [--gate-overhead]"
     );
     std::process::exit(1)
 }
@@ -641,10 +582,15 @@ fn run_mode(
     measure: Duration,
     plane: Option<&EndpointPlane>,
     choice: BackendChoice,
-) -> std::io::Result<ModeResult> {
+) -> ModeResult {
     let loopback: SocketAddr = "127.0.0.1:0".parse().expect("loopback literal");
-    let mut sender = SocketRegistry::bind_with(&[loopback], choice)?;
-    let mut receiver = SocketRegistry::bind_with(&[loopback], choice)?;
+    let bind = || {
+        SocketRegistry::bind_with(&[loopback], choice).unwrap_or_else(|e| {
+            eprintln!("mpquic-bench: cannot bind a loopback socket: {e}");
+            std::process::exit(1);
+        })
+    };
+    let (mut sender, mut receiver) = (bind(), bind());
     let from = sender.local_addrs()[0];
     let to = receiver.local_addrs()[0];
 
@@ -711,13 +657,14 @@ fn run_mode(
     stop.store(true, Ordering::Release);
     let _ = drain.join();
 
-    Ok(ModeResult {
+    ModeResult {
+        backend: sender.backend_kind().name(),
         datagrams,
         bytes: datagrams * SEGMENT as u64,
         syscalls,
         elapsed,
         allocs_per_sec: allocs as f64 / elapsed,
-    })
+    }
 }
 
 fn send_once(
@@ -740,7 +687,6 @@ fn send_once(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     single: &ModeResult,
     batched: &ModeResult,
@@ -748,37 +694,30 @@ fn render_json(
     speedup: f64,
     overhead: f64,
     smoke: bool,
-    choice: BackendChoice,
-    auto_backend: &str,
-    matrix: &[(BackendChoice, Option<ModeResult>)],
+    matrix: &[ModeResult],
 ) -> String {
-    let mut backends = String::from("{");
-    for (i, (arm, result)) in matrix.iter().enumerate() {
-        if i > 0 {
-            backends.push(',');
-        }
-        match result {
-            Some(r) => backends.push_str(&format!(
-                "\n    \"{arm}\": {{\n      \"available\": true,\n      \
-                 \"datagrams_per_sec\": {:.0},\n      \
+    let arms: Vec<String> = matrix
+        .iter()
+        .map(|r| {
+            format!(
+                "\n    \"{}\": {{\n      \"datagrams_per_sec\": {:.0},\n      \
                  \"bytes_per_sec\": {:.0},\n      \"syscalls\": {},\n      \
                  \"allocs_steady_state_per_sec\": {:.1}\n    }}",
+                r.backend,
                 r.datagrams_per_sec(),
                 r.bytes_per_sec(),
                 r.syscalls,
                 r.allocs_per_sec,
-            )),
-            None => backends.push_str(&format!(
-                "\n    \"{arm}\": {{\n      \"available\": false\n    }}"
-            )),
-        }
-    }
-    backends.push_str("\n  }");
+            )
+        })
+        .collect();
+    let backends = format!("{{{}\n  }}", arms.join(","));
+    let auto_backend = batched.backend;
 
     format!(
         "{{\n  \"benchmark\": \"datapath_loopback\",\n  \"smoke\": {smoke},\n  \
          \"segment_bytes\": {SEGMENT},\n  \"train_segments\": {TRAIN},\n  \
-         \"backend\": \"{choice}\",\n  \"auto_backend\": \"{auto_backend}\",\n  \
+         \"auto_backend\": \"{auto_backend}\",\n  \
          \"single\": {{\n    \"datagrams_per_sec\": {:.0},\n    \
          \"bytes_per_sec\": {:.0},\n    \"syscalls\": {}\n  }},\n  \
          \"batched\": {{\n    \"datagrams_per_sec\": {:.0},\n    \

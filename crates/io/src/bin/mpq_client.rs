@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! mpq-client --connect ADDR [--local ADDR]... [--file PATH | --size BYTES]
-//!            [--single-path | --multipath] [--scheduler NAME]
-//!            [--backend auto|uring|mmsg|portable] [--qlog FILE]
+//!            [--single-path | --multipath] [--scheduler NAME] [--qlog FILE]
 //!            [--stats-interval SECS] [--name NAME] [--seed N] [--timeout SECS]
 //! ```
 //!
@@ -18,8 +17,7 @@
 
 use mpquic_core::Config;
 use mpquic_io::cli::{
-    backend_choice, entropy_seed, install_telemetry, print_report, scheduler_kind, stats_interval,
-    Args,
+    entropy_seed, install_telemetry, print_report, scheduler_kind, stats_interval, Args,
 };
 use mpquic_io::{quic_client, transfer, BlockingStream};
 use std::net::SocketAddr;
@@ -37,13 +35,11 @@ fn run() -> Result<(), String> {
     if args.has("help") {
         println!(
             "usage: mpq-client --connect ADDR [--local ADDR]... [--file PATH | --size BYTES] \
-             [--single-path|--multipath] [--scheduler NAME] \
-             [--backend auto|uring|mmsg|portable] [--qlog FILE] \
+             [--single-path|--multipath] [--scheduler NAME] [--qlog FILE] \
              [--stats-interval SECS] [--name NAME] [--seed N] [--timeout SECS]"
         );
         return Ok(());
     }
-    mpquic_io::backend::set_default_choice(backend_choice(&args)?);
 
     let remote: SocketAddr = args
         .value("connect")

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! mpq-server [--listen ADDR]... [--single-path | --multipath]
-//!            [--scheduler NAME] [--backend auto|uring|mmsg|portable]
-//!            [--max-conns N] [--workers N]
+//!            [--scheduler NAME] [--max-conns N] [--workers N]
 //!            [--seed N] [--timeout SECS]
 //!            [--metrics-addr ADDR] [--metrics-json FILE]
 //!            [--metrics-interval SECS] [--flight-dump FILE]
@@ -36,8 +35,7 @@
 
 use mpquic_core::Config;
 use mpquic_io::cli::{
-    backend_choice, entropy_seed, metrics_addr, metrics_interval, print_endpoint_report,
-    scheduler_kind, Args,
+    entropy_seed, metrics_addr, metrics_interval, print_endpoint_report, scheduler_kind, Args,
 };
 use mpquic_io::{Endpoint, TransferApp};
 use mpquic_telemetry::endpoint::{MetricsServer, SnapshotWriter};
@@ -56,17 +54,12 @@ fn run() -> Result<(), String> {
     if args.has("help") {
         println!(
             "usage: mpq-server [--listen ADDR]... [--single-path|--multipath] \
-             [--scheduler NAME] [--backend auto|uring|mmsg|portable] \
-             [--max-conns N] [--workers N] [--seed N] \
+             [--scheduler NAME] [--max-conns N] [--workers N] [--seed N] \
              [--timeout SECS] [--metrics-addr ADDR] [--metrics-json FILE] \
              [--metrics-interval SECS] [--flight-dump FILE]"
         );
         return Ok(());
     }
-    // Every socket registry this process binds (listen registry and the
-    // per-shard send handles alike) follows the chosen backend.
-    mpquic_io::backend::set_default_choice(backend_choice(&args)?);
-
     let mut listen = args.addrs("listen")?;
     if listen.is_empty() {
         listen.push(SocketAddr::from(([127, 0, 0, 1], 4433)));

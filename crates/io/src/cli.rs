@@ -8,7 +8,7 @@ use mpquic_core::{Connection, SchedulerKind};
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use crate::backend::{BackendChoice, BackendKind, BackendStats};
+use crate::backend::{BackendKind, BackendStats};
 use crate::driver::IoStats;
 use crate::socket::BatchStats;
 
@@ -119,17 +119,6 @@ pub fn scheduler_kind(args: &Args) -> Result<Option<SchedulerKind>, String> {
             .map(Some)
             .map_err(|e| format!("--scheduler: {e}")),
         None => Ok(None),
-    }
-}
-
-/// Parses the binaries' `--backend NAME` flag into a
-/// [`BackendChoice`]; [`BackendChoice::Auto`] (probe the ladder) when
-/// the flag was not given. The shared `FromStr` impl supplies the
-/// error message, which lists every valid backend name.
-pub fn backend_choice(args: &Args) -> Result<BackendChoice, String> {
-    match args.value("backend") {
-        Some(raw) => raw.parse().map_err(|e| format!("--backend: {e}")),
-        None => Ok(BackendChoice::Auto),
     }
 }
 
@@ -422,25 +411,6 @@ mod tests {
             assert_eq!(scheduler_kind(&a).unwrap(), Some(kind));
         }
         assert_eq!(scheduler_kind(&args(&[])).unwrap(), None);
-    }
-
-    #[test]
-    fn backend_flag_parses_every_arm() {
-        for name in BackendChoice::NAMES {
-            let a = args(&["--backend", name]);
-            assert_eq!(backend_choice(&a).unwrap().to_string(), name);
-        }
-        assert_eq!(backend_choice(&args(&[])).unwrap(), BackendChoice::Auto);
-    }
-
-    #[test]
-    fn bad_backend_name_lists_the_valid_ones() {
-        let a = args(&["--backend", "dpdk"]);
-        let err = backend_choice(&a).unwrap_err();
-        assert!(err.contains("--backend"), "{err}");
-        for name in BackendChoice::NAMES {
-            assert!(err.contains(name), "{err} missing {name}");
-        }
     }
 
     #[test]

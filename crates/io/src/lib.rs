@@ -58,9 +58,8 @@
 //! ```
 
 // `deny`, not `forbid`: the socket FFI (`sendmmsg`/`recvmmsg`, the
-// `SO_REUSEPORT` steering bind) lives behind one scoped
-// `#[allow(unsafe_code)]` in [`mmsg`], and the io_uring ring FFI behind
-// another in [`uring`].
+// `SO_REUSEPORT` steering bind) lives behind the crate's one scoped
+// `#[allow(unsafe_code)]`, in [`mmsg`].
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -79,8 +78,6 @@ pub mod socket;
 pub mod stream;
 pub mod timer;
 pub mod transfer;
-#[cfg(target_os = "linux")]
-pub mod uring;
 
 pub use backend::{Backend, BackendChoice, BackendKind, BackendStats};
 pub use backoff::Backoff;

@@ -1,5 +1,5 @@
-//! Batched UDP send/receive: `sendmmsg`/`recvmmsg` on Linux, a portable
-//! one-at-a-time fallback elsewhere.
+//! Batched UDP send/receive: `sendmmsg`/`recvmmsg` on Linux, one
+//! portable one-at-a-time loop everywhere else.
 //!
 //! The syscall is the unit of datapath cost: at loopback rates the
 //! kernel crossing dominates per-datagram work, so handing the kernel
@@ -33,14 +33,13 @@
 //! dependency-free, so the Linux half carries its own `extern "C"`
 //! declarations and `#[repr(C)]` layouts (matching `struct msghdr`,
 //! `struct mmsghdr`, `struct iovec`, `struct sock_fprog` and the
-//! `sockaddr` family on glibc and musl). Those layouts are shared with the io_uring backend
-//! ([`crate::uring`]), which submits the same `msghdr` shapes through
-//! SQEs instead of direct syscalls. All unsafe code in the crate lives
-//! behind the scoped `#[allow(unsafe_code)]` here and in `uring`.
+//! `sockaddr` family on glibc and musl). All unsafe code in the crate
+//! lives behind the scoped `#[allow(unsafe_code)]` here.
 //!
-//! This module is also the middle rung of the backend ladder: the
-//! [`crate::backend::MmsgBackend`] wraps these functions behind the
-//! [`crate::backend::Backend`] trait.
+//! The portable loop is written once: the non-Linux body of
+//! [`send_segments`]/[`recv_batch`] and [`crate::backend::PortableBackend`]
+//! are the same two functions. [`crate::backend::MmsgBackend`] wraps the
+//! seam itself behind the [`crate::backend::Backend`] trait.
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -107,6 +106,60 @@ pub fn recv_batch(
     imp::recv_batch(socket, bufs, out, &mut scratch.inner)
 }
 
+/// [`send_segments`] one `send_to` per segment: the crate's only
+/// portable send loop, under the seam off Linux and under
+/// [`crate::backend::PortableBackend`] everywhere.
+pub(crate) fn send_portable(
+    socket: &UdpSocket,
+    remote: &SocketAddr,
+    payload: &[u8],
+    segment_size: usize,
+) -> io::Result<(usize, usize)> {
+    if payload.is_empty() {
+        return Ok((0, 0));
+    }
+    let segment_size = if segment_size == 0 {
+        payload.len()
+    } else {
+        segment_size
+    };
+    let mut sent = 0;
+    for chunk in payload.chunks(segment_size).take(MAX_BATCH) {
+        match socket.send_to(chunk, *remote) {
+            Ok(_) => sent += 1,
+            Err(e) if sent == 0 && e.kind() != io::ErrorKind::Interrupted => return Err(e),
+            // Partial train: report what went out; the caller
+            // retries the rest.
+            Err(_) => break,
+        }
+    }
+    Ok((sent, sent.max(1)))
+}
+
+/// [`recv_batch`] one `recv_from` per buffer: the portable receive
+/// loop, shared the same way as [`send_portable`].
+pub(crate) fn recv_portable(
+    socket: &UdpSocket,
+    bufs: &mut [Vec<u8>],
+    out: &mut Vec<(SocketAddr, usize)>,
+) -> io::Result<(usize, usize)> {
+    if bufs.is_empty() {
+        return Ok((0, 0));
+    }
+    let mut received = 0;
+    for buf in bufs.iter_mut().take(MAX_BATCH) {
+        match socket.recv_from(buf) {
+            Ok((len, remote)) => {
+                out.push((remote, len));
+                received += 1;
+            }
+            Err(e) if received == 0 => return Err(e),
+            Err(_) => break,
+        }
+    }
+    Ok((received, received.max(1)))
+}
+
 /// Grows `socket`'s kernel send and receive buffers toward `bytes`,
 /// best-effort. A multi-connection endpoint funnels many clients'
 /// traffic through one socket per loop; at the default ~208 KiB receive
@@ -148,20 +201,12 @@ pub fn bind_steered(addr: SocketAddr, loops: usize) -> io::Result<Vec<UdpSocket>
 
 impl MmsgScratch {
     /// True once this scratch's GSO probe flipped to unsupported (the
-    /// sticky `UDP_SEGMENT` fallback; always `false` off-Linux). The
-    /// [`crate::backend::MmsgBackend`] watches this to count rung drops.
+    /// sticky `UDP_SEGMENT` fallback; always `false` off-Linux) — the
+    /// one rung [`crate::backend::MmsgBackend`] can drop.
     pub fn gso_unsupported(&self) -> bool {
         self.inner.gso_unsupported()
     }
 }
-
-/// The kernel `msghdr`/`sockaddr` layouts, shared with the io_uring
-/// backend which builds the same structures for its SQEs.
-#[cfg(target_os = "linux")]
-pub(crate) use imp::{
-    decode_sockaddr, encode_sockaddr, GsoControl, IoVec, MsgHdr, SockaddrStorage, MAX_GSO_BYTES,
-    UDP_MAX_SEGMENTS,
-};
 
 /// Linux: real `sendmmsg`/`recvmmsg` through hand-declared FFI.
 #[cfg(target_os = "linux")]
@@ -180,15 +225,15 @@ mod imp {
     const SOL_UDP: i32 = 17;
     const UDP_SEGMENT: i32 = 103;
     /// The kernel refuses GSO trains beyond these bounds.
-    pub(crate) const UDP_MAX_SEGMENTS: usize = 64;
-    pub(crate) const MAX_GSO_BYTES: usize = 65_507;
+    const UDP_MAX_SEGMENTS: usize = 64;
+    const MAX_GSO_BYTES: usize = 65_507;
 
     /// `struct iovec`.
     #[repr(C)]
     #[derive(Debug)]
-    pub(crate) struct IoVec {
-        pub(crate) base: *mut std::ffi::c_void,
-        pub(crate) len: usize,
+    struct IoVec {
+        base: *mut std::ffi::c_void,
+        len: usize,
     }
 
     /// `struct msghdr` (glibc/musl layout; the compiler inserts the
@@ -196,14 +241,14 @@ mod imp {
     /// carries on 64-bit targets).
     #[repr(C)]
     #[derive(Debug)]
-    pub(crate) struct MsgHdr {
-        pub(crate) name: *mut std::ffi::c_void,
-        pub(crate) namelen: u32,
-        pub(crate) iov: *mut IoVec,
-        pub(crate) iovlen: usize,
-        pub(crate) control: *mut std::ffi::c_void,
-        pub(crate) controllen: usize,
-        pub(crate) flags: i32,
+    struct MsgHdr {
+        name: *mut std::ffi::c_void,
+        namelen: u32,
+        iov: *mut IoVec,
+        iovlen: usize,
+        control: *mut std::ffi::c_void,
+        controllen: usize,
+        flags: i32,
     }
 
     /// `struct mmsghdr`.
@@ -218,7 +263,7 @@ mod imp {
     /// enough for any address family.
     #[repr(C, align(8))]
     #[derive(Debug, Clone, Copy)]
-    pub(crate) struct SockaddrStorage {
+    struct SockaddrStorage {
         data: [u8; 128],
     }
 
@@ -406,8 +451,7 @@ mod imp {
         iovs: Vec<IoVec>,
         addrs: Vec<SockaddrStorage>,
         /// Sticky `UDP_SEGMENT` probe: once unsupported, every later
-        /// train goes via `sendmmsg` (shared fallback machinery with
-        /// the backend ladder, see [`crate::probe`]).
+        /// train goes via `sendmmsg` (see [`crate::probe`]).
         gso: ProbeState,
     }
 
@@ -431,7 +475,7 @@ mod imp {
     /// `struct cmsghdr` (64-bit glibc/musl layout).
     #[repr(C)]
     #[derive(Debug)]
-    pub(crate) struct CmsgHdr {
+    struct CmsgHdr {
         len: usize,
         level: i32,
         ty: i32,
@@ -446,7 +490,7 @@ mod imp {
     /// falls back to `sendmmsg` has no fd-level state to undo.
     #[repr(C, align(8))]
     #[derive(Debug)]
-    pub(crate) struct GsoControl {
+    struct GsoControl {
         hdr: CmsgHdr,
         seg: u16,
         _pad: [u8; 6],
@@ -456,7 +500,7 @@ mod imp {
         /// `CMSG_LEN(sizeof(u16))`: header plus payload, no tail pad.
         const CMSG_LEN: usize = std::mem::size_of::<CmsgHdr>() + std::mem::size_of::<u16>();
 
-        pub(crate) fn new(segment_size: usize) -> GsoControl {
+        fn new(segment_size: usize) -> GsoControl {
             GsoControl {
                 hdr: CmsgHdr {
                     len: GsoControl::CMSG_LEN,
@@ -526,7 +570,7 @@ mod imp {
 
     /// Writes `addr` into `out` in kernel wire layout; returns the
     /// `sockaddr` length to pass as `msg_namelen`.
-    pub(crate) fn encode_sockaddr(addr: &SocketAddr, out: &mut SockaddrStorage) -> u32 {
+    fn encode_sockaddr(addr: &SocketAddr, out: &mut SockaddrStorage) -> u32 {
         out.data = [0; 128];
         match addr {
             SocketAddr::V4(v4) => {
@@ -562,7 +606,7 @@ mod imp {
     }
 
     /// Parses a kernel-written `sockaddr` back into a `SocketAddr`.
-    pub(crate) fn decode_sockaddr(storage: &SockaddrStorage) -> Option<SocketAddr> {
+    fn decode_sockaddr(storage: &SockaddrStorage) -> Option<SocketAddr> {
         let mut it = storage.data.iter().copied();
         let family = u16::from_ne_bytes([it.next()?, it.next()?]);
         match family {
@@ -714,10 +758,11 @@ mod imp {
     }
 }
 
-/// Portable fallback: the same contract, one syscall per datagram.
+/// Not Linux: the seam is the portable loop, and there is nothing to
+/// probe, size or steer.
 #[cfg(not(target_os = "linux"))]
 mod imp {
-    use super::{SocketAddr, UdpSocket, MAX_BATCH};
+    use super::{SocketAddr, UdpSocket};
     use std::io;
 
     #[derive(Debug, Default)]
@@ -749,18 +794,7 @@ mod imp {
         segment_size: usize,
         _s: &mut Scratch,
     ) -> io::Result<(usize, usize)> {
-        let mut sent = 0;
-        for chunk in payload.chunks(segment_size).take(MAX_BATCH) {
-            match socket.send_to(chunk, *remote) {
-                Ok(_) => sent += 1,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => return Ok((sent, sent.max(1))),
-                Err(e) if sent == 0 => return Err(e),
-                // Partial train: report what went out; the caller
-                // retries the rest.
-                Err(_) => break,
-            }
-        }
-        Ok((sent, sent.max(1)))
+        super::send_portable(socket, remote, payload, segment_size)
     }
 
     pub(super) fn recv_batch(
@@ -769,18 +803,7 @@ mod imp {
         out: &mut Vec<(SocketAddr, usize)>,
         _s: &mut Scratch,
     ) -> io::Result<(usize, usize)> {
-        let mut received = 0;
-        for buf in bufs.iter_mut().take(MAX_BATCH) {
-            match socket.recv_from(buf) {
-                Ok((len, remote)) => {
-                    out.push((remote, len));
-                    received += 1;
-                }
-                Err(e) if received == 0 => return Err(e),
-                Err(_) => break,
-            }
-        }
-        Ok((received, received.max(1)))
+        super::recv_portable(socket, bufs, out)
     }
 }
 

@@ -1,19 +1,21 @@
-//! Sticky feature probes: "tried it once, the kernel said no, stop
+//! Sticky feature probe: "tried it once, the kernel said no, stop
 //! asking".
 //!
-//! Two datapath features degrade this way instead of erroring: UDP GSO
-//! (`UDP_SEGMENT` refused with `EINVAL`/`EIO`/`EMSGSIZE`/`EOPNOTSUPP`
-//! on sockets or devices that cannot segment) and whole IO backends
-//! (`io_uring_setup` refused with `ENOSYS` on old kernels or `EPERM`
-//! under the `io_uring_disabled` sysctl). Both share [`ProbeState`]:
-//! one sticky `unsupported` bit per probed thing, flipped by the first
-//! refusal, plus a rate-limited warning so a fleet log shows *one* line
-//! per fallback, not one per train.
+//! UDP GSO degrades this way instead of erroring: `UDP_SEGMENT` is
+//! refused with `EINVAL`/`EIO`/`EMSGSIZE`/`EOPNOTSUPP` on sockets or
+//! devices that cannot segment, and the train goes out by `sendmmsg`
+//! from then on. [`ProbeState`] is the sticky `unsupported` bit the
+//! first refusal flips, plus a rate-limited warning so a fleet log
+//! shows *one* line per fallback, not one per train.
 //!
-//! The state is deliberately per-instance (per socket-registry clone,
-//! matching the old `gso_unsupported` flag in `mmsg.rs`): a shard that
-//! rebinds onto a device with different offloads re-probes with its own
-//! state instead of inheriting a stale verdict.
+//! The errno set is wide because a refused GSO send costs nothing — the
+//! same train is retried one rung down. It is *not* how the registry
+//! judges a whole backend: there only `ENOSYS` counts (see
+//! [`crate::socket`]).
+//!
+//! The state is deliberately per-instance (per socket registry): a
+//! shard that rebinds onto a device with different offloads re-probes
+//! with its own state instead of inheriting a stale verdict.
 
 use std::io;
 
@@ -23,8 +25,7 @@ use std::io;
 /// probe to unsupported; anything else stays an ordinary error.
 pub const UNSUPPORTED_ERRNOS: [i32; 6] = [1, 5, 22, 38, 90, 95];
 
-/// True when `err` carries an errno from [`UNSUPPORTED_ERRNOS`] — the
-/// classification both the GSO fallback and the backend ladder use.
+/// True when `err` carries an errno from [`UNSUPPORTED_ERRNOS`].
 pub fn is_unsupported(err: &io::Error) -> bool {
     err.raw_os_error()
         .is_some_and(|errno| UNSUPPORTED_ERRNOS.contains(&errno))
@@ -33,13 +34,11 @@ pub fn is_unsupported(err: &io::Error) -> bool {
 /// One probed feature's sticky verdict.
 #[derive(Debug)]
 pub struct ProbeState {
-    /// What is being probed, for the one-line warning ("UDP GSO",
-    /// "io_uring backend").
+    /// What is being probed, for the one-line warning ("UDP GSO").
     feature: &'static str,
+    /// Sticky; also rate-limits the warning to once per state, i.e.
+    /// once per registry, not once per datagram train.
     unsupported: bool,
-    /// The warning fired (rate limit: once per state, i.e. once per
-    /// registry clone, not once per datagram train).
-    warned: bool,
 }
 
 impl ProbeState {
@@ -48,18 +47,17 @@ impl ProbeState {
         ProbeState {
             feature,
             unsupported: false,
-            warned: false,
         }
     }
 
     /// True once the feature proved unavailable; callers skip it from
-    /// then on (the sticky half of the fallback ladder).
+    /// then on.
     pub fn is_unsupported(&self) -> bool {
         self.unsupported
     }
 
     /// Classifies `err`. An [`UNSUPPORTED_ERRNOS`] errno marks the
-    /// feature unsupported (sticky), logs the one rate-limited warning,
+    /// feature unsupported (sticky), logs one warning the first time,
     /// and returns `true` — the caller falls back and retries, losing
     /// nothing. Any other error returns `false` and stays the caller's
     /// problem.
@@ -67,28 +65,14 @@ impl ProbeState {
         if !is_unsupported(err) {
             return false;
         }
-        self.unsupported = true;
-        self.warn(err, fallback);
-        true
-    }
-
-    /// Marks the feature unsupported without an errno in hand (e.g. a
-    /// forced arm that failed construction), with the same one-shot
-    /// warning.
-    pub fn mark_unsupported(&mut self, err: &io::Error, fallback: &'static str) {
-        self.unsupported = true;
-        self.warn(err, fallback);
-    }
-
-    fn warn(&mut self, err: &io::Error, fallback: &'static str) {
-        if self.warned {
-            return;
+        if !self.unsupported {
+            eprintln!(
+                "warn: {} unavailable ({err}); falling back to {fallback}",
+                self.feature
+            );
         }
-        self.warned = true;
-        eprintln!(
-            "warn: {} unavailable ({err}); falling back to {fallback}",
-            self.feature
-        );
+        self.unsupported = true;
+        true
     }
 }
 

@@ -8,16 +8,16 @@
 //! source address (that is how a `Transmit` selects its path at the OS
 //! level).
 //!
-//! The hot paths are *batched* and run through a pluggable
-//! [`Backend`] (see [`crate::backend`]): [`send_train`] fans a
-//! GSO-shaped segment train out in one submission (an io_uring SQE
-//! chain, a `sendmmsg` call, or a portable loop, whichever the ladder
-//! probed into) and [`poll_recv_batch`] fills a [`RecvBatch`] with one
+//! The hot paths are *batched* and run through a [`Backend`] (see
+//! [`crate::backend`]): [`send_train`] fans a GSO-shaped segment train
+//! out in one call (GSO or `sendmmsg` on Linux, the portable loop
+//! elsewhere) and [`poll_recv_batch`] fills a [`RecvBatch`] with one
 //! batched receive per socket, round-robining so a busy path cannot
-//! starve a quiet one. A backend that turns out unsupported at runtime
-//! (`ENOSYS`/`EPERM`, see [`crate::probe`]) is swapped for the next
-//! rung down *mid-train*: the registry retries the unsent suffix on
-//! the replacement, so a probe failure never loses queued datagrams.
+//! starve a quiet one. A kernel that answers `ENOSYS` to the batched
+//! syscalls has the backend swapped for the portable loop *mid-train*:
+//! the registry retries the unsent suffix on the replacement, so the
+//! descent never loses queued datagrams. Any other error is about one
+//! datagram or destination and is the caller's, not the backend's.
 //! Per-batch telemetry ([`BatchStats`]) records the datagrams-per-
 //! syscall histogram and the syscalls saved versus a one-at-a-time
 //! loop. A lone datagram is a one-segment train (`segment_size: None`).
@@ -35,7 +35,6 @@ use std::net::{SocketAddr, UdpSocket};
 use crate::backend::{self, Backend, BackendChoice, BackendKind, BackendStats};
 use crate::backoff::Backoff;
 use crate::mmsg;
-use crate::probe;
 
 /// Largest datagram the registry can receive (UDP's theoretical maximum;
 /// the connection itself never sends more than its configured MTU).
@@ -56,6 +55,11 @@ const SEND_RETRIES: u32 = 12;
 /// the loop that drains it overflows it and triggers an RTO storm.
 /// 4 MiB matches the common `rmem_max` ceiling.
 const SOCKET_BUFFER_BYTES: usize = 4 << 20;
+
+/// `ENOSYS`: the one errno that condemns a whole backend. Everything
+/// else a batched syscall returns (`EMSGSIZE`, a netfilter `EPERM`, …)
+/// is about the datagram or destination in hand.
+const ENOSYS: i32 = 38;
 
 /// One received datagram's addressing, paired with a caller buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,13 +177,12 @@ pub struct SocketRegistry {
     sockets: Vec<Entry>,
     /// Round-robin cursor so receive polls serve interfaces fairly.
     cursor: usize,
-    /// The datapath implementation the probe ladder selected (see
-    /// [`crate::backend`]); swapped in place for the next rung when a
-    /// runtime refusal proves it unsupported.
+    /// The datapath implementation (see [`crate::backend`]); swapped in
+    /// place for the portable loop when the kernel answers `ENOSYS`.
     backend: Box<dyn Backend>,
-    /// Ladder descents taken by *this* registry (a backend swap after a
-    /// runtime refusal) — merged into [`SocketRegistry::backend_stats`]
-    /// on top of the backend's own intra-rung fallback count.
+    /// Backend swaps taken by *this* registry — reported by
+    /// [`SocketRegistry::backend_stats`] on top of the backend's own
+    /// GSO fallback count.
     backend_fallbacks: u64,
     /// Scratch for `(remote, len)` pairs coming back from a batch recv.
     pairs: Vec<(SocketAddr, usize)>,
@@ -192,15 +195,12 @@ impl SocketRegistry {
     /// reports the addresses actually bound — those are what must be
     /// handed to `Connection::client`/`Connection::server`.
     pub fn bind(addrs: &[SocketAddr]) -> io::Result<SocketRegistry> {
-        Self::bind_with(addrs, backend::default_choice())
+        Self::bind_with(addrs, BackendChoice::Auto)
     }
 
-    /// [`SocketRegistry::bind`] with an explicit datapath backend choice
-    /// instead of the process default. [`BackendChoice::Auto`] probes
-    /// down the ladder and cannot fail on the backend's account; a
-    /// forced arm (`--backend uring` on a kernel without io_uring)
-    /// returns the probe error so the caller can refuse honestly
-    /// rather than silently running a different datapath than asked.
+    /// [`SocketRegistry::bind`] starting on the backend `choice` names
+    /// — how tests and benchmarks pin an arm. The choice cannot fail;
+    /// the error is the sockets'.
     pub fn bind_with(addrs: &[SocketAddr], choice: BackendChoice) -> io::Result<SocketRegistry> {
         assert!(!addrs.is_empty(), "at least one local address required");
         let sockets = addrs
@@ -247,13 +247,13 @@ impl SocketRegistry {
         }
         per_loop
             .into_iter()
-            .map(|sockets| Self::from_sockets(sockets, backend::default_choice()))
+            .map(|sockets| Self::from_sockets(sockets, BackendChoice::Auto))
             .collect()
     }
 
     fn from_sockets(sockets: Vec<UdpSocket>, choice: BackendChoice) -> io::Result<SocketRegistry> {
         Ok(SocketRegistry {
-            backend: backend::create(choice)?,
+            backend: backend::create(choice),
             sockets: sockets
                 .into_iter()
                 .map(Entry::new)
@@ -328,45 +328,47 @@ impl SocketRegistry {
     }
 
     /// Which datapath backend this registry is currently running on
-    /// (may be a lower rung than originally probed, after a runtime
-    /// fallback).
+    /// (`Portable` after an `ENOSYS` descent, whatever it started on).
     pub fn backend_kind(&self) -> BackendKind {
         self.backend.kind()
     }
 
-    /// Backend telemetry: submissions/completions/batch-size from the
-    /// live backend, plus the ladder descents this registry took on top
-    /// of the backend's own intra-rung (GSO → per-segment) fallbacks.
+    /// Backend telemetry, read off the one tally [`BatchStats`] keeps:
+    /// every batch-size sample is that many datagrams submitted and
+    /// completed. Fallbacks are this registry's backend swaps plus the
+    /// live backend's GSO → `sendmmsg` drop.
     pub fn backend_stats(&self) -> BackendStats {
-        let mut stats = self.backend.stats().clone();
-        stats.fallbacks += self.backend_fallbacks;
-        stats
+        let mut sqe_batch = self.batch.send_batch_size.clone();
+        sqe_batch.merge(&self.batch.recv_batch_size);
+        BackendStats {
+            submissions: sqe_batch.sum(),
+            completions: sqe_batch.sum(),
+            fallbacks: self.backend_fallbacks + self.backend.gso_fallbacks(),
+            sqe_batch,
+        }
     }
 
-    /// Swaps the live backend out — test hook for simulating a runtime
-    /// probe failure (e.g. a backend that starts returning `ENOSYS`).
+    /// Swaps the live backend out — test hook for simulating a kernel
+    /// that starts returning `ENOSYS`.
     #[cfg(test)]
     pub(crate) fn set_backend_for_tests(&mut self, backend: Box<dyn Backend>) {
         self.backend = backend;
     }
 
-    /// Drops to the next rung of the backend ladder after `err` proved
-    /// the current one unsupported. Returns `false` when already on the
-    /// floor (the error then surfaces to the caller).
-    fn descend_ladder(&mut self, err: &io::Error) -> bool {
-        match backend::next_fallback(self.backend.kind()) {
-            Some(next) => {
-                eprintln!(
-                    "warn: {} backend refused at runtime ({err}); falling back to {}",
-                    self.backend.kind(),
-                    next.kind()
-                );
-                self.backend = next;
-                self.backend_fallbacks += 1;
-                true
-            }
-            None => false,
+    /// Swaps in the portable loop if `err` is `ENOSYS`. Returns `false`
+    /// for any other error, or when already on the portable floor (the
+    /// error then surfaces to the caller).
+    fn descend(&mut self, err: &io::Error) -> bool {
+        if err.raw_os_error() != Some(ENOSYS) || self.backend.kind() == BackendKind::Portable {
+            return false;
         }
+        eprintln!(
+            "warn: {} backend unavailable ({err}); falling back to portable",
+            self.backend.kind()
+        );
+        self.backend = backend::create(BackendChoice::Portable);
+        self.backend_fallbacks += 1;
+        true
     }
 
     /// Sends a segment train — `payload` split at `segment_size`
@@ -439,11 +441,10 @@ impl SocketRegistry {
                     backoff.wait();
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                // The backend itself proved unsupported (ENOSYS/EPERM
-                // class): descend the ladder and retry the *same*
-                // unsent suffix on the replacement — a probe failure
-                // must not lose the queued train.
-                Err(e) if probe::is_unsupported(&e) && self.descend_ladder(&e) => {}
+                // The kernel lacks the backend's syscalls: descend and
+                // retry the *same* unsent suffix on the replacement —
+                // the queued train must not be lost with it.
+                Err(e) if self.descend(&e) => {}
                 Err(e) => return Err(e),
             }
         }
@@ -504,11 +505,11 @@ impl SocketRegistry {
                 // some platforms (Linux ICMP errors); treat as no-data,
                 // the transport's own timers handle the unreachable peer.
                 Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => {}
-                // Unsupported-class refusal: descend the ladder; the
-                // datagrams are still in the kernel buffer, so the next
-                // poll (on the replacement rung) drains them — nothing
-                // is lost by treating this pass as dry.
-                Err(e) if probe::is_unsupported(&e) && self.descend_ladder(&e) => {}
+                // `ENOSYS`: descend; the datagrams are still in the
+                // kernel buffer, so the next poll (on the replacement)
+                // drains them — nothing is lost by treating this pass
+                // as dry.
+                Err(e) if self.descend(&e) => {}
                 Err(e) => return Err(e),
             }
         }
@@ -595,17 +596,15 @@ mod tests {
         }
     }
 
-    /// A backend whose kernel support "disappears" at runtime: every
-    /// submit is refused with `ENOSYS`, the way a forced uring arm
-    /// behaves once `io_uring_disabled` flips mid-run.
-    #[derive(Debug, Default)]
-    struct FailingBackend {
-        stats: BackendStats,
-    }
+    /// A backend whose kernel support is missing: every call is
+    /// refused with `ENOSYS`, the way `sendmmsg`/`recvmmsg` answer on a
+    /// kernel (or under a seccomp filter) without them.
+    #[derive(Debug)]
+    struct FailingBackend(BackendKind);
 
     impl Backend for FailingBackend {
         fn kind(&self) -> BackendKind {
-            BackendKind::Uring
+            self.0
         }
 
         fn send_segments(
@@ -615,7 +614,7 @@ mod tests {
             _payload: &[u8],
             _segment_size: usize,
         ) -> io::Result<(usize, usize)> {
-            Err(io::Error::from_raw_os_error(38)) // ENOSYS
+            Err(io::Error::from_raw_os_error(ENOSYS))
         }
 
         fn recv_batch(
@@ -624,35 +623,27 @@ mod tests {
             _bufs: &mut [Vec<u8>],
             _out: &mut Vec<(SocketAddr, usize)>,
         ) -> io::Result<(usize, usize)> {
-            Err(io::Error::from_raw_os_error(38))
-        }
-
-        fn stats(&self) -> &BackendStats {
-            &self.stats
+            Err(io::Error::from_raw_os_error(ENOSYS))
         }
     }
 
     #[test]
-    fn probe_failure_falls_back_without_losing_the_train() {
+    fn enosys_falls_back_without_losing_the_train() {
         let mut a = SocketRegistry::bind(&[loopback(0)]).unwrap();
         let mut b = SocketRegistry::bind(&[loopback(0)]).unwrap();
         let a_addr = a.local_addrs()[0];
         let b_addr = b.local_addrs()[0];
 
-        a.set_backend_for_tests(Box::new(FailingBackend::default()));
-        assert_eq!(a.backend_kind(), BackendKind::Uring);
+        a.set_backend_for_tests(Box::new(FailingBackend(BackendKind::Mmsg)));
+        assert_eq!(a.backend_kind(), BackendKind::Mmsg);
 
-        // The first submit hits ENOSYS; the registry must descend the
-        // ladder and resend the same train, losing nothing.
+        // The first send hits ENOSYS; the registry must descend and
+        // resend the same train, losing nothing.
         let payload: Vec<u8> = (0..460).map(|i| (i % 251) as u8).collect();
         let sent = a.send_train(a_addr, b_addr, &payload, Some(100)).unwrap();
         assert_eq!(sent, 5, "whole train handed to the fallback backend");
         assert_eq!(a.send_drops(), 0);
-        assert_eq!(
-            a.backend_kind(),
-            BackendKind::Mmsg,
-            "ladder descended one rung"
-        );
+        assert_eq!(a.backend_kind(), BackendKind::Portable);
         assert_eq!(a.backend_stats().fallbacks, 1);
 
         let mut batch = RecvBatch::new(16);
@@ -668,10 +659,42 @@ mod tests {
             }
         }
         assert_eq!(rejoined, payload, "queued train survived the fallback");
+
+        // Below the portable floor there is nothing: the error surfaces.
+        a.set_backend_for_tests(Box::new(FailingBackend(BackendKind::Portable)));
+        let err = a.send_train(a_addr, b_addr, &payload, None).unwrap_err();
+        assert_eq!(err.raw_os_error(), Some(ENOSYS));
+        assert_eq!(a.backend_stats().fallbacks, 1);
+    }
+
+    /// One undeliverable datagram is that datagram's problem: the
+    /// registry must not take every connection it serves down to one
+    /// syscall per datagram over it.
+    #[test]
+    fn per_datagram_error_does_not_demote_the_backend() {
+        let mut a = SocketRegistry::bind(&[loopback(0)]).unwrap();
+        let b = SocketRegistry::bind(&[loopback(0)]).unwrap();
+        let (a_addr, b_addr) = (a.local_addrs()[0], b.local_addrs()[0]);
+        let kind = a.backend_kind();
+
+        // Larger than any UDP datagram: `EMSGSIZE`.
+        let oversize = vec![0u8; 70_000];
+        assert!(a.send_train(a_addr, b_addr, &oversize, None).is_err());
+        assert_eq!(a.backend_kind(), kind);
+        assert_eq!(a.backend_stats().fallbacks, 0);
+
+        let payload = [7u8; 460];
+        assert_eq!(
+            a.send_train(a_addr, b_addr, &payload, Some(100)).unwrap(),
+            5
+        );
+        if mmsg::NATIVE_BATCH {
+            assert_eq!(a.batch_stats().send_syscalls, 1, "still batched");
+        }
     }
 
     #[test]
-    fn recv_probe_failure_descends_ladder_and_next_poll_drains() {
+    fn recv_enosys_descends_and_next_poll_drains() {
         let mut a = SocketRegistry::bind(&[loopback(0)]).unwrap();
         let mut b = SocketRegistry::bind(&[loopback(0)]).unwrap();
         let a_addr = a.local_addrs()[0];
@@ -679,13 +702,13 @@ mod tests {
         let held = a.send_train(a_addr, b_addr, b"held in kernel buffer", None);
         assert_eq!(held.unwrap(), 1);
 
-        b.set_backend_for_tests(Box::new(FailingBackend::default()));
+        b.set_backend_for_tests(Box::new(FailingBackend(BackendKind::Mmsg)));
         let mut batch = RecvBatch::new(4);
         // The refused pass reports dry but swaps the backend…
         assert_eq!(b.poll_recv_batch(&mut batch).unwrap(), 0);
-        assert_eq!(b.backend_kind(), BackendKind::Mmsg);
+        assert_eq!(b.backend_kind(), BackendKind::Portable);
         // …and the datagram is still in the kernel buffer for the next
-        // poll on the replacement rung.
+        // poll on the replacement.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
         let mut got = 0;
         while got == 0 && std::time::Instant::now() < deadline {

@@ -11,55 +11,35 @@
 use mpquic_util::SimTime;
 use std::time::Duration;
 
-/// Default polling granularity: the longest the loop will sleep while a
-/// peer could be sending to us. 500 µs keeps worst-case added latency
-/// well under loopback RTO scales while burning negligible CPU.
+/// Polling granularity: the longest the loop will sleep while a peer
+/// could be sending to us. 500 µs keeps worst-case added latency well
+/// under loopback RTO scales while burning negligible CPU.
 pub const DEFAULT_GRANULARITY: Duration = Duration::from_micros(500);
 
 /// Computes how long the event loop may sleep.
-#[derive(Debug, Clone, Copy)]
-pub struct Timer {
-    granularity: Duration,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Timer;
 
 impl Timer {
-    /// A timer with [`DEFAULT_GRANULARITY`].
+    /// A timer polling at [`DEFAULT_GRANULARITY`].
     pub fn new() -> Timer {
-        Timer {
-            granularity: DEFAULT_GRANULARITY,
-        }
-    }
-
-    /// A timer with a custom polling granularity.
-    pub fn with_granularity(granularity: Duration) -> Timer {
-        Timer { granularity }
-    }
-
-    /// The polling granularity in use.
-    pub fn granularity(&self) -> Duration {
-        self.granularity
+        Timer
     }
 
     /// How long to sleep at `now` given the transport's next deadline:
     /// zero if the deadline is due, otherwise the time until the deadline
-    /// clamped to the polling granularity (no deadline ⇒ granularity).
+    /// clamped to [`DEFAULT_GRANULARITY`] (no deadline ⇒ the granularity).
     pub fn sleep_for(&self, now: SimTime, deadline: Option<SimTime>) -> Duration {
         match deadline {
             Some(at) if at <= now => Duration::ZERO,
-            Some(at) => at.saturating_duration_since(now).min(self.granularity),
-            None => self.granularity,
+            Some(at) => at.saturating_duration_since(now).min(DEFAULT_GRANULARITY),
+            None => DEFAULT_GRANULARITY,
         }
     }
 
     /// True if `deadline` has passed at `now`.
     pub fn is_due(&self, now: SimTime, deadline: Option<SimTime>) -> bool {
         deadline.is_some_and(|at| at <= now)
-    }
-}
-
-impl Default for Timer {
-    fn default() -> Self {
-        Timer::new()
     }
 }
 
@@ -84,7 +64,7 @@ mod tests {
 
     #[test]
     fn near_deadline_sleeps_exactly_until_it() {
-        let timer = Timer::with_granularity(Duration::from_millis(1));
+        let timer = Timer::new();
         let now = SimTime::from_millis(10);
         let deadline = SimTime::from_micros(10_200);
         assert_eq!(
@@ -95,13 +75,13 @@ mod tests {
 
     #[test]
     fn far_or_absent_deadline_clamps_to_granularity() {
-        let timer = Timer::with_granularity(Duration::from_millis(1));
+        let timer = Timer::new();
         let now = SimTime::from_millis(10);
         assert_eq!(
             timer.sleep_for(now, Some(SimTime::from_secs(10))),
-            Duration::from_millis(1)
+            DEFAULT_GRANULARITY
         );
-        assert_eq!(timer.sleep_for(now, None), Duration::from_millis(1));
+        assert_eq!(timer.sleep_for(now, None), DEFAULT_GRANULARITY);
         assert!(!timer.is_due(now, None));
     }
 }

@@ -1,15 +1,12 @@
-//! Forced-backend loopback transfers: every datapath backend
-//! (DESIGN.md §17) must carry a complete QUIC transfer over real UDP.
-//!
-//! The three arms — io_uring, sendmmsg, portable — run sequentially in
-//! one test so the process-wide default backend choice is never raced.
-//! A kernel without io_uring support skips that arm with a message
-//! instead of failing; the mmsg and portable arms must always
-//! construct on Linux.
+//! Forced-backend loopback transfers: both datapath backends
+//! (DESIGN.md §17) must carry a complete QUIC transfer over real UDP,
+//! each pinned through `SocketRegistry::bind_with`.
 
-use mpquic_core::Config;
-use mpquic_io::backend::{self, BackendChoice};
-use mpquic_io::{quic_client, quic_server, transfer, BackendKind, BlockingStream, SocketRegistry};
+use mpquic_core::{Config, Connection};
+use mpquic_io::{
+    mmsg, transfer, BackendChoice, BackendKind, BlockingStream, Driver, QuicTransport,
+    SocketRegistry,
+};
 use std::io::Read;
 use std::net::SocketAddr;
 use std::sync::mpsc;
@@ -22,16 +19,16 @@ fn loopback0() -> SocketAddr {
     "127.0.0.1:0".parse().unwrap()
 }
 
-/// One single-path client→server transfer with the current process
-/// default backend. Returns the client's backend kind/stats plus the
-/// server's, so the caller can assert both ends used the forced arm.
-fn run_transfer(expected: BackendKind) {
+/// One single-path client→server transfer with both ends' registries
+/// bound on `choice`; asserts both ends stayed on `expected`.
+fn run_transfer(choice: BackendChoice, expected: BackendKind) {
     let (addr_tx, addr_rx) = mpsc::channel();
     let (server_tx, server_rx) = mpsc::channel();
 
     let server = std::thread::spawn(move || {
-        let driver =
-            quic_server(Config::single_path(), &[loopback0()], 0xBEEF).expect("bind server");
+        let sockets = SocketRegistry::bind_with(&[loopback0()], choice).expect("bind server");
+        let conn = Connection::server(Config::single_path(), sockets.local_addrs(), 0xBEEF);
+        let driver = Driver::new(QuicTransport::server(conn), sockets);
         addr_tx.send(driver.local_addrs()[0]).expect("report addr");
         let mut stream = BlockingStream::with_timeout(driver, OP_TIMEOUT);
         stream.wait_established().expect("server handshake");
@@ -50,8 +47,15 @@ fn run_transfer(expected: BackendKind) {
     let server_addr = addr_rx
         .recv_timeout(Duration::from_secs(10))
         .expect("server came up");
-    let driver = quic_client(Config::single_path(), &[loopback0()], server_addr, 0xC0FFEE)
-        .expect("bind client");
+    let sockets = SocketRegistry::bind_with(&[loopback0()], choice).expect("bind client");
+    let conn = Connection::client(
+        Config::single_path(),
+        sockets.local_addrs(),
+        0,
+        server_addr,
+        0xC0FFEE,
+    );
+    let driver = Driver::new(QuicTransport::client(conn), sockets);
     let mut stream = BlockingStream::with_timeout(driver, OP_TIMEOUT);
     stream.wait_established().expect("client handshake");
 
@@ -94,31 +98,25 @@ fn run_transfer(expected: BackendKind) {
     );
     assert_eq!(
         client_stats.fallbacks, 0,
-        "{expected:?}: a forced arm must not fall down the ladder mid-transfer"
+        "{expected:?}: a forced arm must not fall back mid-transfer"
     );
 }
 
 #[test]
 fn every_backend_carries_a_loopback_transfer() {
-    let arms = [
-        (BackendChoice::Uring, BackendKind::Uring),
-        (BackendChoice::Mmsg, BackendKind::Mmsg),
-        (BackendChoice::Portable, BackendKind::Portable),
-    ];
-    for (choice, kind) in arms {
-        // Probe with a throwaway registry first: a kernel without
-        // io_uring skips that arm instead of failing the test.
-        if let Err(e) = SocketRegistry::bind_with(&[loopback0()], choice) {
-            #[cfg(target_os = "linux")]
-            assert!(
-                matches!(choice, BackendChoice::Uring),
-                "{choice} must always construct on Linux: {e}"
-            );
-            eprintln!("skipping {choice} arm: this kernel lacks it ({e})");
-            continue;
-        }
-        backend::set_default_choice(choice);
-        run_transfer(kind);
-    }
-    backend::set_default_choice(BackendChoice::Auto);
+    run_transfer(BackendChoice::Mmsg, BackendKind::Mmsg);
+    run_transfer(BackendChoice::Portable, BackendKind::Portable);
+}
+
+#[test]
+fn auto_is_the_platforms_batched_path() {
+    let auto = SocketRegistry::bind_with(&[loopback0()], BackendChoice::Auto).expect("bind");
+    let expected = if mmsg::NATIVE_BATCH {
+        BackendKind::Mmsg
+    } else {
+        BackendKind::Portable
+    };
+    assert_eq!(auto.backend_kind(), expected);
+    let plain = SocketRegistry::bind(&[loopback0()]).expect("bind");
+    assert_eq!(plain.backend_kind(), expected, "bind is bind_with(Auto)");
 }

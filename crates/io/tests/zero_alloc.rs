@@ -18,7 +18,7 @@
 use bytes::Bytes;
 use mpquic_core::recovery::{Recovery, SentPacket};
 use mpquic_core::rtt::RttEstimator;
-use mpquic_io::{BackendChoice, BackendKind, RecvBatch, SocketRegistry};
+use mpquic_io::{RecvBatch, SocketRegistry};
 use mpquic_util::alloc_count::{self, CountingAlloc};
 use mpquic_util::SimTime;
 use mpquic_wire::{Frame, StreamFrame};
@@ -108,60 +108,6 @@ fn steady_state_datapath_does_not_allocate() {
             "receive side recorded no batches: {recv:?}"
         );
     }
-}
-
-/// The io_uring backend makes the same promise (DESIGN.md §17): after
-/// warm-up its SQE staging arrays, registered-buffer slab and receive
-/// slots are all at high-water capacity, so the send/receive cycle
-/// allocates nothing. Skips (with a message) on kernels without
-/// io_uring.
-#[test]
-fn steady_state_uring_datapath_does_not_allocate() {
-    let uring = BackendChoice::Uring;
-    let (mut a, mut b) = match (
-        SocketRegistry::bind_with(&[loopback0()], uring),
-        SocketRegistry::bind_with(&[loopback0()], uring),
-    ) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("skipping uring zero-alloc check: this kernel lacks io_uring ({e})");
-            return;
-        }
-    };
-    assert_eq!(a.backend_kind(), BackendKind::Uring);
-    let a_local = a.local_addrs()[0];
-    let b_local = b.local_addrs()[0];
-
-    let payload = vec![0x5au8; SEGMENT * SEGMENTS_PER_TRAIN];
-    let mut batch = RecvBatch::new(64);
-
-    for _ in 0..WARMUP_ROUNDS {
-        round(&mut a, a_local, &mut b, b_local, &payload, &mut batch);
-    }
-
-    alloc_count::reset_thread_counts();
-    let mut datagrams = 0;
-    for _ in 0..MEASURED_ROUNDS {
-        datagrams += round(&mut a, a_local, &mut b, b_local, &payload, &mut batch);
-    }
-    let counts = alloc_count::thread_counts();
-
-    assert_eq!(datagrams, MEASURED_ROUNDS * SEGMENTS_PER_TRAIN);
-    assert_eq!(
-        counts.allocs, 0,
-        "steady-state uring datapath allocated: {counts:?} over {MEASURED_ROUNDS} \
-         rounds ({datagrams} datagrams)"
-    );
-    // The rounds really went through the ring, and a forced arm never
-    // fell down the ladder.
-    let stats = a.backend_stats();
-    assert!(
-        stats.submissions > 0,
-        "send side submitted no SQEs: {stats:?}"
-    );
-    assert_eq!(stats.fallbacks, 0, "forced uring arm fell back: {stats:?}");
-    assert_eq!(a.backend_kind(), BackendKind::Uring);
-    assert_eq!(b.backend_kind(), BackendKind::Uring);
 }
 
 const ACK_WARMUP_ROUNDS: usize = 10;

@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! mpquic-loadgen [--smoke] [--scenario NAME] [--seed N] [--workers N]
-//!                [--client-threads N] [--scheduler NAME]
-//!                [--backend auto|uring|mmsg|portable] [--out FILE]
+//!                [--client-threads N] [--scheduler NAME] [--out FILE]
 //!                [--baseline FILE] [--flight-dump FILE]
 //! ```
 //!
@@ -31,8 +30,7 @@ use mpquic_loadgen::scenario::{by_name, catalog};
 fn usage() -> ! {
     eprintln!(
         "usage: mpquic-loadgen [--smoke] [--scenario NAME] [--seed N] [--workers N] \
-         [--client-threads N] [--scheduler NAME] \
-         [--backend auto|uring|mmsg|portable] [--out FILE] [--baseline FILE] \
+         [--client-threads N] [--scheduler NAME] [--out FILE] [--baseline FILE] \
          [--flight-dump FILE]\n\
          scenarios: request_response streaming incast churn mobility"
     );
@@ -91,16 +89,6 @@ fn main() {
                         std::process::exit(2);
                     }
                 };
-            }
-            "--backend" => {
-                let raw = value(&args, &mut i, "--backend");
-                match raw.parse() {
-                    Ok(choice) => mpquic_io::backend::set_default_choice(choice),
-                    Err(e) => {
-                        eprintln!("mpquic-loadgen: --backend: {e}");
-                        std::process::exit(2);
-                    }
-                }
             }
             "--help" | "-h" => usage(),
             other => {

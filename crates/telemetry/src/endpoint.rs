@@ -251,13 +251,12 @@ pub struct EndpointStats {
     pub cid_rotations_initiated: CachePadded<RelaxedCell>,
     /// CID rotations completed (the old CID is retired).
     pub cid_rotations_completed: CachePadded<RelaxedCell>,
-    /// Datapath-backend entries handed to the kernel (SQEs, `mmsghdr`
-    /// slots or portable datagrams).
+    /// Datapath-backend entries (datagrams) handed to the kernel.
     pub backend_submissions: CachePadded<RelaxedCell>,
     /// Datapath-backend entries the kernel completed successfully.
     pub backend_completions: CachePadded<RelaxedCell>,
-    /// Datapath fallbacks: intra-backend rungs dropped (GSO →
-    /// per-segment) plus whole-backend ladder descents.
+    /// Datapath fallbacks: GSO → `sendmmsg` drops plus `ENOSYS`
+    /// descents to the portable loop.
     pub backend_fallbacks: CachePadded<RelaxedCell>,
 }
 
@@ -307,7 +306,7 @@ pub struct EndpointSnapshot {
     pub backend_submissions: u64,
     /// Datapath-backend entries completed successfully.
     pub backend_completions: u64,
-    /// Datapath fallbacks (GSO rungs dropped plus ladder descents).
+    /// Datapath fallbacks (GSO rungs dropped plus portable descents).
     pub backend_fallbacks: u64,
 }
 
@@ -430,9 +429,8 @@ pub struct PlaneSnapshot {
     pub stats: EndpointSnapshot,
     /// Per-shard loop telemetry, in shard order.
     pub shards: Vec<ShardPlaneSnapshot>,
-    /// Datapath-backend entries per kernel submission boundary (SQE
-    /// batch sizes for io_uring, datagrams per `sendmmsg` otherwise),
-    /// merged across shards.
+    /// Datapath-backend entries per productive batched call
+    /// (datagrams per `sendmmsg`/`recvmmsg`), merged across shards.
     pub backend_sqe_batch: LogHistogram,
     /// All shards' busy-iteration times merged.
     pub loop_ns: LogHistogram,
@@ -927,7 +925,7 @@ pub fn render_prometheus(snap: &PlaneSnapshot) -> String {
         &mut out,
         "mpq_backend_fallbacks_total",
         "counter",
-        "datapath fallbacks: GSO rungs dropped plus backend-ladder descents",
+        "datapath fallbacks: GSO rungs dropped plus descents to the portable loop",
     );
     prom_value(&mut out, "mpq_backend_fallbacks_total", s.backend_fallbacks);
     prom_header(
