@@ -11,6 +11,16 @@
 //! granularity, so a stalled socket costs latency proportional to how
 //! stalled it actually is.
 //!
+//! A send retry really does want the sleep rungs: the buffer drains on
+//! the kernel's schedule and nothing announces it. An event loop does
+//! not: what it waits for *is* announced, by its sockets becoming
+//! readable, so it walks the spin and yield rungs — ACK clocking on
+//! loopback turns around inside them — and then blocks on the sockets
+//! instead of sleeping ([`Backoff::wait_or_park`]). There is one
+//! ladder for every host: a parked loop gives its core up by
+//! construction, so a machine where the loop shares its only core with
+//! the threads feeding it needs no ladder of its own.
+//!
 //! The ladder's primitives come from [`mpquic_util::sync`], so under
 //! `--cfg loom` every wait is a scheduling point for the interleaving
 //! explorer (sleeps become yields — model time does not advance) and
@@ -26,9 +36,8 @@ const SPIN_STEPS: u32 = 4;
 const YIELD_STEPS: u32 = 4;
 /// First sleep length; doubles per step up to [`MAX_SLEEP`].
 const FIRST_SLEEP: Duration = Duration::from_micros(10);
-/// Sleep cap — matches the timer wheel's granularity
-/// ([`crate::timer::Timer`]), past which a shard would rather run its
-/// timers than wait longer.
+/// Sleep cap — matches the polling granularity
+/// ([`crate::timer::DEFAULT_GRANULARITY`]).
 const MAX_SLEEP: Duration = Duration::from_micros(500);
 
 /// Spin → yield → capped-sleep waiter for transient `WouldBlock`s.
@@ -39,9 +48,6 @@ const MAX_SLEEP: Duration = Duration::from_micros(500);
 #[derive(Debug, Clone, Default)]
 pub struct Backoff {
     step: u32,
-    /// Where [`Backoff::reset`] returns to: 0 for the full ladder,
-    /// [`SPIN_STEPS`] for a [`Backoff::yielding`] waiter.
-    floor: u32,
 }
 
 impl Backoff {
@@ -50,23 +56,10 @@ impl Backoff {
         Backoff::default()
     }
 
-    /// A waiter whose ladder starts at the yield stage, and whose
-    /// [`Backoff::reset`] returns there. On a machine where the loop
-    /// shares its only core with the threads feeding it, pause-hinted
-    /// spinning is provably wasted work: nothing can produce data
-    /// until this thread gives up its quantum.
-    pub fn yielding() -> Backoff {
-        Backoff {
-            step: SPIN_STEPS,
-            floor: SPIN_STEPS,
-        }
-    }
-
     /// Forgets accumulated steps; the next [`Backoff::wait`] restarts
-    /// the ladder at this waiter's cheapest stage (spinning, or
-    /// yielding for a [`Backoff::yielding`] waiter).
+    /// the ladder at the spin stage.
     pub fn reset(&mut self) {
-        self.step = self.floor;
+        self.step = 0;
     }
 
     /// Number of waits since the last reset.
@@ -101,6 +94,17 @@ impl Backoff {
         }
         self.step = self.step.saturating_add(1);
     }
+
+    /// [`Backoff::wait`] for an event loop: the spin and yield rungs as
+    /// they are, and `park` — a blocking wait on whatever the loop is
+    /// idle for — in place of every sleep rung.
+    pub fn wait_or_park(&mut self, park: impl FnOnce()) {
+        if self.next_sleep().is_none() {
+            self.wait();
+        } else {
+            park();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -123,34 +127,35 @@ mod tests {
 
     #[test]
     fn sleep_is_capped() {
-        let b = Backoff { step: 64, floor: 0 };
+        let b = Backoff { step: 64 };
         assert_eq!(b.next_sleep(), Some(MAX_SLEEP));
         // And the exponent is clamped so the doubling cannot overflow.
-        let b = Backoff {
-            step: u32::MAX,
-            floor: 0,
-        };
+        let b = Backoff { step: u32::MAX };
         assert_eq!(b.next_sleep(), Some(MAX_SLEEP));
     }
 
     #[test]
     fn reset_returns_to_spinning() {
-        let mut b = Backoff { step: 32, floor: 0 };
+        let mut b = Backoff { step: 32 };
         b.reset();
         assert_eq!(b.steps(), 0);
         assert_eq!(b.next_sleep(), None);
     }
 
     #[test]
-    fn yielding_waiter_never_returns_to_the_spin_stage() {
-        let mut b = Backoff::yielding();
-        assert_eq!(b.steps(), SPIN_STEPS);
-        assert_eq!(b.next_sleep(), None);
-        for _ in 0..32 {
-            b.wait();
+    fn an_event_loop_parks_where_a_retry_would_sleep() {
+        let mut b = Backoff::new();
+        let mut parks = 0;
+        for _ in 0..(SPIN_STEPS + YIELD_STEPS) {
+            b.wait_or_park(|| parks += 1);
         }
+        assert_eq!(parks, 0, "cheap rungs come first");
+        for _ in 0..3 {
+            b.wait_or_park(|| parks += 1);
+        }
+        assert_eq!(parks, 3, "every later step parks");
         b.reset();
-        assert_eq!(b.steps(), SPIN_STEPS, "reset floors at the yield stage");
-        assert_eq!(b.next_sleep(), None);
+        b.wait_or_park(|| parks += 1);
+        assert_eq!(parks, 3, "progress restarts the ladder");
     }
 }

@@ -51,26 +51,46 @@ pub(crate) const BATCH_SEGMENTS: usize = 64;
 /// MTU, so pool buffers never grow after the first use.
 pub(crate) const SEND_BUF_CAPACITY: usize = 2048;
 
+/// What one [`drain_egress`] call did.
+pub(crate) struct Egress {
+    /// Datagrams the OS took.
+    pub(crate) datagrams: u64,
+    /// UDP payload bytes in them.
+    pub(crate) bytes: u64,
+    /// The call stopped at [`MAX_SEND_PER_STEP`] with the transport
+    /// still producing: there is more to send, and only calling again
+    /// will send it — nothing else (no datagram, no timer) announces it.
+    pub(crate) capped: bool,
+    /// The first socket error. The rest of the queue was recycled
+    /// unsent (loss, to the peer), so the queue comes back empty either
+    /// way; what the error means — abort the driver, close one
+    /// connection — is the caller's policy.
+    pub(crate) result: io::Result<()>,
+}
+
 /// Drains `transport`'s egress to the sockets: fill the pool-backed
 /// queue (coalescing same-path packets into GSO trains), then fan each
 /// train out with one batched syscall on the socket bound to its local
 /// address — that *is* the path selection — until the transport runs
 /// dry or [`MAX_SEND_PER_STEP`] datagrams were attempted.
-///
-/// Returns the datagrams and bytes the OS took, and the first socket
-/// error. On an error the rest of the queue is recycled unsent (loss,
-/// to the peer), so the queue comes back empty either way; what the
-/// error means — abort the driver, close one connection — is the
-/// caller's policy.
 pub(crate) fn drain_egress<T: Transport>(
     transport: &mut T,
     clock: &Clock,
     queue: &mut TransmitQueue,
     sockets: &mut SocketRegistry,
-) -> (u64, u64, io::Result<()>) {
-    let (mut datagrams, mut bytes) = (0u64, 0u64);
+) -> Egress {
+    let mut egress = Egress {
+        datagrams: 0,
+        bytes: 0,
+        capped: false,
+        result: Ok(()),
+    };
     let mut attempted = 0;
-    while attempted < MAX_SEND_PER_STEP {
+    loop {
+        if attempted >= MAX_SEND_PER_STEP {
+            egress.capped = true;
+            break;
+        }
         let produced = transport.poll_transmit_batch(clock.now(), queue);
         if queue.is_empty() {
             break;
@@ -84,8 +104,8 @@ pub(crate) fn drain_egress<T: Transport>(
             );
             let accepted = *result.as_ref().unwrap_or(&0);
             attempted += transmit.segment_count();
-            datagrams += accepted as u64;
-            bytes += transmit
+            egress.datagrams += accepted as u64;
+            egress.bytes += transmit
                 .segments()
                 .take(accepted)
                 .map(<[u8]>::len)
@@ -97,14 +117,15 @@ pub(crate) fn drain_egress<T: Transport>(
                 while let Some(unsent) = queue.pop() {
                     queue.recycle(unsent.payload);
                 }
-                return (datagrams, bytes, Err(e));
+                egress.result = Err(e);
+                return egress;
             }
         }
         if produced == 0 {
             break;
         }
     }
-    (datagrams, bytes, Ok(()))
+    egress
 }
 
 /// Counters describing what the event loop did (socket-level view; the
@@ -241,10 +262,11 @@ impl<T: Transport> Driver<T> {
         self.sockets.send_drops_per_socket()
     }
 
-    /// Runs one non-sleeping iteration of the event loop: fires due
+    /// Runs one non-blocking iteration of the event loop: fires due
     /// timers, drains ingress into the transport, drains the transport's
-    /// egress to the sockets. Returns `true` if anything happened —
-    /// callers sleep (see [`Timer::sleep_for`]) only when it returns
+    /// egress to the sockets. Returns `true` if anything happened, or
+    /// if egress stopped at its per-step cap with more to send —
+    /// callers wait (see [`Driver::run_until`]) only when it returns
     /// `false`.
     pub fn step(&mut self) -> Result<bool> {
         let mut progressed = false;
@@ -278,24 +300,29 @@ impl<T: Transport> Driver<T> {
 
         // 3. Egress. A socket error aborts the step: the caller owns
         //    this one connection and decides what survives it.
-        let (datagrams, bytes, result) = drain_egress(
+        let egress = drain_egress(
             &mut self.transport,
             &self.clock,
             &mut self.queue,
             &mut self.sockets,
         );
-        self.stats.datagrams_sent += datagrams;
-        self.stats.bytes_sent += bytes;
-        progressed |= datagrams > 0;
-        result?;
+        self.stats.datagrams_sent += egress.datagrams;
+        self.stats.bytes_sent += egress.bytes;
+        // Capped is progress even if the OS took nothing: the caller
+        // must step again, not wait.
+        progressed |= egress.datagrams > 0 || egress.capped;
+        egress.result?;
 
         Ok(progressed)
     }
 
     /// Pumps the loop until `done(transport)` returns `true` or `timeout`
-    /// of wall time elapses. Returns whether `done` was reached. Between
-    /// idle iterations the loop sleeps until the transport's next
-    /// deadline, clamped to the polling granularity.
+    /// of wall time elapses. Returns whether `done` was reached. An idle
+    /// iteration parks on the sockets: a datagram ends the wait the
+    /// moment it arrives, and otherwise it lasts until the transport's
+    /// next deadline, clamped to the polling granularity
+    /// ([`Timer::sleep_for`]) so that `done` and `timeout` are looked at
+    /// again that often whatever the network does.
     pub fn run_until(
         &mut self,
         timeout: Duration,
@@ -310,13 +337,20 @@ impl<T: Transport> Driver<T> {
                 return Ok(false);
             }
             if !self.step()? {
-                let sleep = self
-                    .timer
-                    .sleep_for(self.clock.now(), self.transport.next_timeout());
-                if !sleep.is_zero() {
-                    std::thread::sleep(sleep);
-                }
+                self.park();
             }
+        }
+    }
+
+    /// Waits out an idle moment: until a datagram arrives, or else
+    /// until the transport's next deadline clamped to the polling
+    /// granularity ([`Timer::sleep_for`]).
+    pub(crate) fn park(&mut self) {
+        let wait = self
+            .timer
+            .sleep_for(self.clock.now(), self.transport.next_timeout());
+        if !wait.is_zero() {
+            self.sockets.wait_readable(Some(wait));
         }
     }
 
@@ -396,4 +430,81 @@ pub fn quic_server(
     let bound = sockets.local_addrs();
     let conn = Connection::server(config, bound, seed);
     Ok(Driver::new(QuicTransport::server(conn), sockets))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+    use mpquic_util::{Datagram, SimTime};
+
+    /// A transport with `left` datagrams to send and nothing else to do.
+    struct Flood {
+        left: usize,
+        local: SocketAddr,
+        remote: SocketAddr,
+    }
+
+    impl Transport for Flood {
+        fn write(&mut self, _data: Bytes) {}
+        fn finish(&mut self) {}
+        fn read_chunk(&mut self) -> Option<Bytes> {
+            None
+        }
+        fn recv_finished(&self) -> bool {
+            false
+        }
+        fn is_established(&self) -> bool {
+            true
+        }
+        fn handle_datagram(&mut self, _: SimTime, _: SocketAddr, _: SocketAddr, _: &[u8]) {}
+        fn poll_transmit(&mut self, _now: SimTime) -> Option<Datagram> {
+            self.left = self.left.checked_sub(1)?;
+            Some(Datagram {
+                local: self.local,
+                remote: self.remote,
+                payload: vec![0x5A; 32],
+            })
+        }
+        fn next_timeout(&self) -> Option<SimTime> {
+            None
+        }
+        fn on_timeout(&mut self, _now: SimTime) {}
+    }
+
+    /// A sender with more than one step's worth says so: no datagram
+    /// and no timer would bring its loop back for the rest.
+    #[test]
+    fn egress_stopped_at_the_cap_reports_more_to_send() {
+        let loopback: SocketAddr = "127.0.0.1:0".parse().unwrap();
+        let sink = SocketRegistry::bind(&[loopback]).unwrap();
+        let mut sockets = SocketRegistry::bind(&[loopback]).unwrap();
+        let mut flood = Flood {
+            left: MAX_SEND_PER_STEP + 40,
+            local: sockets.local_addrs()[0],
+            remote: sink.local_addrs()[0],
+        };
+        let clock = Clock::new();
+        let mut queue = TransmitQueue::new(BATCH_SEGMENTS, SEND_BUF_CAPACITY);
+
+        let first = drain_egress(&mut flood, &clock, &mut queue, &mut sockets);
+        assert!(first.capped, "stopped with 40 still to go");
+        assert_eq!(first.datagrams as usize, MAX_SEND_PER_STEP);
+        assert!(first.result.is_ok());
+
+        let second = drain_egress(&mut flood, &clock, &mut queue, &mut sockets);
+        assert!(!second.capped, "ran dry below the cap");
+        assert_eq!(second.datagrams, 40);
+
+        // The same two calls through a `Driver`: progress, progress, idle.
+        flood.left = MAX_SEND_PER_STEP + 40;
+        let mut driver = Driver::new(flood, sockets);
+        assert!(driver.step().unwrap());
+        assert!(driver.step().unwrap());
+        assert!(!driver.step().unwrap());
+        assert_eq!(
+            driver.stats().datagrams_sent as usize,
+            MAX_SEND_PER_STEP + 40
+        );
+    }
 }

@@ -19,7 +19,10 @@
 //!   no crypto) into a connection it owns outright, first-seen CIDs
 //!   accepted up to [`mpquic_core::Config::max_incoming_connections`],
 //!   then one `ShardCore::process` pass (timers, applications,
-//!   egress, reaping).
+//!   egress, reaping) over the connections that were fed or whose
+//!   deadline came due — a silent connection is not visited — and,
+//!   when that found nothing to do, a blocking wait on the sockets
+//!   until the next datagram or the earliest deadline.
 //!
 //! A connection's packets never leave its loop, on any path, so nothing
 //! on the packet path is shared between threads; the loops meet only in
@@ -47,6 +50,7 @@ pub use mpquic_telemetry::endpoint::{
 use crate::backoff::Backoff;
 use crate::driver::IoStats;
 use crate::error::{Error, Result};
+use crate::mmsg::Waker;
 use crate::shard::{ShardCore, ShardReport};
 use crate::socket::{RecvBatch, SocketRegistry};
 use crate::transfer;
@@ -60,7 +64,7 @@ const MAX_TOMBSTONES: usize = 4096;
 /// What a [`ConnApp::poll`] reports back to its shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AppStatus {
-    /// Still working; poll again after the next loop iteration.
+    /// Still working; poll again when the connection next has news.
     Pending,
     /// Finished. The shard closes the connection and counts the verdict
     /// in [`EndpointSnapshot::completed`] / [`EndpointSnapshot::failed`].
@@ -72,11 +76,14 @@ pub enum AppStatus {
 
 /// The application served on one accepted connection.
 ///
-/// Polled by the owning shard on every loop iteration, between ingress
-/// and egress — so data read here was fed by the freshest datagrams,
-/// and data written flushes in the same iteration. Implementations must
-/// never block: return [`AppStatus::Pending`] and wait to be polled
-/// again.
+/// Polled by the owning shard whenever its connection was fed a
+/// datagram, fired a timer, or still has egress pending from the last
+/// pass — and at no other time: an application that wants to be polled
+/// again must be waiting for something one of those brings (stream
+/// data, an acknowledgement, a close), not for a later call. The poll
+/// runs between ingress and egress, so data read here was fed by the
+/// freshest datagrams and data written flushes in the same pass.
+/// Implementations must never block: return [`AppStatus::Pending`].
 pub trait ConnApp: Send {
     /// Advances the application one non-blocking step.
     fn poll(&mut self, transport: &mut QuicTransport) -> AppStatus;
@@ -220,7 +227,8 @@ struct Worker {
 /// listen addresses, each owning the connections the kernel steers to
 /// it.
 pub struct Endpoint {
-    shards: Vec<JoinHandle<ShardReport>>,
+    /// Each loop's thread, and what wakes it when it is parked.
+    shards: Vec<(JoinHandle<ShardReport>, Waker)>,
     stop: Arc<AtomicBool>,
     plane: Arc<EndpointPlane>,
     local: Vec<SocketAddr>,
@@ -254,7 +262,8 @@ impl Endpoint {
         };
         // A failed spawn drops `endpoint`, which stops and joins the
         // loops already running.
-        for (shard, sockets) in registries.into_iter().enumerate() {
+        for (shard, mut sockets) in registries.into_iter().enumerate() {
+            let waker = sockets.waker().map_err(Error::Io)?;
             let worker = Worker {
                 shard,
                 local: endpoint.local.clone(),
@@ -264,12 +273,11 @@ impl Endpoint {
                 plane: Arc::clone(&endpoint.plane),
                 stop: Arc::clone(&endpoint.stop),
             };
-            endpoint.shards.push(
-                std::thread::Builder::new()
-                    .name(format!("mpq-shard-{shard}"))
-                    .spawn(move || run_loop(&worker, sockets))
-                    .map_err(Error::Io)?,
-            );
+            let handle = std::thread::Builder::new()
+                .name(format!("mpq-shard-{shard}"))
+                .spawn(move || run_loop(&worker, sockets))
+                .map_err(Error::Io)?;
+            endpoint.shards.push((handle, waker));
         }
         Ok(endpoint)
     }
@@ -319,9 +327,15 @@ impl Endpoint {
         // closing thread wrote before asking for shutdown is visible to
         // their final iterations.
         self.stop.store(true, Ordering::Release);
+        // Flag first, then wake: a loop that checked the flag just
+        // before it was raised finds its wake descriptor readable and
+        // does not park (crates/io/tests/loom.rs).
+        for (_, waker) in &self.shards {
+            waker.wake();
+        }
         self.shards
             .drain(..)
-            .filter_map(|handle| handle.join().ok())
+            .filter_map(|(handle, _)| handle.join().ok())
             .collect()
     }
 }
@@ -415,25 +429,19 @@ fn accept(worker: &Worker, core: &mut ShardCore, cid: u64) -> bool {
 /// Each receive batch feeds connections in place (the payload never
 /// leaves the batch's buffer), accepting first-seen CIDs inline; then
 /// one `ShardCore::process` pass runs timers, applications, egress
-/// and reaping. Every datagram pulled off the sockets is delivered to a
-/// connection or counted under a reason: `datagrams_in == delivered +
-/// malformed + rejected + tombstoned`.
+/// and reaping over the connections that have something to do. Every
+/// datagram pulled off the sockets is delivered to a connection or
+/// counted under a reason: `datagrams_in == delivered + malformed +
+/// rejected + tombstoned`. An iteration that did nothing spins, then
+/// yields, then parks on the sockets until a datagram, the earliest
+/// connection deadline or a stop request ends the wait.
 fn run_loop(worker: &Worker, mut sockets: SocketRegistry) -> ShardReport {
     let plane = &*worker.plane;
     let shard = worker.shard as u32;
     let shard_plane = plane.shard(worker.shard);
     let mut batch = RecvBatch::new(RECV_BATCH);
     let mut core = ShardCore::new();
-    // On a true single-core machine the clients feeding this loop can
-    // only run while it waits, so skip the spin stage of the ladder.
-    let single_core = std::thread::available_parallelism()
-        .map(|n| n.get() <= 1)
-        .unwrap_or(false);
-    let mut backoff = if single_core {
-        Backoff::yielding()
-    } else {
-        Backoff::new()
-    };
+    let mut backoff = Backoff::new();
     let mut was_idle = true;
     // Last-published backend counters: each busy iteration folds only
     // the delta into the shared plane.
@@ -473,7 +481,8 @@ fn run_loop(worker: &Worker, mut sockets: SocketRegistry) -> ShardReport {
             core.deliver(cid, meta.local, meta.remote, payload);
         }
 
-        // 2. Timers, application progress, egress, reaping.
+        // 2. Timers, application progress, egress, reaping — for the
+        //    connections ingress fed or whose deadline came due.
         progressed |= core.process(&mut sockets, &plane.stats, |cid| {
             plane.stats.active.sub(1);
             plane.stats.closed.add(1);
@@ -500,11 +509,21 @@ fn run_loop(worker: &Worker, mut sockets: SocketRegistry) -> ShardReport {
         if worker.stop.load(Ordering::Acquire) {
             break;
         }
+
+        // 3. Wait. The stop check above comes first: a stop raised
+        //    after it wakes the park below.
         if progressed {
             backoff.reset();
-        } else {
-            backoff.wait();
+            continue;
         }
+        backoff.wait_or_park(|| {
+            shard_plane.parks.add(1);
+            let parked_at = Instant::now();
+            sockets.wait_readable(core.park_timeout());
+            shard_plane
+                .park_ns
+                .record(parked_at.elapsed().as_nanos() as u64);
+        });
     }
 
     crate::shard::publish_backend_delta(plane, &mut prev_backend, &sockets);

@@ -17,8 +17,9 @@
 //!   core's pool-backed egress fan out in one syscall.
 //! * [`clock::Clock`] — maps the monotonic wall clock onto the
 //!   `SimTime` time line the protocol speaks.
-//! * [`timer::Timer`] — deadline arithmetic: sleep exactly until the
-//!   transport's next RTO/ACK/probe deadline, never past it.
+//! * [`timer::Timer`] — deadline arithmetic for the one-connection
+//!   loop: wait exactly until the transport's next RTO/ACK/probe
+//!   deadline, never past it.
 //! * [`driver::Driver`] — the event loop pumping any
 //!   [`mpquic_harness::Transport`] (QUIC, and equally the TCP stack)
 //!   through the ingress → timers → egress cycle.
@@ -29,7 +30,9 @@
 //!   disjoint connection set the kernel steers to it by connection ID
 //!   (DESIGN.md §12).
 //! * [`backoff::Backoff`] — graduated spin → yield → sleep waiting for
-//!   transient socket stalls, shared by every loop above.
+//!   a full send buffer, and spin → yield → *park* for an idle loop:
+//!   every loop above blocks on its sockets
+//!   ([`socket::SocketRegistry::wait_readable`]) rather than sleep.
 //! * [`transfer`] — the tiny authenticated file-transfer protocol the
 //!   `mpq-server` / `mpq-client` binaries speak.
 //! * [`rpc`] — the multi-stream request/response protocol the
@@ -58,8 +61,8 @@
 //! ```
 
 // `deny`, not `forbid`: the socket FFI (`sendmmsg`/`recvmmsg`, the
-// `SO_REUSEPORT` steering bind) lives behind the crate's one scoped
-// `#[allow(unsafe_code)]`, in [`mmsg`].
+// `SO_REUSEPORT` steering bind, the `ppoll` park) lives behind the
+// crate's one scoped `#[allow(unsafe_code)]`, in [`mmsg`].
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

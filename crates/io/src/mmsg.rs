@@ -23,8 +23,11 @@
 //!   address and has the kernel pick the loop for each datagram by its
 //!   connection ID (`SO_REUSEPORT` + a classic-BPF program; Linux only,
 //!   [`io::ErrorKind::Unsupported`] elsewhere).
+//! * [`Parker`] is what an idle event loop blocks on: one `ppoll(2)`
+//!   over its sockets and a wake `eventfd` on Linux, a bounded sleep
+//!   elsewhere.
 //!
-//! Both return `(datagrams, syscalls)` so the caller's telemetry
+//! The first two return `(datagrams, syscalls)` so the caller's telemetry
 //! (batch-size histogram, syscalls saved) reflects what actually
 //! happened on the running platform rather than an assumed one.
 //!
@@ -32,8 +35,8 @@
 //! that is configured before it is bound) and the workspace is
 //! dependency-free, so the Linux half carries its own `extern "C"`
 //! declarations and `#[repr(C)]` layouts (matching `struct msghdr`,
-//! `struct mmsghdr`, `struct iovec`, `struct sock_fprog` and the
-//! `sockaddr` family on glibc and musl). All unsafe code in the crate
+//! `struct mmsghdr`, `struct iovec`, `struct sock_fprog`, `struct pollfd`,
+//! `struct timespec` and the `sockaddr` family on glibc and musl). All unsafe code in the crate
 //! lives behind the scoped `#[allow(unsafe_code)]` here.
 //!
 //! The portable loop is written once: the non-Linux body of
@@ -43,6 +46,7 @@
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
+use std::time::Duration;
 
 /// Most datagrams a single batched syscall will carry (the syscall
 /// arrays in [`MmsgScratch`] are sized to this; `IOV_MAX` is far
@@ -208,15 +212,69 @@ impl MmsgScratch {
     }
 }
 
+/// What an event loop blocks on when it has nothing to do.
+///
+/// On Linux [`Parker::park`] is one `ppoll(2)` over the loop's sockets,
+/// level-triggered: a datagram that arrived before the call makes it
+/// return at once, so nothing sent before a park is slept through, and
+/// a parked loop is off its core until the kernel has something for it.
+/// Elsewhere it is a sleep bounded by
+/// [`crate::timer::DEFAULT_GRANULARITY`], after which the caller polls
+/// again.
+#[derive(Debug, Default)]
+pub struct Parker {
+    inner: imp::Parker,
+}
+
+impl Parker {
+    /// A handle another thread uses to end a [`Parker::park`] early.
+    /// The first call creates the wake descriptor (an `eventfd` on
+    /// Linux, nothing elsewhere: the bounded sleep needs no waking);
+    /// a parker nobody asked a waker of watches only its sockets.
+    pub fn waker(&mut self) -> io::Result<Waker> {
+        self.inner.waker().map(|inner| Waker { inner })
+    }
+
+    /// Blocks until one of `sockets` is readable, a [`Waker`] fired, or
+    /// `timeout` passed (`None`: no deadline). May return early for no
+    /// reason at all (a signal); callers poll and park again.
+    pub fn park<'a>(
+        &mut self,
+        sockets: impl Iterator<Item = &'a UdpSocket>,
+        timeout: Option<Duration>,
+    ) {
+        self.inner.park(sockets, timeout);
+    }
+}
+
+/// Ends a [`Parker::park`] from another thread. A wake that lands
+/// before the park makes that park return immediately (the descriptor
+/// stays readable until the parker drains it), so "raise a flag, then
+/// wake" can never be slept through.
+#[derive(Debug, Clone)]
+pub struct Waker {
+    inner: imp::Waker,
+}
+
+impl Waker {
+    /// Wakes the parker, now or at its next park.
+    pub fn wake(&self) {
+        self.inner.wake();
+    }
+}
+
 /// Linux: real `sendmmsg`/`recvmmsg` through hand-declared FFI.
 #[cfg(target_os = "linux")]
 #[allow(unsafe_code)]
 mod imp {
-    use super::{SocketAddr, UdpSocket, MAX_BATCH};
+    use super::{Duration, SocketAddr, UdpSocket, MAX_BATCH};
     use crate::probe::ProbeState;
-    use std::io;
+    use std::ffi::{c_long, c_ulong};
+    use std::fs::File;
+    use std::io::{self, Read, Write};
     use std::net::{Ipv6Addr, SocketAddrV6};
     use std::os::fd::{AsRawFd, FromRawFd};
+    use std::sync::Arc;
 
     const AF_INET: u16 = 2;
     const AF_INET6: u16 = 10;
@@ -304,6 +362,27 @@ mod imp {
         filter: *const SockFilter,
     }
 
+    /// `struct pollfd`.
+    #[repr(C)]
+    #[derive(Debug)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+
+    /// `struct timespec` (`time_t` is `long` on glibc and on 64-bit
+    /// musl).
+    #[repr(C)]
+    struct Timespec {
+        sec: c_long,
+        nsec: c_long,
+    }
+
+    const POLLIN: i16 = 0x001;
+    const EFD_CLOEXEC: i32 = 0o2_000_000;
+    const EFD_NONBLOCK: i32 = 0o4_000;
+
     extern "C" {
         fn sendmmsg(sockfd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32) -> i32;
         fn recvmmsg(
@@ -323,6 +402,13 @@ mod imp {
             optval: *const std::ffi::c_void,
             optlen: u32,
         ) -> i32;
+        fn ppoll(
+            fds: *mut PollFd,
+            nfds: c_ulong,
+            timeout: *const Timespec,
+            sigmask: *const std::ffi::c_void,
+        ) -> i32;
+        fn eventfd(initval: u32, flags: i32) -> i32;
     }
 
     /// `setsockopt(SOL_SOCKET, opt, value)`.
@@ -443,6 +529,99 @@ mod imp {
             group.push(socket);
         }
         Ok(group)
+    }
+
+    /// The pollfd array and, once someone asked for a [`Waker`], the
+    /// eventfd it writes.
+    #[derive(Debug, Default)]
+    pub(super) struct Parker {
+        wake: Option<Arc<File>>,
+        fds: Vec<PollFd>,
+    }
+
+    impl Parker {
+        pub(super) fn waker(&mut self) -> io::Result<Waker> {
+            if let Some(wake) = &self.wake {
+                return Ok(Waker(Arc::clone(wake)));
+            }
+            // SAFETY: `eventfd` takes two integers and touches no memory
+            // of ours.
+            let fd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
+            if fd < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            // SAFETY: `fd` was just returned by `eventfd`, is open, and is
+            // owned by nobody else; the `File` becomes its only owner and
+            // closes it when the last `Arc` goes.
+            let wake = Arc::new(unsafe { File::from_raw_fd(fd) });
+            self.wake = Some(Arc::clone(&wake));
+            Ok(Waker(wake))
+        }
+
+        pub(super) fn park<'a>(
+            &mut self,
+            sockets: impl Iterator<Item = &'a UdpSocket>,
+            timeout: Option<Duration>,
+        ) {
+            let watch = |fd| PollFd {
+                fd,
+                events: POLLIN,
+                revents: 0,
+            };
+            self.fds.clear();
+            self.fds.extend(sockets.map(|s| watch(s.as_raw_fd())));
+            // The wake descriptor goes last, where its `revents` is
+            // looked for below.
+            self.fds
+                .extend(self.wake.iter().map(|w| watch(w.as_raw_fd())));
+            let timeout = timeout.map(|t| Timespec {
+                sec: c_long::try_from(t.as_secs()).unwrap_or(c_long::MAX),
+                nsec: t.subsec_nanos() as c_long,
+            });
+            let timeout = timeout
+                .as_ref()
+                .map_or(std::ptr::null(), |t| t as *const Timespec);
+            // SAFETY: `fds` is a live array of exactly `len` `pollfd`s that
+            // the kernel reads and writes `revents` of; `timeout` is null
+            // or points at a `Timespec` that outlives the call; the null
+            // signal mask means "leave the mask alone". Every descriptor
+            // in the array is open: the sockets are borrowed for `'a` and
+            // `self.wake` is held by `self`.
+            let ready = unsafe {
+                ppoll(
+                    self.fds.as_mut_ptr(),
+                    self.fds.len() as c_ulong,
+                    timeout,
+                    std::ptr::null(),
+                )
+            };
+            // A timeout (0) or `EINTR` (-1) is just an early return: the
+            // caller's loop polls everything again either way.
+            if ready <= 0 {
+                return;
+            }
+            if let (Some(wake), Some(last)) = (&self.wake, self.fds.last()) {
+                if last.revents != 0 {
+                    // Reading resets the counter, so the next park
+                    // blocks again. Non-blocking: a lost race with
+                    // another drain is `WouldBlock`, which is fine.
+                    let _ = (&**wake).read(&mut [0u8; 8]);
+                }
+            }
+        }
+    }
+
+    /// The write end of a [`Parker`]'s eventfd.
+    #[derive(Debug, Clone)]
+    pub(super) struct Waker(Arc<File>);
+
+    impl Waker {
+        pub(super) fn wake(&self) {
+            // Adds one to the counter, making the descriptor readable.
+            // The only failure is `WouldBlock` at counter overflow — a
+            // wake is pending already.
+            let _ = (&*self.0).write_all(&1u64.to_ne_bytes());
+        }
     }
 
     #[derive(Debug)]
@@ -762,11 +941,39 @@ mod imp {
 /// probe, size or steer.
 #[cfg(not(target_os = "linux"))]
 mod imp {
-    use super::{SocketAddr, UdpSocket};
+    use super::{Duration, SocketAddr, UdpSocket};
+    use crate::timer::DEFAULT_GRANULARITY;
     use std::io;
 
     #[derive(Debug, Default)]
     pub(super) struct Scratch;
+
+    /// No portable readiness wait in std: a park is a sleep short
+    /// enough that polling again afterwards loses little, so there is
+    /// nothing for a [`Waker`] to interrupt either.
+    #[derive(Debug, Default)]
+    pub(super) struct Parker;
+
+    impl Parker {
+        pub(super) fn waker(&mut self) -> io::Result<Waker> {
+            Ok(Waker)
+        }
+
+        pub(super) fn park<'a>(
+            &mut self,
+            _sockets: impl Iterator<Item = &'a UdpSocket>,
+            timeout: Option<Duration>,
+        ) {
+            std::thread::sleep(timeout.map_or(DEFAULT_GRANULARITY, |t| t.min(DEFAULT_GRANULARITY)));
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    pub(super) struct Waker;
+
+    impl Waker {
+        pub(super) fn wake(&self) {}
+    }
 
     impl Scratch {
         pub(super) fn gso_unsupported(&self) -> bool {

@@ -8,15 +8,24 @@
 //! connection's packet path is shared with another thread: no lock, no
 //! channel, no hand-off.
 //!
-//! `ShardCore` is that state plus the per-iteration pass over it
-//! (timers → application poll → batched egress → reap), the
+//! `ShardCore` is that state plus the pass over it (timers →
+//! application poll → batched egress → reap), the
 //! [`crate::Driver::step`] cycle generalised over a map of connections
-//! instead of exactly one.
+//! instead of exactly one — and run over the connections that have
+//! something to do, not over the map. Only two things can give a
+//! connection something to do: a datagram (`ShardCore::deliver` puts
+//! it on the ready list) and a deadline (every connection's
+//! `next_timeout()` sits in one ordered set, and the due prefix joins
+//! the ready list each pass); a third, egress that stopped at its
+//! per-pass cap, keeps a connection on the list it was already on. A
+//! connection that is on neither list costs the loop nothing.
 
 use mpquic_core::{PathOp, TransmitQueue};
 use mpquic_harness::{QuicTransport, Transport};
-use std::collections::HashMap;
+use mpquic_util::SimTime;
+use std::collections::{BTreeSet, HashMap};
 use std::net::SocketAddr;
+use std::time::Duration;
 
 use crate::backend::BackendStats;
 use crate::clock::Clock;
@@ -66,6 +75,12 @@ struct ConnEntry {
     /// The app finished (its verdict is counted); the connection is
     /// only reaped once the CONNECTION_CLOSE has gone to the wire.
     done: bool,
+    /// On [`ShardCore::ready`] right now; set and cleared with the
+    /// list, so the list never holds a connection twice.
+    queued: bool,
+    /// The deadline this connection holds in [`ShardCore::deadlines`]:
+    /// its `next_timeout()` as of its last pass.
+    armed: Option<SimTime>,
 }
 
 /// One loop's connections and everything that routes to them.
@@ -88,6 +103,12 @@ pub(crate) struct ShardCore {
     /// Scratch for path ops drained mid-iteration (the connection map
     /// is mutably borrowed there, so alias updates are deferred).
     path_ops: Vec<(u64, PathOp)>,
+    /// Connections the next pass runs, keyed as in `conns`: fed a
+    /// datagram, reached a deadline, or left with egress pending.
+    ready: Vec<u64>,
+    /// Every armed deadline, earliest first — exactly one element per
+    /// connection whose `armed` is `Some`, and none for any other.
+    deadlines: BTreeSet<(SimTime, u64)>,
     conns_served: u64,
 }
 
@@ -103,6 +124,8 @@ impl ShardCore {
             retired: Tombstones::new(),
             reap: Vec::new(),
             path_ops: Vec::new(),
+            ready: Vec::new(),
+            deadlines: BTreeSet::new(),
             conns_served: 0,
         }
     }
@@ -136,14 +159,17 @@ impl ShardCore {
                 transport,
                 app,
                 done: false,
+                queued: false,
+                armed: None,
             },
         );
         self.conns_served += 1;
     }
 
-    /// Feeds one received datagram to its connection. Returns `true` if
-    /// the CID was owned (a miss is an ordinary race with retirement —
-    /// to the peer it is indistinguishable from loss).
+    /// Feeds one received datagram to its connection and marks the
+    /// connection ready for the next [`ShardCore::process`]. Returns
+    /// `true` if the CID was owned (a miss is an ordinary race with
+    /// retirement — to the peer it is indistinguishable from loss).
     pub(crate) fn deliver(
         &mut self,
         cid: u64,
@@ -160,16 +186,30 @@ impl ShardCore {
             .handle_datagram(self.clock.now(), local, remote, payload);
         self.io.datagrams_received += 1;
         self.io.bytes_received += payload.len() as u64;
+        if !entry.queued {
+            entry.queued = true;
+            self.ready.push(key);
+        }
         true
     }
 
-    /// One pass over every connection: fire due timers, poll the
-    /// application, drain batched egress, and reap closed connections
-    /// (reporting each retired CID through `on_retire`). Path ops the
-    /// connections queued — CID rotations, validation outcomes — bump
-    /// the endpoint counters and update the alias table here; every
-    /// CID that stops routing is tombstoned here and nowhere else.
-    /// Returns `true` if anything happened.
+    /// How long the loop may block when a pass found nothing to do:
+    /// until the earliest armed deadline, or for ever (`None`) when no
+    /// connection has one — only a datagram can make work then.
+    pub(crate) fn park_timeout(&self) -> Option<Duration> {
+        let &(at, _) = self.deadlines.first()?;
+        Some(at.saturating_duration_since(self.clock.now()))
+    }
+
+    /// One pass over the ready connections — those fed a datagram since
+    /// the last pass, those whose deadline has come due, and those the
+    /// last pass left with egress pending: fire the due timer, poll the
+    /// application, drain batched egress, re-arm the deadline, and reap
+    /// closed connections (reporting each retired CID through
+    /// `on_retire`). Path ops the connections queued — CID rotations,
+    /// validation outcomes — bump the endpoint counters and update the
+    /// alias table here; every CID that stops routing is tombstoned
+    /// here and nowhere else. Returns `true` if anything happened.
     pub(crate) fn process(
         &mut self,
         sockets: &mut SocketRegistry,
@@ -178,19 +218,35 @@ impl ShardCore {
     ) -> bool {
         let mut progressed = false;
 
-        for (&cid, entry) in self.conns.iter_mut() {
+        let now = self.clock.now();
+        while let Some(&(at, cid)) = self.deadlines.first() {
+            if at > now {
+                break;
+            }
+            self.deadlines.pop_first();
+            if let Some(entry) = self.conns.get_mut(&cid) {
+                entry.armed = None;
+                if !entry.queued {
+                    entry.queued = true;
+                    self.ready.push(cid);
+                }
+            }
+        }
+
+        // A connection that stays ready is pushed behind `batch`, so it
+        // runs next pass, after the loop has been back to its sockets.
+        let batch = self.ready.len();
+        for i in 0..batch {
+            let Some(&cid) = self.ready.get(i) else {
+                break;
+            };
+            let Some(entry) = self.conns.get_mut(&cid) else {
+                continue;
+            };
             let now = self.clock.now();
             if self.timer.is_due(now, entry.transport.next_timeout()) {
                 entry.transport.on_timeout(now);
                 self.io.timer_fires += 1;
-                progressed = true;
-            }
-
-            // Path ops queue during ingress and timer handling; the
-            // connection map is borrowed here, so alias-table updates
-            // are deferred past the loop.
-            while let Some(op) = entry.transport.conn.pop_path_op() {
-                self.path_ops.push((cid, op));
                 progressed = true;
             }
 
@@ -223,12 +279,11 @@ impl ShardCore {
             // Egress. A socket-level refusal is fatal for this
             // connection only — close it; the loop and its other
             // connections keep running.
-            let (datagrams, bytes, result) =
-                drain_egress(&mut *entry.transport, &self.clock, &mut self.queue, sockets);
-            self.io.datagrams_sent += datagrams;
-            self.io.bytes_sent += bytes;
-            progressed |= datagrams > 0;
-            if result.is_err() {
+            let egress = drain_egress(&mut *entry.transport, &self.clock, &mut self.queue, sockets);
+            self.io.datagrams_sent += egress.datagrams;
+            self.io.bytes_sent += egress.bytes;
+            progressed |= egress.datagrams > 0 || egress.capped;
+            if egress.result.is_err() {
                 if !entry.done {
                     stats.failed.add(1);
                     entry.done = true;
@@ -237,11 +292,45 @@ impl ShardCore {
                 progressed = true;
             }
 
-            // Reap once the close frame has hit the wire.
+            // Path ops queued by anything above — ingress and timers
+            // today — are collected now, not on a later visit: there
+            // may be none for a long while. The connection map is
+            // borrowed here, so alias-table updates are deferred past
+            // the loop.
+            while let Some(op) = entry.transport.conn.pop_path_op() {
+                self.path_ops.push((cid, op));
+                progressed = true;
+            }
+
+            // Whatever the pass did to the connection's timers, its
+            // one element in `deadlines` now says so. A closed
+            // connection has no deadline, so one about to be reaped
+            // leaves the set here.
+            let deadline = entry.transport.next_timeout();
+            if entry.armed != deadline {
+                if let Some(at) = entry.armed {
+                    self.deadlines.remove(&(at, cid));
+                }
+                if let Some(at) = deadline {
+                    self.deadlines.insert((at, cid));
+                }
+                entry.armed = deadline;
+            }
+
+            // Reap once the close frame has hit the wire. Otherwise a
+            // connection stays ready only while it has egress the loop
+            // alone knows about — more behind the cap, or the close a
+            // socket error just queued: no datagram and no timer would
+            // bring the loop back for either.
             if entry.done && entry.transport.conn.is_closed() {
                 self.reap.push(cid);
+            } else if egress.capped || egress.result.is_err() {
+                self.ready.push(cid);
+                continue;
             }
+            entry.queued = false;
         }
+        self.ready.drain(..batch);
 
         let mut ops = std::mem::take(&mut self.path_ops);
         for (canonical, op) in ops.drain(..) {

@@ -22,19 +22,26 @@
 //! syscall histogram and the syscalls saved versus a one-at-a-time
 //! loop. A lone datagram is a one-segment train (`segment_size: None`).
 //!
+//! A loop with nothing to do parks on its registry
+//! ([`wait_readable`]): a blocking wait for a datagram on any of the
+//! registry's sockets, a [`Waker`] from another thread, or a timeout —
+//! whichever comes first.
+//!
 //! Send-buffer drops are counted **per socket** so a report can show
 //! *which* interface was overwhelmed, not just that one was.
 //!
 //! [`send_train`]: SocketRegistry::send_train
 //! [`poll_recv_batch`]: SocketRegistry::poll_recv_batch
+//! [`wait_readable`]: SocketRegistry::wait_readable
 
 use mpquic_telemetry::LogHistogram;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
+use std::time::Duration;
 
 use crate::backend::{self, Backend, BackendChoice, BackendKind, BackendStats};
 use crate::backoff::Backoff;
-use crate::mmsg;
+use crate::mmsg::{self, Parker, Waker};
 
 /// Largest datagram the registry can receive (UDP's theoretical maximum;
 /// the connection itself never sends more than its configured MTU).
@@ -187,6 +194,8 @@ pub struct SocketRegistry {
     /// Scratch for `(remote, len)` pairs coming back from a batch recv.
     pairs: Vec<(SocketAddr, usize)>,
     batch: BatchStats,
+    /// What [`SocketRegistry::wait_readable`] blocks on.
+    parker: Parker,
 }
 
 impl SocketRegistry {
@@ -262,6 +271,7 @@ impl SocketRegistry {
             backend_fallbacks: 0,
             pairs: Vec::with_capacity(mmsg::MAX_BATCH),
             batch: BatchStats::default(),
+            parker: Parker::default(),
         })
     }
 
@@ -515,6 +525,27 @@ impl SocketRegistry {
         }
         Ok(total)
     }
+
+    /// Blocks until a datagram is waiting on any socket, a [`Waker`] of
+    /// this registry fired, or `timeout` passed (`None`: no deadline) —
+    /// what a loop does instead of sleeping once polling has come up
+    /// empty. A datagram that arrived before the call ends it at once,
+    /// so nothing is slept through; an early return for no reason is
+    /// possible, and the caller polls again either way. Where the
+    /// platform has no such wait ([`mmsg::Parker`]) this is a sleep of at
+    /// most [`crate::timer::DEFAULT_GRANULARITY`].
+    pub fn wait_readable(&mut self, timeout: Option<Duration>) {
+        self.parker
+            .park(self.sockets.iter().map(|entry| &entry.socket), timeout);
+    }
+
+    /// A handle that ends this registry's [`wait_readable`] from
+    /// another thread — how a stop request reaches a parked loop.
+    ///
+    /// [`wait_readable`]: SocketRegistry::wait_readable
+    pub fn waker(&mut self) -> io::Result<Waker> {
+        self.parker.waker()
+    }
 }
 
 #[cfg(test)]
@@ -718,6 +749,55 @@ mod tests {
             }
         }
         assert_eq!(got, 1, "nothing lost across the recv-side fallback");
+    }
+
+    /// The three ways out of a park. The bounds are loose on purpose:
+    /// what is checked is which event ended the wait, not how fast.
+    #[test]
+    fn wait_readable_ends_on_a_datagram_a_wake_or_the_timeout() {
+        const LONG: Duration = Duration::from_secs(30);
+        let mut a = SocketRegistry::bind(&[loopback(0)]).unwrap();
+        let mut b = SocketRegistry::bind(&[loopback(0), loopback(0)]).unwrap();
+        let (a_addr, b_addr) = (a.local_addrs()[0], b.local_addrs()[1]);
+
+        // Nothing to wait for: the timeout ends it.
+        let start = std::time::Instant::now();
+        b.wait_readable(Some(Duration::from_millis(20)));
+        assert!(start.elapsed() < LONG / 2);
+        if mmsg::NATIVE_BATCH {
+            assert!(
+                start.elapsed() >= Duration::from_millis(20),
+                "waited it out"
+            );
+        }
+
+        // A datagram that is already there ends it at once, on
+        // whichever socket it sits, and stays there for the poll.
+        assert_eq!(a.send_train(a_addr, b_addr, b"early", None).unwrap(), 1);
+        let start = std::time::Instant::now();
+        b.wait_readable(Some(LONG));
+        assert!(start.elapsed() < LONG / 2, "slept through a datagram");
+        let mut batch = RecvBatch::new(4);
+        assert_eq!(b.poll_recv_batch(&mut batch).unwrap(), 1);
+
+        // So does a wake, whether it lands before the wait or during
+        // it; and once it has ended one wait it is spent.
+        let waker = b.waker().unwrap();
+        waker.wake();
+        let start = std::time::Instant::now();
+        b.wait_readable(Some(LONG));
+        let other = std::thread::spawn(move || waker.wake());
+        b.wait_readable(Some(LONG));
+        other.join().unwrap();
+        assert!(start.elapsed() < LONG / 2, "slept through a wake");
+        if mmsg::NATIVE_BATCH {
+            let start = std::time::Instant::now();
+            b.wait_readable(Some(Duration::from_millis(20)));
+            assert!(
+                start.elapsed() >= Duration::from_millis(20),
+                "wake was drained"
+            );
+        }
     }
 
     #[test]

@@ -158,15 +158,15 @@ impl<T: Transport> io::Read for BlockingStream<T> {
                 return Ok(0);
             }
             // 4. Nothing yet: drive the loop, backing off only while it
-            // stays idle (spin → yield → capped sleep) so a chunk that
-            // arrives moments later is not stuck behind a fixed sleep.
+            // stays idle (spin → yield → park on the sockets) so a
+            // chunk that arrives moments later ends the wait itself.
             if Instant::now() >= deadline {
                 return Err(Error::Timeout { op: "read" }.into());
             }
             if self.driver.step().map_err(io::Error::from)? {
                 backoff.reset();
             } else {
-                backoff.wait();
+                backoff.wait_or_park(|| self.driver.park());
             }
         }
     }

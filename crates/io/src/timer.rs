@@ -3,20 +3,30 @@
 //! The sans-IO transport exposes one aggregate deadline
 //! (`Transport::next_timeout`): the earliest instant at which it needs the
 //! clock again — an RTO, a delayed-ACK flush, a path probe, the idle
-//! timer. The event loop must sleep *until* that deadline but no longer,
-//! and, because the sockets are non-blocking and polled, never longer
-//! than its polling granularity either. [`Timer`] centralizes that
-//! clamping so the driver's loop body stays trivial.
+//! timer. An idle [`crate::Driver`] waits *until* that deadline but no
+//! longer, and never longer than its polling granularity either.
+//! [`Timer`] centralizes that clamping so the driver's loop body stays
+//! trivial. (The endpoint's loops keep one armed deadline per
+//! connection instead and park until the earliest, unclamped — see
+//! [`crate::shard`].)
 
 use mpquic_util::SimTime;
 use std::time::Duration;
 
-/// Polling granularity: the longest the loop will sleep while a peer
-/// could be sending to us. 500 µs keeps worst-case added latency well
-/// under loopback RTO scales while burning negligible CPU.
+/// Polling granularity. On Linux an idle loop's wait is
+/// [`crate::SocketRegistry::wait_readable`], which a datagram ends on
+/// arrival, so what this constant bounds is:
+///
+/// * how long [`crate::Driver::run_until`] parks before it looks at its
+///   `done` predicate and wall-clock timeout again (both may depend on
+///   things no datagram announces);
+/// * off Linux, where there is no readiness wait, the sleep that stands
+///   in for one — the longest a loop there sleeps while a peer could be
+///   sending to it. 500 µs keeps that well under loopback RTO scales
+///   while burning negligible CPU.
 pub const DEFAULT_GRANULARITY: Duration = Duration::from_micros(500);
 
-/// Computes how long the event loop may sleep.
+/// Computes how long a one-connection event loop may wait.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Timer;
 
@@ -26,7 +36,7 @@ impl Timer {
         Timer
     }
 
-    /// How long to sleep at `now` given the transport's next deadline:
+    /// How long to wait at `now` given the transport's next deadline:
     /// zero if the deadline is due, otherwise the time until the deadline
     /// clamped to [`DEFAULT_GRANULARITY`] (no deadline ⇒ the granularity).
     pub fn sleep_for(&self, now: SimTime, deadline: Option<SimTime>) -> Duration {

@@ -9,18 +9,22 @@
 //! loops; every path of a multipath connection, and every CID a
 //! migrating connection rotates through, reaches the one loop that owns
 //! it; every datagram received is delivered or counted under a reason;
-//! the CID→loop assignment is stable and balanced over random CIDs; and
-//! one `mpq-server` *process* completes eight concurrent `mpq-client`
-//! transfers.
+//! the CID→loop assignment is stable and balanced over random CIDs; one
+//! `mpq-server` *process* completes eight concurrent `mpq-client`
+//! transfers; and the loop is O(active) — silent connections are never
+//! polled, an idle loop parks, and timers and shutdown reach it there.
 
-use mpquic_core::{Config, PathId, SchedulerKind};
+use mpquic_core::{Config, Connection, PathId, SchedulerKind, TransmitQueue};
 use mpquic_io::{
-    quic_client, shard_for_cid, transfer, BlockingStream, Driver, Endpoint, QuicTransport, RpcCall,
-    RpcServerApp, TransferApp,
+    quic_client, shard_for_cid, transfer, AppStatus, BlockingStream, Clock, ConnApp, Driver,
+    Endpoint, QuicTransport, RecvBatch, RpcCall, RpcServerApp, SocketRegistry, TransferApp,
 };
 use mpquic_util::DetRng;
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, UdpSocket};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const OP_TIMEOUT: Duration = Duration::from_secs(60);
@@ -522,4 +526,284 @@ fn one_server_process_completes_eight_concurrent_client_transfers() {
         report.contains("8 completed"),
         "server report counts all eight transfers:\n{report}"
     );
+}
+
+/// A client connection pumped by hand, so that it can go silent: the
+/// ingress → timers → egress cycle over two small buffers. (A `Driver`
+/// would do, but each owns 4 MiB of receive buffers, and the tests
+/// below hold 128 connections.)
+struct QuietClient {
+    conn: Connection,
+    sockets: SocketRegistry,
+    clock: Clock,
+    recv: RecvBatch,
+    queue: TransmitQueue,
+}
+
+impl QuietClient {
+    /// A single-path client with no idle timer, one step into its
+    /// handshake.
+    fn dial(server: SocketAddr, seed: u64) -> QuietClient {
+        let config = Config::builder()
+            .single_path()
+            .idle_timeout(None)
+            .build()
+            .expect("client config");
+        let sockets = SocketRegistry::bind(&[loopback0()]).expect("client bind");
+        let conn = Connection::client(config, sockets.local_addrs(), 0, server, seed);
+        let mut client = QuietClient {
+            conn,
+            sockets,
+            clock: Clock::new(),
+            recv: RecvBatch::new(2),
+            queue: TransmitQueue::new(4, 2048),
+        };
+        client.step();
+        client
+    }
+
+    fn step(&mut self) {
+        let now = self.clock.now();
+        if self.conn.next_timeout().is_some_and(|due| due <= now) {
+            self.conn.on_timeout(now);
+        }
+        while self.sockets.poll_recv_batch(&mut self.recv).unwrap_or(0) > 0 {
+            for (meta, payload) in self.recv.iter() {
+                self.conn
+                    .handle_datagram(now, meta.local, meta.remote, payload);
+            }
+        }
+        while self.conn.poll_transmit_batch(now, &mut self.queue) > 0 {
+            while let Some(t) = self.queue.pop() {
+                let sent = self
+                    .sockets
+                    .send_train(t.local, t.remote, &t.payload, t.segment_size);
+                self.queue.recycle(t.payload);
+                sent.expect("client send");
+            }
+        }
+    }
+
+    /// One verified `mpq-rpc` exchange.
+    fn rpc(&mut self, tag: u64) {
+        let request = distinct_payload(tag, 2048);
+        let mut call = RpcCall::start(&mut self.conn, &request, 4096, false);
+        let deadline = Instant::now() + OP_TIMEOUT;
+        let verdict = loop {
+            self.step();
+            if let Some(verdict) = call.poll(&mut self.conn) {
+                break verdict;
+            }
+            assert!(Instant::now() < deadline, "rpc {tag} timed out");
+        };
+        assert!(verdict.ok && verdict.intact, "rpc {tag} failed");
+    }
+}
+
+/// Loop iterations across the endpoint's shards: all of them, and the
+/// ones that found something to do.
+fn loop_iterations(endpoint: &Endpoint) -> (u64, u64) {
+    let shards = endpoint.plane().snapshot().shards;
+    (
+        shards.iter().map(|shard| shard.loop_iterations).sum(),
+        shards.iter().map(|shard| shard.busy_iterations).sum(),
+    )
+}
+
+/// Pumps `clients` until neither side has anything left to say: every
+/// client is free of timers, and the endpoint's loops have stopped
+/// finding work.
+fn settle(endpoint: &Endpoint, clients: &mut [QuietClient]) {
+    let deadline = Instant::now() + OP_TIMEOUT;
+    let mut seen = loop_iterations(endpoint).1;
+    loop {
+        assert!(Instant::now() < deadline, "the endpoint never went quiet");
+        clients.iter_mut().for_each(QuietClient::step);
+        std::thread::sleep(Duration::from_millis(10));
+        let busy = loop_iterations(endpoint).1;
+        if busy == seen && clients.iter().all(|c| c.conn.next_timeout().is_none()) {
+            return;
+        }
+        seen = busy;
+    }
+}
+
+/// An [`RpcServerApp`] that counts how often its shard polls it.
+struct CountingApp {
+    inner: RpcServerApp,
+    polls: Arc<AtomicU64>,
+}
+
+impl ConnApp for CountingApp {
+    fn poll(&mut self, transport: &mut QuicTransport) -> AppStatus {
+        self.polls.fetch_add(1, Ordering::Relaxed);
+        self.inner.poll(transport)
+    }
+}
+
+/// The loop's cost follows the connections that have something to do,
+/// not the table: 128 established but silent connections are not
+/// polled once while a 129th runs 200 calls, and with everyone quiet
+/// the loop does not iterate at all.
+#[test]
+fn silent_connections_cost_nothing() {
+    const SILENT: usize = 128;
+    const CALLS: u64 = 200;
+    let config = Config::builder()
+        .single_path()
+        .idle_timeout(None)
+        .max_incoming_connections(SILENT + 1)
+        .worker_shards(1)
+        .build()
+        .expect("server config");
+    // Every accepted connection's poll counter, by CID.
+    let polls: Arc<Mutex<HashMap<u64, Arc<AtomicU64>>>> = Arc::default();
+    let registry = Arc::clone(&polls);
+    let endpoint = Endpoint::bind(
+        &[loopback0()],
+        config,
+        0x51E7,
+        Box::new(move |cid| {
+            let polls = Arc::new(AtomicU64::new(0));
+            registry
+                .lock()
+                .expect("registry lock")
+                .insert(cid, Arc::clone(&polls));
+            Box::new(CountingApp {
+                inner: RpcServerApp::new(),
+                polls,
+            })
+        }),
+    )
+    .expect("bind endpoint");
+    let server = endpoint.local_addrs()[0];
+
+    // The last client is the one that will talk.
+    let mut clients: Vec<QuietClient> = (0..=SILENT as u64)
+        .map(|i| QuietClient::dial(server, 0x51E7_0000 + i))
+        .collect();
+    let deadline = Instant::now() + OP_TIMEOUT;
+    while !clients.iter().all(|c| c.conn.is_established()) {
+        assert!(Instant::now() < deadline, "handshakes timed out");
+        clients.iter_mut().for_each(QuietClient::step);
+    }
+    settle(&endpoint, &mut clients);
+    assert_eq!(endpoint.stats().accepted as usize, SILENT + 1);
+
+    let polls_of = |client: &QuietClient| {
+        let polls = polls.lock().expect("registry lock");
+        polls[&client.conn.connection_id()].load(Ordering::Relaxed)
+    };
+    let (active, silent) = clients.split_last_mut().expect("129 clients");
+    let before: Vec<u64> = silent.iter().map(&polls_of).collect();
+    let active_before = polls_of(active);
+    for call in 0..CALLS {
+        active.rpc(call);
+    }
+    let after: Vec<u64> = silent.iter().map(&polls_of).collect();
+    assert_eq!(before, after, "a silent connection was polled");
+    assert!(
+        polls_of(active) > active_before,
+        "the active one was served"
+    );
+
+    // All quiet: no datagram and no armed deadline, so the loop parks
+    // and stays parked. Were it to wake on a tick, 300 ms would show
+    // hundreds of iterations — as it does where the park is the
+    // bounded sleep.
+    settle(&endpoint, &mut clients);
+    let quiet_from = loop_iterations(&endpoint).0;
+    std::thread::sleep(Duration::from_millis(300));
+    let iterated = loop_iterations(&endpoint).0 - quiet_from;
+    if cfg!(target_os = "linux") {
+        assert!(iterated <= 4, "an idle loop iterated {iterated} times");
+    }
+
+    let report = endpoint.shutdown();
+    assert!(report.plane.shards[0].parks > 0, "the loop parked");
+    assert_eq!(report.totals.failed, 0);
+    assert_eq!(report.totals.rejected, 0);
+}
+
+/// A parked loop still keeps time: the park ends at the earliest armed
+/// deadline, so an idle timeout closes a silent connection on schedule
+/// with no datagram to wake the loop.
+#[test]
+fn timers_fire_while_parked() {
+    const IDLE: Duration = Duration::from_millis(150);
+    let config = Config::builder()
+        .single_path()
+        .idle_timeout(Some(IDLE))
+        .worker_shards(1)
+        .build()
+        .expect("server config");
+    let endpoint = Endpoint::bind(
+        &[loopback0()],
+        config,
+        0x1D7E,
+        Box::new(|_cid| Box::new(RpcServerApp::new())),
+    )
+    .expect("bind endpoint");
+    let server = endpoint.local_addrs()[0];
+
+    let mut client = QuietClient::dial(server, 0x1D7E);
+    let deadline = Instant::now() + OP_TIMEOUT;
+    while !client.conn.is_established() {
+        assert!(Instant::now() < deadline, "handshake timed out");
+        client.step();
+    }
+    settle(&endpoint, std::slice::from_mut(&mut client));
+
+    // From here the client says nothing more.
+    let silent_from = Instant::now();
+    let datagrams_in = endpoint.stats().datagrams_in;
+    let iterations = loop_iterations(&endpoint).0;
+    wait_for(&endpoint, |s| s.closed == 1);
+    let took = silent_from.elapsed();
+
+    let stats = endpoint.stats();
+    assert_eq!((stats.accepted, stats.closed), (1, 1), "closed == accepted");
+    assert!(
+        took < IDLE + Duration::from_secs(1),
+        "idle close took {took:?}"
+    );
+    assert_eq!(stats.datagrams_in, datagrams_in, "only the timer woke it");
+    let iterated = loop_iterations(&endpoint).0 - iterations;
+    if cfg!(target_os = "linux") {
+        assert!(iterated <= 32, "the loop polled for its timer: {iterated}");
+    }
+    endpoint.shutdown();
+}
+
+/// A loop parked with nothing armed blocks without a deadline; only the
+/// stop request's wake gets it out.
+#[test]
+fn shutdown_wakes_parked_loops() {
+    for workers in [1, 2] {
+        let config = Config::builder()
+            .single_path()
+            .worker_shards(workers)
+            .build()
+            .expect("server config");
+        let endpoint = Endpoint::bind(
+            &[loopback0()],
+            config,
+            0x570B,
+            Box::new(|_cid| Box::new(TransferApp::new())),
+        )
+        .expect("bind endpoint");
+        let plane = endpoint.plane();
+        let deadline = Instant::now() + OP_TIMEOUT;
+        while !plane.snapshot().shards.iter().all(|s| s.parks > 0) {
+            assert!(Instant::now() < deadline, "a loop never parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let asked = Instant::now();
+        endpoint.shutdown();
+        let took = asked.elapsed();
+        assert!(
+            took < Duration::from_millis(50),
+            "{workers} parked loop(s) took {took:?} to stop"
+        );
+    }
 }

@@ -402,6 +402,13 @@ pub struct ShardPlane {
     pub conns_active: RelaxedCell,
     /// Busy loop-iteration wall time, nanoseconds.
     pub loop_ns: AtomicHistogram,
+    /// Times the loop blocked on its sockets because an iteration found
+    /// nothing to do and the spin and yield steps were spent.
+    pub parks: RelaxedCell,
+    /// Wall time of each such block, nanoseconds. With `loop_ns` this
+    /// splits a loop's life three ways: busy (`loop_ns`), parked (here),
+    /// and the remainder spent spinning through idle iterations.
+    pub park_ns: AtomicHistogram,
 }
 
 /// A point-in-time copy of one [`ShardPlane`].
@@ -419,6 +426,10 @@ pub struct ShardPlaneSnapshot {
     pub conns_active: u64,
     /// Busy loop-iteration time distribution, ns.
     pub loop_ns: LogHistogram,
+    /// Times the loop blocked on its sockets.
+    pub parks: u64,
+    /// Distribution of those blocks' wall time, ns.
+    pub park_ns: LogHistogram,
 }
 
 /// A typed aggregate of the whole plane: endpoint counters, per-shard
@@ -434,6 +445,8 @@ pub struct PlaneSnapshot {
     pub backend_sqe_batch: LogHistogram,
     /// All shards' busy-iteration times merged.
     pub loop_ns: LogHistogram,
+    /// All shards' park times merged.
+    pub park_ns: LogHistogram,
     /// Always empty: there is no shard queue to sample any more. The
     /// field is read by `perf/`; its removal waits for a `benchmark` PR.
     pub queue_depth: LogHistogram,
@@ -504,10 +517,13 @@ impl EndpointPlane {
     pub fn snapshot(&self) -> PlaneSnapshot {
         let mut shards = Vec::with_capacity(self.shards.len());
         let mut loop_ns = LogHistogram::default();
+        let mut park_ns = LogHistogram::default();
         let mut wakeups = 0u64;
         for (i, plane) in self.shards.iter().enumerate() {
             let shard_loop = plane.loop_ns.snapshot();
             loop_ns.merge(&shard_loop);
+            let shard_park = plane.park_ns.snapshot();
+            park_ns.merge(&shard_park);
             wakeups += plane.wakeups.get();
             shards.push(ShardPlaneSnapshot {
                 shard: i,
@@ -516,6 +532,8 @@ impl EndpointPlane {
                 wakeups: plane.wakeups.get(),
                 conns_active: plane.conns_active.get(),
                 loop_ns: shard_loop,
+                parks: plane.parks.get(),
+                park_ns: shard_park,
             });
         }
         PlaneSnapshot {
@@ -523,6 +541,7 @@ impl EndpointPlane {
             shards,
             backend_sqe_batch: self.backend_sqe_batch.snapshot(),
             loop_ns,
+            park_ns,
             queue_depth: LogHistogram::default(),
             wakeups,
             flight_recorded: self.recorder.total_recorded(),
@@ -985,6 +1004,13 @@ pub fn render_prometheus(snap: &PlaneSnapshot) -> String {
     prom_per_shard(&mut out, "mpq_shard_wakeups_total", snap, |s| s.wakeups);
     prom_header(
         &mut out,
+        "mpq_shard_parks_total",
+        "counter",
+        "times the shard loop blocked on its sockets with nothing to do",
+    );
+    prom_per_shard(&mut out, "mpq_shard_parks_total", snap, |s| s.parks);
+    prom_header(
+        &mut out,
         "mpq_shard_conns_active",
         "gauge",
         "connections currently owned by the shard",
@@ -998,6 +1024,13 @@ pub fn render_prometheus(snap: &PlaneSnapshot) -> String {
         "busy shard-loop iteration wall time, nanoseconds (all shards)",
     );
     prom_histogram(&mut out, "mpq_shard_loop_ns", &snap.loop_ns);
+    prom_header(
+        &mut out,
+        "mpq_shard_park_ns",
+        "histogram",
+        "wall time of each shard-loop park, nanoseconds (all shards)",
+    );
+    prom_histogram(&mut out, "mpq_shard_park_ns", &snap.park_ns);
     prom_header(
         &mut out,
         "mpq_backend_sqe_batch",
@@ -1348,11 +1381,17 @@ mod tests {
         plane.shard(99).wakeups.add(1000); // lands on the spare
         plane.shard(0).loop_ns.record(500);
         plane.shard(1).loop_ns.record(700);
+        plane.shard(0).park_ns.record(9_000);
+        plane.shard(1).park_ns.record(11_000);
+        plane.shard(1).parks.add(1);
         plane.stats.accepted.add(4);
         let snap = plane.snapshot();
         assert_eq!(snap.shards.len(), 2);
         assert_eq!(snap.wakeups, 5, "spare plane excluded");
         assert_eq!(snap.loop_ns.count(), 2, "merged across shards");
+        assert_eq!(snap.park_ns.count(), 2, "merged across shards");
+        assert_eq!(snap.shards[1].parks, 1);
+        assert_eq!(snap.shards[1].park_ns.count(), 1);
         assert_eq!(snap.stats.accepted, 4);
     }
 
@@ -1389,6 +1428,8 @@ mod tests {
         plane.stats.accepted.add(3);
         plane.shard(0).loop_ns.record(10);
         plane.shard(0).loop_ns.record(1000);
+        plane.shard(1).parks.add(1);
+        plane.shard(1).park_ns.record(4096);
         let text = render_prometheus(&plane.snapshot());
         assert!(text.contains("# TYPE mpq_endpoint_accepted_total counter"));
         assert!(text.contains("mpq_endpoint_accepted_total 3"));
@@ -1398,6 +1439,9 @@ mod tests {
         assert!(text.contains("mpq_shard_loop_ns_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("mpq_shard_loop_ns_count 2"));
         assert!(text.contains("mpq_shard_loop_ns_sum 1010"));
+        assert!(text.contains("mpq_shard_parks_total{shard=\"1\"} 1"));
+        assert!(text.contains("mpq_shard_park_ns_count 1"));
+        assert!(text.contains("mpq_shard_park_ns_sum 4096"));
     }
 
     #[test]
