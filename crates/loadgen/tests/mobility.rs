@@ -37,7 +37,8 @@ fn mobility_survives_rebinds_without_losing_a_connection() {
     assert_eq!(ep.accepted, conns as u64, "every conn accepted once");
     assert_eq!(ep.closed, ep.accepted, "every accepted conn retired");
     assert_eq!(ep.failed, 0, "no server-side failures");
-    assert_eq!(ep.backpressure_drops, 0, "zero endpoint drops");
+    assert_eq!(ep.rejected, 0, "accept limit never hit");
+    assert_eq!(ep.recv_errors, 0, "no receive errors");
     assert_eq!(ep.malformed, 0, "no malformed datagrams");
     assert_eq!(ep.active, 0, "nothing left live after drain");
 

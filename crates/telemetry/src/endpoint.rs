@@ -25,6 +25,14 @@
 //!   Prometheus text exposition plus periodic JSON-lines snapshots,
 //!   on `std::net::TcpListener` alone.
 //!
+//! Every exported family is declared once, as one row of the
+//! `metric_table!` invocation below: the row names the field, the kind,
+//! the `mpq_*` name and the HELP text, and the live cell, the snapshot
+//! field, `snapshot()`, `delta()`, the `/metrics` family and the
+//! `/snapshot` key are all generated from it. Adding a counter is adding
+//! a row; a rename is a one-line diff of the only place the name is
+//! spelled.
+//!
 //! Every atomic here is role `counter` in `crates/xtask/atomics.toml`
 //! (all operations Relaxed: the values are commutative tallies, never
 //! synchronisation), routed through one receiver name — [`RelaxedCell`]'s
@@ -203,233 +211,248 @@ impl AtomicHistogram {
     }
 }
 
-/// Endpoint-level counters shared by every loop and the endpoint
-/// handle. Each cell sits on its own cache line: `datagrams_in` is
-/// bumped on every ingress datagram, and unpadded it would drag the
-/// verdict counters' lines between cores with it.
-#[derive(Debug, Default)]
-pub struct EndpointStats {
-    /// Connections created for a first-seen CID.
-    pub accepted: CachePadded<RelaxedCell>,
-    /// Currently live (accepted minus retired).
-    pub active: CachePadded<RelaxedCell>,
-    /// Applications that finished successfully.
-    pub completed: CachePadded<RelaxedCell>,
-    /// Applications that failed, or connections lost before a verdict.
-    pub failed: CachePadded<RelaxedCell>,
-    /// Connections fully retired: the close went to the wire and the
-    /// CID was released. `accepted - active == closed` once the
-    /// endpoint is quiet, which is the cross-check load harnesses use
-    /// for conns/sec accounting.
-    pub closed: CachePadded<RelaxedCell>,
-    /// New-CID datagrams dropped because the accept limit was reached.
-    pub rejected: CachePadded<RelaxedCell>,
-    /// Datagrams whose public header yielded no CID.
-    pub malformed: CachePadded<RelaxedCell>,
-    /// Always zero: there is no shard queue to overflow any more
-    /// (receive overload drops in the kernel socket buffer). The field
-    /// is read by `perf/`; its removal waits for a `benchmark` PR.
-    pub backpressure_drops: CachePadded<RelaxedCell>,
-    /// Datagrams for a retired CID (stragglers of a closed connection
-    /// or a rotated-away CID), dropped instead of re-accepted.
-    pub tombstoned: CachePadded<RelaxedCell>,
-    /// Batched receives that failed with an error the socket layer
-    /// does not absorb; datagrams the batch took in before the error
-    /// are still served.
-    pub recv_errors: CachePadded<RelaxedCell>,
-    /// Every datagram pulled off the listen sockets. Each is delivered
-    /// to a connection or counted in exactly one of `malformed`,
-    /// `rejected`, `tombstoned`.
-    pub datagrams_in: CachePadded<RelaxedCell>,
-    /// Path validations started (rebound addresses quarantined).
-    pub path_validations_started: CachePadded<RelaxedCell>,
-    /// Path validations completed (PATH_RESPONSE matched).
-    pub path_validations_validated: CachePadded<RelaxedCell>,
-    /// Path validations abandoned after bounded retries.
-    pub path_validations_abandoned: CachePadded<RelaxedCell>,
-    /// CID rotations initiated (NEW_CONNECTION_ID issued / received).
-    pub cid_rotations_initiated: CachePadded<RelaxedCell>,
-    /// CID rotations completed (the old CID is retired).
-    pub cid_rotations_completed: CachePadded<RelaxedCell>,
-    /// Datapath-backend entries (datagrams) handed to the kernel.
-    pub backend_submissions: CachePadded<RelaxedCell>,
-    /// Datapath-backend entries the kernel completed successfully.
-    pub backend_completions: CachePadded<RelaxedCell>,
-    /// Datapath fallbacks: GSO → `sendmmsg` drops plus `ENOSYS`
-    /// descents to the portable loop.
-    pub backend_fallbacks: CachePadded<RelaxedCell>,
+// ---------------------------------------------------------------------
+// The family table
+// ---------------------------------------------------------------------
+
+/// What a family is: its `# TYPE` line and its naming rule (a counter's
+/// name ends `_total`, no other kind's does).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Counter,
+    Gauge,
+    Histogram,
 }
 
-/// A point-in-time copy of [`EndpointStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EndpointSnapshot {
-    /// Connections created for a first-seen CID.
-    pub accepted: u64,
-    /// Currently live (accepted minus retired).
-    pub active: u64,
-    /// Applications that finished successfully.
-    pub completed: u64,
-    /// Applications that failed, or connections lost before a verdict.
-    pub failed: u64,
-    /// Connections fully retired (close on the wire, CID released).
-    pub closed: u64,
-    /// New-CID datagrams dropped because the accept limit was reached.
-    pub rejected: u64,
-    /// Datagrams whose public header yielded no CID.
-    pub malformed: u64,
-    /// Always zero: there is no shard queue to overflow any more
-    /// (receive overload drops in the kernel socket buffer). The field
-    /// is read by `perf/`; its removal waits for a `benchmark` PR.
-    pub backpressure_drops: u64,
-    /// Datagrams for a retired CID (stragglers of a closed connection
-    /// or a rotated-away CID), dropped instead of re-accepted.
-    pub tombstoned: u64,
-    /// Batched receives that failed with an error the socket layer
-    /// does not absorb; datagrams the batch took in before the error
-    /// are still served.
-    pub recv_errors: u64,
-    /// Every datagram pulled off the listen sockets. Each is delivered
-    /// to a connection or counted in exactly one of `malformed`,
-    /// `rejected`, `tombstoned`.
-    pub datagrams_in: u64,
-    /// Path validations started (rebound addresses quarantined).
-    pub path_validations_started: u64,
-    /// Path validations completed (PATH_RESPONSE matched).
-    pub path_validations_validated: u64,
-    /// Path validations abandoned after bounded retries.
-    pub path_validations_abandoned: u64,
-    /// CID rotations initiated (NEW_CONNECTION_ID issued / received).
-    pub cid_rotations_initiated: u64,
-    /// CID rotations completed (the old CID is retired).
-    pub cid_rotations_completed: u64,
-    /// Datapath-backend entries handed to the kernel.
-    pub backend_submissions: u64,
-    /// Datapath-backend entries completed successfully.
-    pub backend_completions: u64,
-    /// Datapath fallbacks (GSO rungs dropped plus portable descents).
-    pub backend_fallbacks: u64,
-}
-
-impl EndpointStats {
-    /// Copies the live counters.
-    pub fn snapshot(&self) -> EndpointSnapshot {
-        EndpointSnapshot {
-            accepted: self.accepted.get(),
-            active: self.active.get(),
-            completed: self.completed.get(),
-            failed: self.failed.get(),
-            closed: self.closed.get(),
-            rejected: self.rejected.get(),
-            malformed: self.malformed.get(),
-            backpressure_drops: self.backpressure_drops.get(),
-            tombstoned: self.tombstoned.get(),
-            recv_errors: self.recv_errors.get(),
-            datagrams_in: self.datagrams_in.get(),
-            path_validations_started: self.path_validations_started.get(),
-            path_validations_validated: self.path_validations_validated.get(),
-            path_validations_abandoned: self.path_validations_abandoned.get(),
-            cid_rotations_initiated: self.cid_rotations_initiated.get(),
-            cid_rotations_completed: self.cid_rotations_completed.get(),
-            backend_submissions: self.backend_submissions.get(),
-            backend_completions: self.backend_completions.get(),
-            backend_fallbacks: self.backend_fallbacks.get(),
+impl Kind {
+    fn as_str(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram => "histogram",
         }
     }
 }
 
-impl EndpointSnapshot {
-    /// Field-wise `self - before` (saturating): what happened between
-    /// two snapshots. Loadgen embeds one of these per scenario so an
-    /// SLO failure arrives with its drop/backpressure context.
-    pub fn delta(&self, before: &EndpointSnapshot) -> EndpointSnapshot {
-        EndpointSnapshot {
-            accepted: self.accepted.saturating_sub(before.accepted),
-            active: self.active.saturating_sub(before.active),
-            completed: self.completed.saturating_sub(before.completed),
-            failed: self.failed.saturating_sub(before.failed),
-            closed: self.closed.saturating_sub(before.closed),
-            rejected: self.rejected.saturating_sub(before.rejected),
-            malformed: self.malformed.saturating_sub(before.malformed),
-            backpressure_drops: self
-                .backpressure_drops
-                .saturating_sub(before.backpressure_drops),
-            tombstoned: self.tombstoned.saturating_sub(before.tombstoned),
-            recv_errors: self.recv_errors.saturating_sub(before.recv_errors),
-            datagrams_in: self.datagrams_in.saturating_sub(before.datagrams_in),
-            path_validations_started: self
-                .path_validations_started
-                .saturating_sub(before.path_validations_started),
-            path_validations_validated: self
-                .path_validations_validated
-                .saturating_sub(before.path_validations_validated),
-            path_validations_abandoned: self
-                .path_validations_abandoned
-                .saturating_sub(before.path_validations_abandoned),
-            cid_rotations_initiated: self
-                .cid_rotations_initiated
-                .saturating_sub(before.cid_rotations_initiated),
-            cid_rotations_completed: self
-                .cid_rotations_completed
-                .saturating_sub(before.cid_rotations_completed),
-            backend_submissions: self
-                .backend_submissions
-                .saturating_sub(before.backend_submissions),
-            backend_completions: self
-                .backend_completions
-                .saturating_sub(before.backend_completions),
-            backend_fallbacks: self
-                .backend_fallbacks
-                .saturating_sub(before.backend_fallbacks),
+/// Where a family's samples come from in a [`PlaneSnapshot`] — the
+/// three shapes both renderers match on.
+enum Source {
+    /// One unlabelled sample.
+    Plain(fn(&PlaneSnapshot) -> u64),
+    /// One `{shard="i"}`-labelled sample per loop.
+    PerShard(fn(&ShardPlaneSnapshot) -> u64),
+    /// One log2 histogram, merged across the loops.
+    Merged(fn(&PlaneSnapshot) -> &LogHistogram),
+}
+
+/// One exported family: a row of `metric_table!`.
+struct Family {
+    /// The exported `mpq_*` family name.
+    name: &'static str,
+    kind: Kind,
+    /// The `# HELP` text — and the field's doc comment.
+    help: &'static str,
+    /// The `/snapshot` key: the snapshot field's name.
+    key: &'static str,
+    source: Source,
+}
+
+/// Declares the plane's families once. Each row is
+/// `field: Kind "mpq_name" "help";` and becomes the live cell, the
+/// snapshot field (both documented by the help text plus any `///`
+/// lines above the row), its `snapshot()` and `delta()` lines, and one
+/// `FAMILIES` entry that `/metrics` and `/snapshot` render — in row
+/// order, so the table is also the exposition order.
+macro_rules! metric_table {
+    (
+        endpoint { $($(#[$edoc:meta])* $efield:ident: $ekind:ident $ename:literal $ehelp:literal;)* }
+        endpoint_unexported { $($(#[$udoc:meta])* $ufield:ident;)* }
+        derived { $($dkey:ident: $dkind:ident $dname:literal $dhelp:literal = $dget:expr;)* }
+        shard { $($(#[$sdoc:meta])* $sfield:ident: $skind:ident $sname:literal $shelp:literal;)* }
+        shard_histograms { $($(#[$hdoc:meta])* $hfield:ident: $hname:literal $hhelp:literal;)* }
+        plane_histograms { $($pfield:ident: $pname:literal $phelp:literal;)* }
+    ) => {
+        /// Endpoint-level cells shared by every loop and the endpoint
+        /// handle. Each sits on its own cache line: `datagrams_in` is
+        /// bumped on every ingress datagram, and unpadded it would drag
+        /// the verdict counters' lines between cores with it.
+        #[derive(Debug, Default)]
+        pub struct EndpointStats {
+            $(#[doc = $ehelp] #[doc = ""] $(#[$edoc])* pub $efield: CachePadded<RelaxedCell>,)*
+            $($(#[$udoc])* pub $ufield: CachePadded<RelaxedCell>,)*
         }
+
+        /// A point-in-time copy of [`EndpointStats`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct EndpointSnapshot {
+            $(#[doc = $ehelp] #[doc = ""] $(#[$edoc])* pub $efield: u64,)*
+            $($(#[$udoc])* pub $ufield: u64,)*
+        }
+
+        impl EndpointStats {
+            /// Copies the live cells.
+            pub fn snapshot(&self) -> EndpointSnapshot {
+                EndpointSnapshot {
+                    $($efield: self.$efield.get(),)*
+                    $($ufield: self.$ufield.get(),)*
+                }
+            }
+        }
+
+        impl EndpointSnapshot {
+            /// Field-wise `self - before` (saturating): what happened
+            /// between two snapshots. Loadgen embeds one of these per
+            /// scenario so an SLO failure arrives with its drop context.
+            pub fn delta(&self, before: &EndpointSnapshot) -> EndpointSnapshot {
+                EndpointSnapshot {
+                    $($efield: self.$efield.saturating_sub(before.$efield),)*
+                    $($ufield: self.$ufield.saturating_sub(before.$ufield),)*
+                }
+            }
+        }
+
+        /// Per-loop telemetry. One of these per shard, each padded onto
+        /// its own cache lines inside [`EndpointPlane`] so shard A's
+        /// loop counter never bounces shard B's.
+        #[derive(Debug, Default)]
+        pub struct ShardPlane {
+            $(#[doc = $shelp] #[doc = ""] $(#[$sdoc])* pub $sfield: RelaxedCell,)*
+            $(#[doc = $hhelp] #[doc = ""] $(#[$hdoc])* pub $hfield: AtomicHistogram,)*
+        }
+
+        /// A point-in-time copy of one [`ShardPlane`]; the histograms
+        /// are this shard's alone.
+        #[derive(Debug, Clone, Default)]
+        pub struct ShardPlaneSnapshot {
+            /// Which shard (0-based).
+            pub shard: usize,
+            $(#[doc = $shelp] #[doc = ""] $(#[$sdoc])* pub $sfield: u64,)*
+            $(#[doc = $hhelp] #[doc = ""] $(#[$hdoc])* pub $hfield: LogHistogram,)*
+        }
+
+        impl ShardPlane {
+            fn snapshot(&self, shard: usize) -> ShardPlaneSnapshot {
+                ShardPlaneSnapshot {
+                    shard,
+                    $($sfield: self.$sfield.get(),)*
+                    $($hfield: self.$hfield.snapshot(),)*
+                }
+            }
+        }
+
+        /// Every exported family, in exposition order.
+        static FAMILIES: &[Family] = &[
+            $(Family {
+                name: $ename,
+                kind: Kind::$ekind,
+                help: $ehelp,
+                key: stringify!($efield),
+                source: Source::Plain(|p| p.stats.$efield),
+            },)*
+            $(Family {
+                name: $dname,
+                kind: Kind::$dkind,
+                help: $dhelp,
+                key: stringify!($dkey),
+                source: Source::Plain($dget),
+            },)*
+            $(Family {
+                name: $sname,
+                kind: Kind::$skind,
+                help: $shelp,
+                key: stringify!($sfield),
+                source: Source::PerShard(|s| s.$sfield),
+            },)*
+            $(Family {
+                name: $hname,
+                kind: Kind::Histogram,
+                help: $hhelp,
+                key: stringify!($hfield),
+                source: Source::Merged(|p| &p.$hfield),
+            },)*
+            $(Family {
+                name: $pname,
+                kind: Kind::Histogram,
+                help: $phelp,
+                key: stringify!($pfield),
+                source: Source::Merged(|p| &p.$pfield),
+            },)*
+        ];
+    };
+}
+
+metric_table! {
+    // `plane.stats.<field>`: one padded cell each, one unlabelled sample.
+    endpoint {
+        accepted: Counter "mpq_endpoint_accepted_total" "connections created for a first-seen CID";
+        completed: Counter "mpq_endpoint_completed_total" "applications finished successfully";
+        failed: Counter "mpq_endpoint_failed_total" "applications failed or lost before a verdict";
+        /// The close went to the wire and the CID was released:
+        /// `accepted - active == closed` once the endpoint is quiet,
+        /// the cross-check load harnesses use for conns/sec accounting.
+        closed: Counter "mpq_endpoint_closed_total" "connections fully retired";
+        rejected: Counter "mpq_endpoint_rejected_total" "new-CID datagrams shed at the accept limit";
+        malformed: Counter "mpq_endpoint_malformed_total" "datagrams whose public header yielded no CID";
+        /// Stragglers of a closed connection or of a rotated-away CID,
+        /// dropped instead of re-accepted.
+        tombstoned: Counter "mpq_endpoint_tombstoned_total" "datagrams dropped because their CID was retired";
+        /// Datagrams the batch took in before the error are still served.
+        recv_errors: Counter "mpq_endpoint_recv_errors_total" "batched receives that failed with an unabsorbed error";
+        /// Each is delivered to a connection or counted in exactly one
+        /// of `malformed`, `rejected`, `tombstoned`.
+        datagrams_in: Counter "mpq_endpoint_datagrams_in_total" "datagrams pulled off the listen sockets";
+        path_validations_started: Counter "mpq_path_validation_started_total" "path validations started after an address rebind";
+        path_validations_validated: Counter "mpq_path_validation_validated_total" "path validations completed by a matching PATH_RESPONSE";
+        path_validations_abandoned: Counter "mpq_path_validation_abandoned_total" "path validations abandoned after bounded retries";
+        cid_rotations_initiated: Counter "mpq_cid_rotation_initiated_total" "connection-ID rotations initiated";
+        cid_rotations_completed: Counter "mpq_cid_rotation_completed_total" "connection-ID rotations completed (old CID retired)";
+        backend_submissions: Counter "mpq_backend_submissions_total" "datapath-backend entries handed to the kernel";
+        backend_completions: Counter "mpq_backend_completions_total" "datapath-backend entries completed successfully";
+        backend_fallbacks: Counter "mpq_backend_fallbacks_total" "datapath fallbacks: GSO rungs dropped plus descents to the portable loop";
+        /// Accepted minus retired.
+        active: Gauge "mpq_endpoint_active" "connections currently live";
     }
-}
-
-/// Per-loop telemetry. One of these per shard, each padded onto its
-/// own cache lines inside [`EndpointPlane`] so shard A's loop counter
-/// never bounces shard B's.
-#[derive(Debug, Default)]
-pub struct ShardPlane {
-    /// Loop iterations, busy or idle.
-    pub loop_iterations: RelaxedCell,
-    /// Iterations that made progress (drained ingress, moved a
-    /// connection, sent egress).
-    pub busy_iterations: RelaxedCell,
-    /// Idle→busy transitions. A shard that never parks between bursts
-    /// scores low here even at high iteration counts.
-    pub wakeups: RelaxedCell,
-    /// Connections currently owned by the shard (last-writer gauge,
-    /// refreshed each busy loop iteration).
-    pub conns_active: RelaxedCell,
-    /// Busy loop-iteration wall time, nanoseconds.
-    pub loop_ns: AtomicHistogram,
-    /// Times the loop blocked on its sockets because an iteration found
-    /// nothing to do and the spin and yield steps were spent.
-    pub parks: RelaxedCell,
-    /// Wall time of each such block, nanoseconds. With `loop_ns` this
-    /// splits a loop's life three ways: busy (`loop_ns`), parked (here),
-    /// and the remainder spent spinning through idle iterations.
-    pub park_ns: AtomicHistogram,
-}
-
-/// A point-in-time copy of one [`ShardPlane`].
-#[derive(Debug, Clone, Default)]
-pub struct ShardPlaneSnapshot {
-    /// Which shard (0-based).
-    pub shard: usize,
-    /// Loop iterations, busy or idle.
-    pub loop_iterations: u64,
-    /// Iterations that made progress.
-    pub busy_iterations: u64,
-    /// Idle→busy transitions.
-    pub wakeups: u64,
-    /// Connections owned at snapshot time.
-    pub conns_active: u64,
-    /// Busy loop-iteration time distribution, ns.
-    pub loop_ns: LogHistogram,
-    /// Times the loop blocked on its sockets.
-    pub parks: u64,
-    /// Distribution of those blocks' wall time, ns.
-    pub park_ns: LogHistogram,
+    // Cells `perf/` still reads that export nothing.
+    endpoint_unexported {
+        /// Always zero: there is no shard queue to overflow any more
+        /// (receive overload drops in the kernel socket buffer). The
+        /// field is read by `perf/`; its removal waits for a
+        /// `benchmark` PR.
+        backpressure_drops;
+    }
+    // Plain samples computed from the snapshot, with no cell of their own.
+    derived {
+        worker_shards: Gauge "mpq_endpoint_worker_shards" "worker shards serving connections" = |p| p.shards.len() as u64;
+        flight_recorded: Counter "mpq_endpoint_flight_events_total" "events the flight recorder has seen" = |p| p.flight_recorded;
+    }
+    // `plane.shard(i).<field>`: one sample per loop, labelled `{shard="i"}`.
+    shard {
+        loop_iterations: Counter "mpq_shard_loop_iterations_total" "shard loop iterations, busy or idle";
+        /// Progress is: drained ingress, moved a connection, sent egress.
+        busy_iterations: Counter "mpq_shard_busy_iterations_total" "shard loop iterations that made progress";
+        /// A shard that never parks between bursts scores low here
+        /// even at high iteration counts.
+        wakeups: Counter "mpq_shard_wakeups_total" "shard idle-to-busy transitions";
+        /// An iteration found nothing to do and the spin and yield
+        /// steps were spent.
+        parks: Counter "mpq_shard_parks_total" "times the shard loop blocked on its sockets with nothing to do";
+        /// A last-writer gauge, refreshed each busy loop iteration.
+        conns_active: Gauge "mpq_shard_conns_active" "connections currently owned by the shard";
+    }
+    // `plane.shard(i).<field>` histograms, exported merged: the
+    // `PlaneSnapshot` field of the same name.
+    shard_histograms {
+        loop_ns: "mpq_shard_loop_ns" "busy shard-loop iteration wall time, nanoseconds (all shards)";
+        /// With `loop_ns` this splits a loop's life three ways: busy
+        /// (`loop_ns`), parked (here), and the remainder spent spinning
+        /// through idle iterations.
+        park_ns: "mpq_shard_park_ns" "wall time of each shard-loop park, nanoseconds (all shards)";
+    }
+    // Histograms the loops share: an `EndpointPlane` cell and the
+    // `PlaneSnapshot` field of the same name.
+    plane_histograms {
+        backend_sqe_batch: "mpq_backend_sqe_batch" "datapath-backend entries per kernel submission boundary (all shards)";
+    }
 }
 
 /// A typed aggregate of the whole plane: endpoint counters, per-shard
@@ -515,26 +538,19 @@ impl EndpointPlane {
     /// Aggregates the whole plane into a typed snapshot: per-shard
     /// copies plus the merged histograms and wakeup totals.
     pub fn snapshot(&self) -> PlaneSnapshot {
-        let mut shards = Vec::with_capacity(self.shards.len());
+        let shards: Vec<ShardPlaneSnapshot> = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, plane)| plane.snapshot(i))
+            .collect();
         let mut loop_ns = LogHistogram::default();
         let mut park_ns = LogHistogram::default();
         let mut wakeups = 0u64;
-        for (i, plane) in self.shards.iter().enumerate() {
-            let shard_loop = plane.loop_ns.snapshot();
-            loop_ns.merge(&shard_loop);
-            let shard_park = plane.park_ns.snapshot();
-            park_ns.merge(&shard_park);
-            wakeups += plane.wakeups.get();
-            shards.push(ShardPlaneSnapshot {
-                shard: i,
-                loop_iterations: plane.loop_iterations.get(),
-                busy_iterations: plane.busy_iterations.get(),
-                wakeups: plane.wakeups.get(),
-                conns_active: plane.conns_active.get(),
-                loop_ns: shard_loop,
-                parks: plane.parks.get(),
-                park_ns: shard_park,
-            });
+        for shard in &shards {
+            loop_ns.merge(&shard.loop_ns);
+            park_ns.merge(&shard.park_ns);
+            wakeups += shard.wakeups;
         }
         PlaneSnapshot {
             stats: self.stats.snapshot(),
@@ -750,28 +766,6 @@ impl FlightRecorder {
 // Renderers: Prometheus text exposition + JSON snapshot line
 // ---------------------------------------------------------------------
 
-/// Appends one `# HELP`/`# TYPE` header pair.
-fn prom_header(out: &mut String, name: &str, kind: &str, help: &str) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-}
-
-/// Appends an unlabelled sample.
-fn prom_value(out: &mut String, name: &str, value: u64) {
-    out.push_str(&format!("{name} {value}\n"));
-}
-
-/// Appends one `{shard="i"}`-labelled sample per shard.
-fn prom_per_shard(
-    out: &mut String,
-    name: &str,
-    snap: &PlaneSnapshot,
-    get: impl Fn(&ShardPlaneSnapshot) -> u64,
-) {
-    for s in &snap.shards {
-        out.push_str(&format!("{name}{{shard=\"{}\"}} {}\n", s.shard, get(s)));
-    }
-}
-
 /// Appends a histogram family: cumulative `_bucket{le=...}` samples
 /// (empty buckets skipped; `le` is the bucket's upper bound), `_sum`
 /// and `_count`.
@@ -794,299 +788,69 @@ fn prom_histogram(out: &mut String, name: &str, h: &LogHistogram) {
 }
 
 /// Renders a [`PlaneSnapshot`] as Prometheus text exposition (format
-/// 0.0.4). Metric names are cross-checked against
-/// `crates/xtask/metrics.toml` by the `metrics-registry` lint.
+/// 0.0.4): every `FAMILIES` row in table order, each a
+/// `# HELP`/`# TYPE` pair followed by its samples.
 pub fn render_prometheus(snap: &PlaneSnapshot) -> String {
     let mut out = String::with_capacity(4096);
-    let s = &snap.stats;
-
-    prom_header(
-        &mut out,
-        "mpq_endpoint_accepted_total",
-        "counter",
-        "connections created for a first-seen CID",
-    );
-    prom_value(&mut out, "mpq_endpoint_accepted_total", s.accepted);
-    prom_header(
-        &mut out,
-        "mpq_endpoint_completed_total",
-        "counter",
-        "applications finished successfully",
-    );
-    prom_value(&mut out, "mpq_endpoint_completed_total", s.completed);
-    prom_header(
-        &mut out,
-        "mpq_endpoint_failed_total",
-        "counter",
-        "applications failed or lost before a verdict",
-    );
-    prom_value(&mut out, "mpq_endpoint_failed_total", s.failed);
-    prom_header(
-        &mut out,
-        "mpq_endpoint_closed_total",
-        "counter",
-        "connections fully retired",
-    );
-    prom_value(&mut out, "mpq_endpoint_closed_total", s.closed);
-    prom_header(
-        &mut out,
-        "mpq_endpoint_rejected_total",
-        "counter",
-        "new-CID datagrams shed at the accept limit",
-    );
-    prom_value(&mut out, "mpq_endpoint_rejected_total", s.rejected);
-    prom_header(
-        &mut out,
-        "mpq_endpoint_malformed_total",
-        "counter",
-        "datagrams whose public header yielded no CID",
-    );
-    prom_value(&mut out, "mpq_endpoint_malformed_total", s.malformed);
-    prom_header(
-        &mut out,
-        "mpq_endpoint_tombstoned_total",
-        "counter",
-        "datagrams dropped because their CID was retired",
-    );
-    prom_value(&mut out, "mpq_endpoint_tombstoned_total", s.tombstoned);
-    prom_header(
-        &mut out,
-        "mpq_endpoint_recv_errors_total",
-        "counter",
-        "batched receives that failed with an unabsorbed error",
-    );
-    prom_value(&mut out, "mpq_endpoint_recv_errors_total", s.recv_errors);
-    prom_header(
-        &mut out,
-        "mpq_endpoint_datagrams_in_total",
-        "counter",
-        "datagrams pulled off the listen sockets",
-    );
-    prom_value(&mut out, "mpq_endpoint_datagrams_in_total", s.datagrams_in);
-    prom_header(
-        &mut out,
-        "mpq_path_validation_started_total",
-        "counter",
-        "path validations started after an address rebind",
-    );
-    prom_value(
-        &mut out,
-        "mpq_path_validation_started_total",
-        s.path_validations_started,
-    );
-    prom_header(
-        &mut out,
-        "mpq_path_validation_validated_total",
-        "counter",
-        "path validations completed by a matching PATH_RESPONSE",
-    );
-    prom_value(
-        &mut out,
-        "mpq_path_validation_validated_total",
-        s.path_validations_validated,
-    );
-    prom_header(
-        &mut out,
-        "mpq_path_validation_abandoned_total",
-        "counter",
-        "path validations abandoned after bounded retries",
-    );
-    prom_value(
-        &mut out,
-        "mpq_path_validation_abandoned_total",
-        s.path_validations_abandoned,
-    );
-    prom_header(
-        &mut out,
-        "mpq_cid_rotation_initiated_total",
-        "counter",
-        "connection-ID rotations initiated",
-    );
-    prom_value(
-        &mut out,
-        "mpq_cid_rotation_initiated_total",
-        s.cid_rotations_initiated,
-    );
-    prom_header(
-        &mut out,
-        "mpq_cid_rotation_completed_total",
-        "counter",
-        "connection-ID rotations completed (old CID retired)",
-    );
-    prom_value(
-        &mut out,
-        "mpq_cid_rotation_completed_total",
-        s.cid_rotations_completed,
-    );
-    prom_header(
-        &mut out,
-        "mpq_backend_submissions_total",
-        "counter",
-        "datapath-backend entries handed to the kernel",
-    );
-    prom_value(
-        &mut out,
-        "mpq_backend_submissions_total",
-        s.backend_submissions,
-    );
-    prom_header(
-        &mut out,
-        "mpq_backend_completions_total",
-        "counter",
-        "datapath-backend entries completed successfully",
-    );
-    prom_value(
-        &mut out,
-        "mpq_backend_completions_total",
-        s.backend_completions,
-    );
-    prom_header(
-        &mut out,
-        "mpq_backend_fallbacks_total",
-        "counter",
-        "datapath fallbacks: GSO rungs dropped plus descents to the portable loop",
-    );
-    prom_value(&mut out, "mpq_backend_fallbacks_total", s.backend_fallbacks);
-    prom_header(
-        &mut out,
-        "mpq_endpoint_active",
-        "gauge",
-        "connections currently live",
-    );
-    prom_value(&mut out, "mpq_endpoint_active", s.active);
-    prom_header(
-        &mut out,
-        "mpq_endpoint_worker_shards",
-        "gauge",
-        "worker shards serving connections",
-    );
-    prom_value(
-        &mut out,
-        "mpq_endpoint_worker_shards",
-        snap.shards.len() as u64,
-    );
-    prom_header(
-        &mut out,
-        "mpq_endpoint_flight_events_total",
-        "counter",
-        "events the flight recorder has seen",
-    );
-    prom_value(
-        &mut out,
-        "mpq_endpoint_flight_events_total",
-        snap.flight_recorded,
-    );
-
-    prom_header(
-        &mut out,
-        "mpq_shard_loop_iterations_total",
-        "counter",
-        "shard loop iterations, busy or idle",
-    );
-    prom_per_shard(&mut out, "mpq_shard_loop_iterations_total", snap, |s| {
-        s.loop_iterations
-    });
-    prom_header(
-        &mut out,
-        "mpq_shard_busy_iterations_total",
-        "counter",
-        "shard loop iterations that made progress",
-    );
-    prom_per_shard(&mut out, "mpq_shard_busy_iterations_total", snap, |s| {
-        s.busy_iterations
-    });
-    prom_header(
-        &mut out,
-        "mpq_shard_wakeups_total",
-        "counter",
-        "shard idle-to-busy transitions",
-    );
-    prom_per_shard(&mut out, "mpq_shard_wakeups_total", snap, |s| s.wakeups);
-    prom_header(
-        &mut out,
-        "mpq_shard_parks_total",
-        "counter",
-        "times the shard loop blocked on its sockets with nothing to do",
-    );
-    prom_per_shard(&mut out, "mpq_shard_parks_total", snap, |s| s.parks);
-    prom_header(
-        &mut out,
-        "mpq_shard_conns_active",
-        "gauge",
-        "connections currently owned by the shard",
-    );
-    prom_per_shard(&mut out, "mpq_shard_conns_active", snap, |s| s.conns_active);
-
-    prom_header(
-        &mut out,
-        "mpq_shard_loop_ns",
-        "histogram",
-        "busy shard-loop iteration wall time, nanoseconds (all shards)",
-    );
-    prom_histogram(&mut out, "mpq_shard_loop_ns", &snap.loop_ns);
-    prom_header(
-        &mut out,
-        "mpq_shard_park_ns",
-        "histogram",
-        "wall time of each shard-loop park, nanoseconds (all shards)",
-    );
-    prom_histogram(&mut out, "mpq_shard_park_ns", &snap.park_ns);
-    prom_header(
-        &mut out,
-        "mpq_backend_sqe_batch",
-        "histogram",
-        "datapath-backend entries per kernel submission boundary (all shards)",
-    );
-    prom_histogram(&mut out, "mpq_backend_sqe_batch", &snap.backend_sqe_batch);
+    for family in FAMILIES {
+        let Family {
+            name, kind, help, ..
+        } = family;
+        out.push_str(&format!(
+            "# HELP {name} {help}\n# TYPE {name} {}\n",
+            kind.as_str()
+        ));
+        match family.source {
+            Source::Plain(get) => out.push_str(&format!("{name} {}\n", get(snap))),
+            Source::PerShard(get) => {
+                for s in &snap.shards {
+                    out.push_str(&format!("{name}{{shard=\"{}\"}} {}\n", s.shard, get(s)));
+                }
+            }
+            Source::Merged(get) => prom_histogram(&mut out, name, get(snap)),
+        }
+    }
     out
 }
 
 /// Renders a [`PlaneSnapshot`] as one JSON object on one line — the
 /// periodic snapshot-writer format (a file of these is itself valid
 /// `cargo xtask qlog-check` input) and the `/snapshot` HTTP body.
+/// Every `FAMILIES` row appears under its field name: plain values
+/// at the top level, histograms as `<field>_p50`/`<field>_p99`,
+/// per-shard values inside the `shards` array.
 pub fn render_snapshot_json(snap: &PlaneSnapshot) -> String {
-    let s = &snap.stats;
-    let mut out = String::with_capacity(512);
-    out.push_str(&format!(
-        "{{\"kind\":\"endpoint_snapshot\",\"accepted\":{},\"active\":{},\"completed\":{},\
-         \"failed\":{},\"closed\":{},\"rejected\":{},\"malformed\":{},\
-         \"tombstoned\":{},\"recv_errors\":{},\"datagrams_in\":{},\"wakeups\":{},\
-         \"backend_submissions\":{},\"backend_completions\":{},\
-         \"backend_fallbacks\":{},\"backend_sqe_batch_p99\":{},\
-         \"loop_ns_p50\":{},\"loop_ns_p99\":{},\
-         \"flight_recorded\":{},\"shards\":[",
-        s.accepted,
-        s.active,
-        s.completed,
-        s.failed,
-        s.closed,
-        s.rejected,
-        s.malformed,
-        s.tombstoned,
-        s.recv_errors,
-        s.datagrams_in,
-        snap.wakeups,
-        s.backend_submissions,
-        s.backend_completions,
-        s.backend_fallbacks,
-        snap.backend_sqe_batch.quantile(0.99),
-        snap.loop_ns.quantile(0.50),
-        snap.loop_ns.quantile(0.99),
-        snap.flight_recorded,
-    ));
-    for (i, sh) in snap.shards.iter().enumerate() {
+    let mut out = String::with_capacity(1024);
+    out.push_str("{\"kind\":\"endpoint_snapshot\"");
+    for family in FAMILIES {
+        let key = family.key;
+        match family.source {
+            Source::Plain(get) => out.push_str(&format!(",\"{key}\":{}", get(snap))),
+            Source::PerShard(_) => {}
+            Source::Merged(get) => {
+                let h = get(snap);
+                out.push_str(&format!(
+                    ",\"{key}_p50\":{},\"{key}_p99\":{}",
+                    h.quantile(0.50),
+                    h.quantile(0.99),
+                ));
+            }
+        }
+    }
+    out.push_str(&format!(",\"wakeups\":{},\"shards\":[", snap.wakeups));
+    for (i, shard) in snap.shards.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
+        out.push_str(&format!("{{\"shard\":{}", shard.shard));
+        for family in FAMILIES {
+            if let Source::PerShard(get) = family.source {
+                out.push_str(&format!(",\"{}\":{}", family.key, get(shard)));
+            }
+        }
         out.push_str(&format!(
-            "{{\"shard\":{},\"loop_iterations\":{},\"busy_iterations\":{},\"wakeups\":{},\
-             \"conns_active\":{},\"loop_ns_p99\":{}}}",
-            sh.shard,
-            sh.loop_iterations,
-            sh.busy_iterations,
-            sh.wakeups,
-            sh.conns_active,
-            sh.loop_ns.quantile(0.99),
+            ",\"loop_ns_p99\":{}}}",
+            shard.loop_ns.quantile(0.99)
         ));
     }
     out.push_str("]}");
@@ -1097,7 +861,10 @@ pub fn render_snapshot_json(snap: &PlaneSnapshot) -> String {
 // Scrape surface: HTTP server + periodic JSON-lines snapshot writer
 // ---------------------------------------------------------------------
 
-/// How long an accepted scrape connection may take to send its request.
+/// How long an accepted scrape connection may take to send its whole
+/// request — one deadline, not a per-`read` allowance: the serve thread
+/// handles one connection at a time and `Drop` joins it, so a client
+/// trickling bytes must not be able to hold either for longer.
 const SCRAPE_READ_TIMEOUT: Duration = Duration::from_millis(500);
 /// Accept-loop poll interval while idle.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
@@ -1175,13 +942,19 @@ fn serve_loop(listener: &TcpListener, plane: &EndpointPlane, stop: &AtomicBool) 
 /// drops the connection — a broken scraper must never hurt the server.
 fn handle_scrape(mut stream: TcpStream, plane: &EndpointPlane) {
     use std::io::Read;
-    let _ = stream.set_read_timeout(Some(SCRAPE_READ_TIMEOUT));
+    let deadline = Instant::now() + SCRAPE_READ_TIMEOUT;
     let _ = stream.set_nonblocking(false);
     let mut buf = [0u8; 1024];
     let mut len = 0usize;
-    // Read until the header terminator (or the buffer/timeout limit);
+    // Read until the header terminator (or the buffer/deadline limit);
     // the request line is all that matters.
     while len < buf.len() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        // A zero timeout is an error to `set_read_timeout`; a failed
+        // set must not leave a blocking read behind either.
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
         let Some(free) = buf.get_mut(len..) else {
             break;
         };
@@ -1444,6 +1217,86 @@ mod tests {
         assert!(text.contains("mpq_shard_park_ns_sum 4096"));
     }
 
+    /// The naming rules are properties of the table, and both renderers
+    /// carry every row of it.
+    #[test]
+    fn family_table_invariants() {
+        let plane = EndpointPlane::new(2);
+        let snap = plane.snapshot();
+        let text = render_prometheus(&snap);
+        let json = render_snapshot_json(&snap);
+        let shard_objects = json.split_once("\"shards\":[").expect("shards array").1;
+        for (i, family) in FAMILIES.iter().enumerate() {
+            let Family {
+                name, kind, help, ..
+            } = family;
+            assert!(name.starts_with("mpq_"), "{name}: outside the namespace");
+            assert!(
+                FAMILIES.iter().skip(i + 1).all(|other| other.name != *name),
+                "{name}: exported twice"
+            );
+            assert_eq!(
+                name.ends_with("_total"),
+                *kind == Kind::Counter,
+                "{name}: counters, and only counters, end in _total"
+            );
+            assert!(!help.is_empty(), "{name}: empty HELP");
+            let header = format!("# HELP {name} {help}\n# TYPE {name} {}\n", kind.as_str());
+            assert!(text.contains(&header), "{name}: no header in /metrics");
+            // Each sample line attributes to its family: histograms by
+            // their `_bucket`/`_sum`/`_count` suffixes, the rest by name.
+            let key = family.key;
+            match family.source {
+                Source::Plain(_) => {
+                    assert_ne!(*kind, Kind::Histogram);
+                    assert!(text.contains(&format!("\n{name} ")), "{name}: no sample");
+                    assert!(
+                        json.contains(&format!(",\"{key}\":")),
+                        "{key}: not in /snapshot"
+                    );
+                }
+                Source::PerShard(_) => {
+                    assert_ne!(*kind, Kind::Histogram);
+                    assert!(
+                        text.contains(&format!("\n{name}{{shard=\"1\"}} ")),
+                        "{name}: no sample for the second shard"
+                    );
+                    assert_eq!(
+                        shard_objects.matches(&format!(",\"{key}\":")).count(),
+                        2,
+                        "{key}: not in every /snapshot shard"
+                    );
+                }
+                Source::Merged(_) => {
+                    assert_eq!(*kind, Kind::Histogram);
+                    for suffix in ["_bucket", "_sum", "_count"] {
+                        assert!(
+                            !name.ends_with(suffix),
+                            "{name}: a sample name, not a family"
+                        );
+                    }
+                    for sample in ["_bucket{le=\"+Inf\"}", "_sum", "_count"] {
+                        assert!(
+                            text.contains(&format!("\n{name}{sample} ")),
+                            "{name}: no {sample} sample"
+                        );
+                    }
+                    assert!(
+                        json.contains(&format!(",\"{key}_p99\":")),
+                        "{key}: not in /snapshot"
+                    );
+                }
+            }
+        }
+        // Nothing reaches `/metrics` except through the table.
+        let headers = text.lines().filter(|l| l.starts_with("# TYPE ")).count();
+        assert_eq!(headers, FAMILIES.len());
+        assert!(
+            !json.contains("backpressure_drops"),
+            "unexported cells stay out"
+        );
+    }
+
     #[test]
     fn snapshot_json_is_one_object_per_line() {
         let plane = EndpointPlane::new(1);
@@ -1481,6 +1334,62 @@ mod tests {
         assert!(flight.contains("\"kind\":\"accept\""));
         assert!(fetch("/nope").starts_with("HTTP/1.1 404"));
         drop(server); // stops and joins the serve thread
+    }
+
+    /// One deadline bounds a whole request: a client trickling bytes
+    /// and never finishing its headers holds neither the next scrape
+    /// nor `drop(server)` (it used to get a fresh 500 ms per `read`).
+    #[test]
+    fn trickling_scraper_cannot_hold_the_serve_thread() {
+        use std::io::{Read, Write};
+        use std::sync::mpsc;
+        const PROMPT: Duration = Duration::from_millis(1500);
+        let plane = Arc::new(EndpointPlane::new(1));
+        let addr: SocketAddr = "127.0.0.1:0".parse().unwrap();
+        let server = MetricsServer::serve(addr, plane).expect("bind metrics");
+        let target = server.local_addr();
+
+        let (connected_tx, connected_rx) = mpsc::channel();
+        let (stop_tx, stop_rx) = mpsc::channel::<()>();
+        let trickler = std::thread::spawn(move || {
+            let mut conn = TcpStream::connect(target).expect("connect");
+            conn.write_all(b"G").expect("first byte");
+            connected_tx.send(()).expect("test is waiting");
+            // One byte per 100 ms, well inside the old per-read timeout,
+            // until the test is done (or the server hangs up).
+            while stop_rx.recv_timeout(Duration::from_millis(100)).is_err() {
+                if conn.write_all(b"x").is_err() {
+                    break;
+                }
+            }
+        });
+        // The trickler is in the accept queue ahead of the next scrape.
+        connected_rx.recv().expect("trickler connected");
+
+        let mut conn = TcpStream::connect(target).expect("connect");
+        conn.set_read_timeout(Some(PROMPT)).expect("timeout");
+        conn.write_all(b"GET /metrics HTTP/1.1\r\n\r\n")
+            .expect("request");
+        let mut body = String::new();
+        let scraped = conn.read_to_string(&mut body);
+
+        let (dropped_tx, dropped_rx) = mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            drop(server);
+            let _ = dropped_tx.send(());
+        });
+        let dropped = dropped_rx.recv_timeout(PROMPT);
+
+        // Release the trickler before asserting, so a failure reports
+        // instead of hanging on the joins.
+        let _ = stop_tx.send(());
+        trickler.join().expect("trickler");
+        dropper.join().expect("dropper");
+        assert!(
+            scraped.is_ok() && body.contains("mpq_endpoint_accepted_total 0"),
+            "second scrape not answered promptly: {scraped:?}"
+        );
+        assert!(dropped.is_ok(), "drop(server) did not return promptly");
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 mod concurrency;
 mod lints;
-mod metrics;
 mod qlog_check;
 mod scan;
 
@@ -189,43 +188,6 @@ fn run_lint(root: &Path, verbose: bool) -> ExitCode {
     // Lint 5: unsafe-audit.
     for file in &concurrency_files {
         violations.extend(concurrency::check_unsafe_audit(file));
-    }
-
-    // Lint 6: metrics-registry against the exported scrape surface
-    // (DESIGN.md §15). Scans the *raw* plane source — the family names
-    // live inside string literals the stripped view erases.
-    let metrics_path = root.join("crates/xtask/metrics.toml");
-    let metrics_registry = match std::fs::read_to_string(&metrics_path)
-        .map_err(|e| format!("cannot read {}: {e}", metrics_path.display()))
-        .and_then(|t| metrics::parse_metrics_registry(&t, "crates/xtask/metrics.toml"))
-    {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("xtask: error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if verbose {
-        eprintln!(
-            "xtask: metrics-registry: {} registered families",
-            metrics_registry.len()
-        );
-        for m in &metrics_registry {
-            eprintln!("xtask: metrics.toml: {} ({:?}): {}", m.name, m.kind, m.help);
-        }
-    }
-    match load(root, &root.join(metrics::PLANE_FILE)) {
-        Some(plane_file) => {
-            violations.extend(metrics::check_metrics_coverage(
-                &metrics_registry,
-                &plane_file,
-            ));
-            scanned += 1;
-        }
-        None => {
-            eprintln!("xtask: error: cannot read {}", metrics::PLANE_FILE);
-            return ExitCode::FAILURE;
-        }
     }
 
     // Allowlist (no-panic only).
