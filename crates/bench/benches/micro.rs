@@ -78,18 +78,30 @@ fn bench_tcp_segment_codec(c: &mut Criterion) {
 
 fn bench_packet_protection(c: &mut Criterion) {
     let aead = Aead::new([7u8; 32]);
-    let payload = vec![0xEE; 1300];
     let header = [0x41u8; 12];
     let nonce = nonce_for(NonceMode::PathIdMixed, 3, 123_456);
     let mut group = c.benchmark_group("packet_protection");
-    group.throughput(Throughput::Bytes(1300));
-    group.bench_function("seal_1300B", |b| {
-        b.iter(|| black_box(aead.seal(&nonce, &header, black_box(&payload))))
-    });
-    let sealed = aead.seal(&nonce, &header, &payload);
-    group.bench_function("open_1300B", |b| {
-        b.iter(|| black_box(aead.open(&nonce, &header, black_box(&sealed)).unwrap()))
-    });
+    // The in-place core the connection calls, at the two sizes the
+    // `crypto.aead_ns_per_pkt` ladder rung reports.
+    for size in [64usize, 1200] {
+        group.throughput(Throughput::Bytes(size as u64));
+        let mut buf = vec![0xEE; size];
+        group.bench_function(format!("seal_in_place_{size}B"), |b| {
+            b.iter(|| black_box(aead.seal_in_place(&nonce, &header, black_box(&mut buf))))
+        });
+        let sealed = aead.seal(&nonce, &header, &vec![0xEE; size]);
+        let mut buf = sealed.clone();
+        group.bench_function(format!("open_in_place_{size}B"), |b| {
+            b.iter(|| {
+                // Opening decrypts the buffer, so each round restores it.
+                buf.copy_from_slice(&sealed);
+                black_box(
+                    aead.open_in_place(&nonce, &header, black_box(&mut buf))
+                        .is_ok(),
+                )
+            })
+        });
+    }
     group.finish();
 }
 

@@ -22,7 +22,7 @@
 //!   and — the §4.3 handover accelerator — attaches a `PATHS` frame so the
 //!   peer learns about the failure without waiting for its own RTO.
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use mpquic_crypto::nonce_for;
 use mpquic_crypto::{
     handshake::initial_key, Aead, ClientHandshake, HandshakeEvent, ServerHandshake, SessionKeys,
@@ -133,6 +133,11 @@ pub struct Connection {
     client_hs: Option<ClientHandshake>,
     server_hs: Option<ServerHandshake>,
     session_keys: Option<SessionKeys>,
+    /// 1-RTT protection contexts `(send, receive)`: one key schedule per
+    /// direction, run where `session_keys` appears, not per packet.
+    one_rtt_aead: Option<(Aead, Aead)>,
+    /// Handshake-packet context and the CID its key derives from.
+    handshake_aead: Option<(u64, Aead)>,
     handshake_complete: bool,
     /// Crypto frames awaiting transmission in Handshake packets.
     crypto_queue: VecDeque<Frame>,
@@ -186,10 +191,9 @@ pub struct Connection {
     /// Runtime protocol invariants (zero-sized no-op in plain release
     /// builds; see [`crate::invariant`]).
     invariants: InvariantChecker,
-    /// Reusable encode scratch for the egress path (header bytes and
-    /// plaintext payload); spares two allocations per packet sealed.
-    scratch_header: BytesMut,
-    scratch_payload: BytesMut,
+    /// Reusable ingress scratch: a datagram's sealed payload is copied
+    /// here and opened in place, sparing an allocation per datagram.
+    scratch_open: Vec<u8>,
 }
 
 impl std::fmt::Debug for Connection {
@@ -278,6 +282,8 @@ impl Connection {
             client_hs: None,
             server_hs: None,
             session_keys: None,
+            one_rtt_aead: None,
+            handshake_aead: None,
             handshake_complete: false,
             crypto_queue: VecDeque::new(),
             paths: BTreeMap::new(),
@@ -307,8 +313,7 @@ impl Connection {
             closed: false,
             stats: ConnStats::default(),
             invariants: InvariantChecker::new(),
-            scratch_header: BytesMut::new(),
-            scratch_payload: BytesMut::new(),
+            scratch_open: Vec::new(),
             config,
         }
     }
@@ -524,19 +529,16 @@ impl Connection {
             self.stats.decrypt_failures += 1;
             return;
         }
-        // Select keys by packet type and direction.
+        // Select the context by packet type and direction.
         let aead = match header.packet_type {
-            PacketType::Handshake => Aead::new(initial_key(header.connection_id)),
+            PacketType::Handshake => self.handshake_aead(header.connection_id),
             PacketType::OneRtt => {
-                let Some(keys) = self.session_keys else {
+                let Some((_, recv)) = &self.one_rtt_aead else {
                     // Can't decrypt yet (e.g. 1-RTT data racing the SHLO).
                     self.stats.decrypt_failures += 1;
                     return;
                 };
-                match self.role {
-                    Role::Client => Aead::new(keys.server_to_client),
-                    Role::Server => Aead::new(keys.client_to_server),
-                }
+                recv.clone()
             }
         };
         let nonce = nonce_for(
@@ -544,11 +546,16 @@ impl Connection {
             header.path_id.0,
             header.packet_number,
         );
-        let Ok(plaintext) = aead.open(&nonce, &data[..header_len], &data[header_len..]) else {
-            self.stats.decrypt_failures += 1;
-            return;
-        };
-        let Ok(packet) = Packet::from_parts(header, &plaintext) else {
+        let (aad, sealed) = data.split_at(header_len);
+        let mut scratch = std::mem::take(&mut self.scratch_open);
+        scratch.clear();
+        scratch.extend_from_slice(sealed);
+        let packet = aead
+            .open_in_place(&nonce, aad, &mut scratch)
+            .ok()
+            .and_then(|plaintext| Packet::from_parts(header, plaintext).ok());
+        self.scratch_open = scratch;
+        let Some(packet) = packet else {
             self.stats.decrypt_failures += 1;
             return;
         };
@@ -860,7 +867,7 @@ impl Connection {
                 let hs = self.client_hs.as_mut().expect("client handshake");
                 match hs.on_crypto_data(data) {
                     Some(HandshakeEvent::Complete(keys)) => {
-                        self.session_keys = Some(keys);
+                        self.install_session_keys(keys);
                         self.handshake_complete = true;
                         self.events.push_back(Event::HandshakeCompleted);
                         self.maybe_open_paths(now);
@@ -888,7 +895,7 @@ impl Connection {
                     });
                 }
                 if let Some(HandshakeEvent::Complete(keys)) = completion {
-                    self.session_keys = Some(keys);
+                    self.install_session_keys(keys);
                     self.handshake_complete = true;
                     self.events.push_back(Event::HandshakeCompleted);
                     // Advertise our addresses so the client can open the
@@ -1697,17 +1704,38 @@ impl Connection {
         }
     }
 
-    /// Which AEAD protects packets we send of the given type.
-    fn send_aead(&self, packet_type: PacketType) -> Option<Aead> {
-        match packet_type {
-            PacketType::Handshake => Some(Aead::new(initial_key(self.cid))),
-            PacketType::OneRtt => {
-                let keys = self.session_keys?;
-                Some(match self.role {
-                    Role::Client => Aead::new(keys.client_to_server),
-                    Role::Server => Aead::new(keys.server_to_client),
-                })
+    /// Records the session keys and runs both directions' key schedule.
+    fn install_session_keys(&mut self, keys: SessionKeys) {
+        let (send, recv) = match self.role {
+            Role::Client => (keys.client_to_server, keys.server_to_client),
+            Role::Server => (keys.server_to_client, keys.client_to_server),
+        };
+        self.session_keys = Some(keys);
+        self.one_rtt_aead = Some((Aead::new(send), Aead::new(recv)));
+    }
+
+    /// The Handshake-packet context for `cid`. Kept for the connection's
+    /// own CID; a fresh server's first flight and stragglers keyed to a
+    /// rotated-away CID derive theirs on the spot, so nothing is stored on
+    /// the word of an unauthenticated datagram.
+    fn handshake_aead(&mut self, cid: u64) -> Aead {
+        if let Some((cached, aead)) = &self.handshake_aead {
+            if *cached == cid {
+                return aead.clone();
             }
+        }
+        let aead = Aead::new(initial_key(cid));
+        if cid == self.cid {
+            self.handshake_aead = Some((cid, aead.clone()));
+        }
+        aead
+    }
+
+    /// Which AEAD protects packets we send of the given type.
+    fn send_aead(&mut self, packet_type: PacketType) -> Option<Aead> {
+        match packet_type {
+            PacketType::Handshake => Some(self.handshake_aead(self.cid)),
+            PacketType::OneRtt => self.one_rtt_aead.as_ref().map(|(send, _)| send.clone()),
         }
     }
 
@@ -1789,9 +1817,10 @@ impl Connection {
     /// the packet with recovery and congestion control. Returns the
     /// datagram's `(local, remote)` addressing.
     ///
-    /// Encoding reuses the connection's two scratch buffers and seals
-    /// straight into `out`, so a warm egress path allocates nothing
-    /// per packet here.
+    /// The packet is encoded straight into `out` and protected there —
+    /// header as associated data, payload encrypted where it lies, tag
+    /// appended — so a warm egress path neither allocates nor copies the
+    /// payload here.
     fn finalize(
         &mut self,
         now: SimTime,
@@ -1802,19 +1831,20 @@ impl Connection {
     ) -> Option<(SocketAddr, SocketAddr)> {
         let packet = builder.finish()?;
         let ack_eliciting = packet.is_ack_eliciting();
-        let mut header_buf = std::mem::take(&mut self.scratch_header);
-        let mut payload_buf = std::mem::take(&mut self.scratch_payload);
-        packet.encode_parts_into(&mut header_buf, &mut payload_buf);
         let nonce = nonce_for(
             self.config.nonce_mode,
             path_id.0,
             packet.header.packet_number,
         );
         out.clear();
-        out.extend_from_slice(&header_buf);
-        aead.seal_into(&nonce, &header_buf, &payload_buf, out);
-        self.scratch_header = header_buf;
-        self.scratch_payload = payload_buf;
+        packet.header.encode(out);
+        let header_len = out.len();
+        for frame in &packet.frames {
+            frame.encode(out);
+        }
+        let (aad, payload) = out.split_at_mut(header_len);
+        let tag = aead.seal_in_place(&nonce, aad, payload);
+        out.extend_from_slice(&tag);
         let wire_len = out.len() as u64;
 
         let path = self.paths.get_mut(&path_id).expect("path exists");
@@ -2386,6 +2416,157 @@ mod tests {
             .unwrap();
         shuttle_nat(&mut client, &mut server, rebound, SimTime::from_millis(4));
         assert_eq!(&server.stream_read(stream, 100).unwrap()[..], b"again");
+    }
+
+    /// Opens one client-to-server 1-RTT datagram with a context built
+    /// from scratch: its header, nonce and plaintext payload.
+    fn open_client_datagram(
+        keys: SessionKeys,
+        datagram: &[u8],
+    ) -> (PublicHeader, [u8; 12], Vec<u8>) {
+        let mut cursor = datagram;
+        let header = PublicHeader::decode(&mut cursor).unwrap();
+        let (aad, sealed) = datagram.split_at(datagram.len() - cursor.len());
+        let nonce = nonce_for(
+            NonceMode::PathIdMixed,
+            header.path_id.0,
+            header.packet_number,
+        );
+        let plain = Aead::new(keys.client_to_server)
+            .open(&nonce, aad, sealed)
+            .unwrap();
+        (header, nonce, plain)
+    }
+
+    /// Re-protects a client 1-RTT datagram as a Handshake-typed packet
+    /// keyed to `cid`: same packet number and frames, sealed by a context
+    /// built from scratch.
+    fn as_handshake_straggler(keys: SessionKeys, datagram: &[u8], cid: u64) -> Vec<u8> {
+        let (mut header, nonce, plain) = open_client_datagram(keys, datagram);
+        header.connection_id = cid;
+        header.packet_type = PacketType::Handshake;
+        let mut out = Vec::new();
+        header.encode(&mut out);
+        let sealed = Aead::new(initial_key(cid)).seal(&nonce, &out, &plain);
+        out.extend_from_slice(&sealed);
+        out
+    }
+
+    /// The Handshake context is kept for one CID, and a rotation moves the
+    /// connection off it: stragglers keyed to the retired CID and packets
+    /// keyed to the fresh one must both still open.
+    #[test]
+    fn handshake_typed_stragglers_open_across_a_cid_rotation() {
+        let mut client = Connection::client(Config::single_path(), vec![addr(C0)], 0, addr(S0), 1);
+        let mut server = Connection::server(Config::single_path(), vec![addr(S0)], 2);
+        shuttle(&mut client, &mut server, SimTime::from_millis(1));
+        let old_cid = server.connection_id();
+        let stream = client.open_stream();
+        let body: Vec<u8> = (0..40_000usize).map(|i| (i % 251) as u8).collect();
+        client
+            .stream_write(stream, Bytes::from(body[..20_000].to_vec()))
+            .unwrap();
+        shuttle(&mut client, &mut server, SimTime::from_millis(2));
+        // Rotate mid-transfer and let the client adopt the new CID.
+        server.rotate_cid();
+        shuttle(&mut client, &mut server, SimTime::from_millis(3));
+        let new_cid = server.connection_id();
+        assert_ne!(new_cid, old_cid);
+        assert_eq!(client.connection_id(), new_cid);
+        // The rest of the transfer arrives Handshake-typed, alternating
+        // between the retired CID and the current one.
+        client
+            .stream_write(stream, Bytes::from(body[20_000..].to_vec()))
+            .unwrap();
+        client.stream_finish(stream);
+        let keys = server.session_keys.unwrap();
+        let now = SimTime::from_millis(4);
+        let mut rewritten = 0u64;
+        for _ in 0..64 {
+            let mut any = false;
+            while let Some(t) = client.poll_transmit(now) {
+                let cid = [old_cid, new_cid][(rewritten % 2) as usize];
+                let straggler = as_handshake_straggler(keys, &t.payload, cid);
+                assert_eq!(straggler.len(), t.payload.len());
+                server.handle_datagram(now, t.remote, t.local, &straggler);
+                rewritten += 1;
+                any = true;
+            }
+            while let Some(t) = server.poll_transmit(now) {
+                client.handle_datagram(now, t.remote, t.local, &t.payload);
+                any = true;
+            }
+            if !any {
+                break;
+            }
+        }
+        assert!(rewritten >= 16, "only {rewritten} datagrams rewritten");
+        assert_eq!(server.stats().decrypt_failures, 0);
+        assert_eq!(server.stats().duplicate_packets, 0);
+        let mut received = Vec::new();
+        while let Some(chunk) = server.stream_read(stream, 1 << 16) {
+            received.extend_from_slice(&chunk);
+        }
+        assert_eq!(received, body);
+        assert!(server.stream_is_finished(stream));
+        // A CID the connection never had still does not route here.
+        let other = client.open_stream();
+        client
+            .stream_write(other, Bytes::from_static(b"x"))
+            .unwrap();
+        let t = client.poll_transmit(now).unwrap();
+        let stray = as_handshake_straggler(keys, &t.payload, new_cid ^ 0x100);
+        server.handle_datagram(now, t.remote, t.local, &stray);
+        assert_eq!(server.stats().decrypt_failures, 1);
+    }
+
+    /// The two crates' tag-size constants are one number, and protecting a
+    /// packet in place adds exactly that to header and payload.
+    #[test]
+    fn sealed_datagram_length_is_the_packets_wire_size() {
+        assert_eq!(mpquic_crypto::TAG_SIZE, mpquic_wire::AEAD_TAG_SIZE);
+        let mut client = Connection::client(Config::single_path(), vec![addr(C0)], 0, addr(S0), 1);
+        let mut server = Connection::server(Config::single_path(), vec![addr(S0)], 2);
+        shuttle(&mut client, &mut server, SimTime::from_millis(1));
+        let keys = server.session_keys.unwrap();
+        // Writes of every small size (one of them makes a 64-byte STREAM
+        // packet), then one that fills datagrams.
+        let mut sizes = std::collections::BTreeSet::new();
+        for (round, len) in (1..=64usize).chain([8_000]).enumerate() {
+            let now = SimTime::from_millis(2 + round as u64);
+            let stream = client.open_stream();
+            client
+                .stream_write(stream, Bytes::from(vec![0xA5u8; len]))
+                .unwrap();
+            while let Some(t) = client.poll_transmit(now) {
+                let (header, _, plain) = open_client_datagram(keys, &t.payload);
+                let packet = Packet::from_parts(header, &plain).unwrap();
+                assert_eq!(t.payload.len(), packet.wire_size());
+                if packet.frames.iter().any(|f| matches!(f, Frame::Stream(_))) {
+                    sizes.insert(t.payload.len());
+                }
+                server.handle_datagram(now, t.remote, t.local, &t.payload);
+            }
+            shuttle(&mut client, &mut server, now);
+        }
+        assert!(sizes.contains(&64), "{sizes:?}");
+        assert!(sizes.contains(&mpquic_wire::MAX_DATAGRAM_SIZE), "{sizes:?}");
+    }
+
+    #[test]
+    fn debug_output_carries_no_key_material() {
+        let (client, _server) = established_pair(SimTime::from_millis(1));
+        let shown = format!("{client:?}");
+        assert!(shown.starts_with("Connection { role: Client, cid: "));
+        assert!(!shown.contains("key") && !shown.contains("Aead"), "{shown}");
+        assert_eq!(
+            format!("{:?}", client.session_keys),
+            "Some(SessionKeys { .. })"
+        );
+        assert_eq!(
+            format!("{:?}", client.one_rtt_aead),
+            "Some((Aead { key: .. }, Aead { key: .. }))"
+        );
     }
 
     /// A multi-loop endpoint steers datagrams on the CID's low byte, so

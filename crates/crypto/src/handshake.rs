@@ -29,12 +29,20 @@ use mpquic_util::DetRng;
 use crate::aead::Key;
 
 /// Derived directional session keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct SessionKeys {
     /// Protects client → server packets.
     pub client_to_server: Key,
     /// Protects server → client packets.
     pub server_to_client: Key,
+}
+
+/// Redacting, so a `{:?}` of anything that holds the keys (a
+/// [`HandshakeEvent`], a failed `assert_eq!`) cannot print them.
+impl std::fmt::Debug for SessionKeys {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("SessionKeys { .. }")
+    }
 }
 
 /// The protocol version this implementation speaks natively.
@@ -474,6 +482,13 @@ mod tests {
     fn initial_key_is_cid_dependent() {
         assert_eq!(initial_key(1), initial_key(1));
         assert_ne!(initial_key(1), initial_key(2));
+    }
+
+    #[test]
+    fn debug_does_not_print_keys() {
+        let keys = session_keys(1, &[0xAB; 32], &[0xCD; 32]);
+        let shown = format!("{keys:?} {:?}", HandshakeEvent::Complete(keys));
+        assert_eq!(shown, "SessionKeys { .. } Complete(SessionKeys { .. })");
     }
 
     #[test]

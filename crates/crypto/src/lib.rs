@@ -4,8 +4,10 @@
 //! TLS 1.2) because crypto costs CPU on their emulation platform; *this*
 //! reproduction measures transport dynamics in a simulator where CPU time
 //! is not the metric, so we substitute a **toy AEAD** (documented in
-//! DESIGN.md §2/§8): a keyed xoshiro keystream cipher with a 64-bit keyed
-//! MAC. It is *not* secure; it exists so that
+//! DESIGN.md §2/§8/§18): a keyed xoshiro keystream cipher with a 64-bit
+//! keyed lane-parallel MAC, cheap enough that the real-socket endpoint's
+//! per-packet CPU is not mostly this stand-in. It is *not* secure; it
+//! exists so that
 //!
 //! * the packet layout (header as associated data, sealed payload, tag) is
 //!   faithful,

@@ -32,8 +32,9 @@ impl Packet {
     }
 
     /// Like [`Packet::encode_parts`], but writes into caller-provided
-    /// buffers (cleared first). The batched egress path reuses two scratch
-    /// buffers across packets so encoding allocates nothing once warm.
+    /// buffers (cleared first), so a caller that reuses them allocates
+    /// nothing once warm. (The connection's egress path encodes header and
+    /// frames straight into its datagram buffer instead.)
     pub fn encode_parts_into(&self, header: &mut BytesMut, payload: &mut BytesMut) {
         header.clear();
         self.header.encode(header);
