@@ -1,13 +1,18 @@
 //! Micro-benches of the hot paths: wire codecs, packet protection, ACK
-//! range bookkeeping, scheduling decisions, link model and a complete
-//! small transfer per protocol.
+//! range bookkeeping, scheduling decisions, link model, a complete
+//! small transfer per protocol, and the application rung — the payload
+//! checksum and a whole 8 MiB `mpq-rpc` exchange each way over an
+//! in-memory wire.
 
 use bytes::{Bytes, BytesMut};
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use mpquic_core::{Config, Connection};
 use mpquic_crypto::{nonce_for, Aead, NonceMode};
-use mpquic_harness::{run_file_transfer, Overrides, Protocol};
+use mpquic_harness::{run_file_transfer, Overrides, Protocol, QuicTransport, Transport};
+use mpquic_io::rpc::{response_pattern, RpcCall, RpcServerApp};
+use mpquic_io::ConnApp;
 use mpquic_netsim::{Link, LinkParams, PathSpec};
-use mpquic_util::{DetRng, RangeSet, SimTime};
+use mpquic_util::{Checksum64, DetRng, RangeSet, SimTime};
 use mpquic_wire::{AckFrame, Frame, PathId, StreamFrame};
 use std::hint::black_box;
 use std::time::Duration;
@@ -167,6 +172,98 @@ fn bench_full_transfers(c: &mut Criterion) {
     group.finish();
 }
 
+/// The bulk payload size of the `bulk-*` benchmark workloads.
+const BULK: usize = 8 << 20;
+
+fn bench_checksum(c: &mut Criterion) {
+    let payload = response_pattern(BULK, 7);
+    let mut group = c.benchmark_group("checksum64");
+    group.throughput(Throughput::Bytes(BULK as u64));
+    group.bench_function("8MiB", |b| {
+        b.iter(|| black_box(Checksum64::of(black_box(&payload))))
+    });
+    group.finish();
+}
+
+/// A client connection and an [`RpcServerApp`] joined by a zero-delay
+/// in-memory wire, past their handshake.
+struct RpcPair {
+    client: Connection,
+    server: QuicTransport,
+    app: RpcServerApp,
+    now: SimTime,
+}
+
+impl RpcPair {
+    fn new() -> RpcPair {
+        let config = Config::default();
+        let client_addr = "10.0.0.1:1111".parse().unwrap();
+        let server_addr = "10.0.0.2:4433".parse().unwrap();
+        let mut pair = RpcPair {
+            client: Connection::client(config.clone(), vec![client_addr], 0, server_addr, 7),
+            server: QuicTransport::server(Connection::server(config, vec![server_addr], 8)),
+            app: RpcServerApp::new(),
+            now: SimTime::ZERO,
+        };
+        while !pair.client.is_established() {
+            pair.tick();
+        }
+        pair
+    }
+
+    /// Shuttles datagrams both ways and polls the server app between.
+    fn tick(&mut self) {
+        self.now += Duration::from_millis(5);
+        while let Some(t) = self.client.poll_transmit(self.now) {
+            self.server
+                .handle_datagram(self.now, t.remote, t.local, &t.payload);
+        }
+        self.app.poll(&mut self.server);
+        while let Some(t) = self.server.conn.poll_transmit(self.now) {
+            self.client
+                .handle_datagram(self.now, t.remote, t.local, &t.payload);
+        }
+        while self.client.poll_event().is_some() {}
+    }
+
+    /// One whole exchange, verified.
+    fn call(&mut self, request: &[u8], resp_len: u32) {
+        let mut call = RpcCall::start(&mut self.client, request, resp_len, false);
+        loop {
+            self.tick();
+            if let Some(verdict) = call.poll(&mut self.client) {
+                assert!(verdict.ok && verdict.intact, "{verdict:?}");
+                return;
+            }
+        }
+    }
+}
+
+/// The application rung: one 8 MiB exchange each way through
+/// `RpcCall` and `RpcServerApp`, transport included. A fresh pair per
+/// exchange, so the figure does not drift with the connection's age.
+fn bench_rpc_server(c: &mut Criterion) {
+    let upload = response_pattern(BULK, 7);
+    let mut group = c.benchmark_group("rpc_server");
+    group.throughput(Throughput::Bytes(BULK as u64));
+    group.sample_size(10);
+    group.bench_function("8MiB-up", |b| {
+        b.iter_batched(
+            RpcPair::new,
+            |mut pair| pair.call(black_box(&upload), 64),
+            BatchSize::PerIteration,
+        )
+    });
+    group.bench_function("8MiB-down", |b| {
+        b.iter_batched(
+            RpcPair::new,
+            |mut pair| pair.call(black_box(&[0u8; 64]), BULK as u32),
+            BatchSize::PerIteration,
+        )
+    });
+    group.finish();
+}
+
 criterion_group!(
     micro,
     bench_wire_codec,
@@ -174,6 +271,8 @@ criterion_group!(
     bench_packet_protection,
     bench_range_set,
     bench_link_model,
-    bench_full_transfers
+    bench_full_transfers,
+    bench_checksum,
+    bench_rpc_server
 );
 criterion_main!(micro);

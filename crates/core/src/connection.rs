@@ -34,6 +34,7 @@ use mpquic_wire::{
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::net::SocketAddr;
+use std::ops::Bound;
 
 use mpquic_telemetry::{self as telemetry, Subscriber};
 
@@ -2002,43 +2003,44 @@ impl Connection {
         // flow control.
         let mut credit = self.flow.send_credit();
         // Service streams round-robin, starting after the last stream
-        // served, so concurrent streams share the paths fairly.
-        let mut stream_ids: Vec<StreamId> = self.send_streams.keys().copied().collect();
-        let pivot = stream_ids
-            .iter()
-            .position(|&id| id > self.stream_cursor)
-            .unwrap_or(0);
-        stream_ids.rotate_left(pivot);
+        // served, so concurrent streams share the paths fairly: the ids
+        // above the cursor in order, then the rest from the bottom.
+        let cursor = self.stream_cursor;
+        let order = [
+            (Bound::Excluded(cursor), Bound::Unbounded),
+            (Bound::Unbounded, Bound::Included(cursor)),
+        ];
         loop {
             let mut progressed = false;
-            for &sid in &stream_ids {
-                let stream = self.send_streams.get_mut(&sid).expect("listed");
-                if !stream.wants_to_send() {
-                    if stream.should_report_blocked() {
-                        builder.try_push(Frame::Blocked { stream_id: sid });
+            for part in order {
+                for (&sid, stream) in self.send_streams.range_mut(part) {
+                    if !stream.wants_to_send() {
+                        if stream.should_report_blocked() {
+                            builder.try_push(Frame::Blocked { stream_id: sid });
+                        }
+                        continue;
                     }
-                    continue;
-                }
-                let overhead =
-                    StreamFrame::overhead(sid, stream.next_send_offset(), builder.remaining());
-                if builder.remaining() <= overhead {
-                    continue;
-                }
-                let max_payload = builder.remaining() - overhead;
-                if let Some((frame, consumed)) = stream.next_frame(max_payload, credit) {
-                    credit -= consumed;
-                    self.stream_cursor = sid;
-                    self.flow.on_new_data_sent(consumed);
-                    for &dup_target in duplicate_on {
-                        self.duplicate_queue
-                            .entry(dup_target)
-                            .or_default()
-                            .push_back(Frame::Stream(frame.clone()));
-                        self.stats.duplicated_stream_frames += 1;
+                    let overhead =
+                        StreamFrame::overhead(sid, stream.next_send_offset(), builder.remaining());
+                    if builder.remaining() <= overhead {
+                        continue;
                     }
-                    let ok = builder.try_push(Frame::Stream(frame));
-                    debug_assert!(ok, "frame was sized to fit");
-                    progressed = true;
+                    let max_payload = builder.remaining() - overhead;
+                    if let Some((frame, consumed)) = stream.next_frame(max_payload, credit) {
+                        credit -= consumed;
+                        self.stream_cursor = sid;
+                        self.flow.on_new_data_sent(consumed);
+                        for &dup_target in duplicate_on {
+                            self.duplicate_queue
+                                .entry(dup_target)
+                                .or_default()
+                                .push_back(Frame::Stream(frame.clone()));
+                            self.stats.duplicated_stream_frames += 1;
+                        }
+                        let ok = builder.try_push(Frame::Stream(frame));
+                        debug_assert!(ok, "frame was sized to fit");
+                        progressed = true;
+                    }
                 }
             }
             if !progressed || builder.remaining() < 16 {

@@ -207,20 +207,9 @@ impl SendStream {
             .write_offset
             .min(fc_limit)
             .saturating_sub(self.next_send_offset);
-        let len = (sendable as usize).min(max_payload);
         let offset = self.next_send_offset;
-        let mut data = Vec::with_capacity(len);
-        let mut need = len;
-        while need > 0 {
-            let chunk = self.pending.front_mut().expect("pending data accounted");
-            let take = need.min(chunk.len());
-            data.extend_from_slice(&chunk[..take]);
-            chunk.advance(take);
-            if chunk.is_empty() {
-                self.pending.pop_front();
-            }
-            need -= take;
-        }
+        let data = self.take_pending((sendable as usize).min(max_payload));
+        let len = data.len();
         self.next_send_offset += len as u64;
         // FIN rides on the frame that reaches the final offset.
         let fin = self.fin_offset == Some(self.next_send_offset)
@@ -236,11 +225,38 @@ impl SendStream {
             StreamFrame {
                 stream_id: self.id,
                 offset,
-                data: Bytes::from(data),
+                data,
                 fin,
             },
             len as u64,
         ))
+    }
+
+    /// Removes the next `len` unsent bytes from `pending`: a view of the
+    /// application's own buffer wherever one written chunk holds them
+    /// all (the frame then pins that buffer until it is acknowledged), a
+    /// copy only when the frame straddles two written chunks.
+    fn take_pending(&mut self, len: usize) -> Bytes {
+        match self.pending.front_mut() {
+            Some(front) if front.len() > len => front.split_to(len),
+            Some(front) if front.len() < len => {
+                let mut data = Vec::with_capacity(len);
+                while data.len() < len {
+                    let Some(chunk) = self.pending.front_mut() else {
+                        break;
+                    };
+                    let take = (len - data.len()).min(chunk.len());
+                    data.extend_from_slice(&chunk[..take]);
+                    chunk.advance(take);
+                    if chunk.is_empty() {
+                        self.pending.pop_front();
+                    }
+                }
+                Bytes::from(data)
+            }
+            // Exactly the front chunk (or nothing written, for a bare FIN).
+            _ => self.pending.pop_front().unwrap_or_default(),
+        }
     }
 
     /// Records acknowledgement of a previously sent frame.
@@ -376,7 +392,14 @@ impl RecvStream {
             self.fin_offset = Some(end);
         }
         let prev_highest = self.highest_received();
-        if !frame.data.is_empty() {
+        if frame.data.is_empty() {
+            // Nothing to store (a bare FIN).
+        } else if frame.offset >= prev_highest {
+            // Append: nothing at or past `highest_received` is held, so
+            // the whole frame is new.
+            self.chunks.insert(frame.offset, frame.data.clone());
+            self.received.insert_range(frame.offset, end - 1);
+        } else {
             // Insert only the sub-ranges not already received.
             let mut fresh = RangeSet::new();
             fresh.insert_range(frame.offset, end - 1);
@@ -497,6 +520,48 @@ mod tests {
             let (f2, _) = s.next_frame(100, u64::MAX).unwrap();
             assert_eq!((f2.offset, &f2.data[..]), (5, &b" world"[..]));
             assert!(s.next_frame(100, u64::MAX).is_none());
+        }
+
+        #[test]
+        fn frames_are_views_of_the_written_buffer() {
+            let buffer = Bytes::from((0..4000u32).map(|i| i as u8).collect::<Vec<u8>>());
+            let mut s = SendStream::new(1, 1 << 20);
+            s.write(buffer.clone()).unwrap();
+            let mut offset = 0;
+            while let Some((f, _)) = s.next_frame(1200, u64::MAX) {
+                // Not a copy: the frame's bytes sit where the
+                // application put them.
+                assert_eq!(f.data.as_ptr(), buffer[offset..].as_ptr());
+                assert_eq!(f.offset, offset as u64);
+                offset += f.data.len();
+            }
+            assert_eq!(offset, buffer.len());
+        }
+
+        #[test]
+        fn straddling_frame_is_copied_and_reassembles() {
+            let chunks = [&b"abc"[..], b"defgh", b"ij"];
+            let mut s = SendStream::new(1, 1 << 20);
+            for chunk in chunks {
+                s.write(Bytes::copy_from_slice(chunk)).unwrap();
+            }
+            s.finish();
+            let mut r = RecvStream::new(1, 1 << 20);
+            let mut sizes = Vec::new();
+            for budget in [4, 3, 100] {
+                let (f, _) = s.next_frame(budget, u64::MAX).unwrap();
+                sizes.push(f.data.len());
+                r.on_frame(&f).unwrap();
+            }
+            // "abc|d" and "h|ij" straddle two chunks; "efg" is a view.
+            assert_eq!(sizes, [4, 3, 3]);
+            assert!(s.next_frame(100, u64::MAX).is_none());
+            let mut got = Vec::new();
+            while let Some(chunk) = r.read(usize::MAX) {
+                got.extend_from_slice(&chunk);
+            }
+            assert_eq!(got, chunks.concat());
+            assert!(r.is_finished());
         }
 
         #[test]
@@ -656,6 +721,23 @@ mod tests {
             assert!(out2.readable);
             assert_eq!(&s.read(100).unwrap()[..], b"hello");
             assert_eq!(&s.read(100).unwrap()[..], b"world");
+        }
+
+        #[test]
+        fn appended_frames_are_kept_as_views() {
+            let mut s = RecvStream::new(1, 1 << 20);
+            let first = frame(0, b"hello", false);
+            let second = frame(7, b"world", false);
+            // In order, and past a gap: both take the append case.
+            assert_eq!(s.on_frame(&first).unwrap().conn_window_consumed, 5);
+            assert_eq!(s.on_frame(&second).unwrap().conn_window_consumed, 7);
+            let head = s.read(100).unwrap();
+            assert_eq!(head.as_ptr(), first.data.as_ptr());
+            assert!(s.read(100).is_none(), "gap at 5..7");
+            s.on_frame(&frame(4, b"o, ", false)).unwrap();
+            assert_eq!(&s.read(100).unwrap()[..], b", ");
+            let tail = s.read(100).unwrap();
+            assert_eq!(tail.as_ptr(), second.data.as_ptr());
         }
 
         #[test]

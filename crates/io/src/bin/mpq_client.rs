@@ -118,7 +118,7 @@ fn run() -> Result<(), String> {
         .map_err(|e| format!("handshake: {e}"))?;
     let started = Instant::now();
 
-    let checksum = transfer::fnv1a64(&payload);
+    let checksum = mpquic_util::Checksum64::of(&payload);
     transfer::send_request(&mut stream, &name, &payload).map_err(|e| format!("send: {e}"))?;
     stream.finish().map_err(|e| format!("finish: {e}"))?;
     println!(

@@ -96,19 +96,20 @@ pub type AppFactory = Box<dyn Fn(u64) -> Box<dyn ConnApp> + Send + Sync>;
 /// stream; mirrors `mpquic_harness`'s `APP_STREAM`).
 const APP_STREAM: mpquic_core::StreamId = 1;
 
-/// The `mpq` file-transfer server as a [`ConnApp`]: receive one
-/// request, verify its checksum, answer with the verdict, and report
-/// success once the client has acknowledged the response.
+/// The `mpq` file-transfer server as a [`ConnApp`]: take one request
+/// in as it arrives (header parsed, payload folded into its checksum
+/// and dropped), answer with the verdict, and report success once the
+/// client has acknowledged the response.
 #[derive(Debug, Default)]
 pub struct TransferApp {
-    /// Request bytes accumulated until the client's FIN.
-    buf: Vec<u8>,
+    /// The request as taken in so far; holds no payload bytes.
+    request: transfer::RequestReader,
     state: TransferState,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
 enum TransferState {
-    /// Accumulating the request stream until the client's FIN.
+    /// Taking the request stream in until the client's FIN.
     #[default]
     Receiving,
     /// Response written; waiting for it to be fully acknowledged.
@@ -130,23 +131,19 @@ impl ConnApp for TransferApp {
         match self.state {
             TransferState::Receiving => {
                 while let Some(chunk) = transport.read_chunk() {
-                    self.buf.extend_from_slice(&chunk);
+                    self.request.push(&chunk);
                 }
                 if !transport.recv_finished() {
                     return AppStatus::Pending;
                 }
-                let mut reader: &[u8] = &self.buf;
-                let (ok, checksum) = match transfer::recv_request(&mut reader) {
-                    Ok((header, _payload)) => (true, header.checksum),
+                let (ok, checksum) = match std::mem::take(&mut self.request).finish() {
+                    Ok(header) => (true, header.checksum),
                     Err(_) => (false, 0),
                 };
                 let mut response = Vec::new();
                 let _ = transfer::send_response(&mut response, ok, checksum);
                 transport.write(bytes::Bytes::from(response));
                 transport.finish();
-                // Release the payload memory now; only the verdict is
-                // still in flight.
-                self.buf = Vec::new();
                 self.state = TransferState::Flushing { ok };
                 AppStatus::Pending
             }

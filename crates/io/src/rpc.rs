@@ -11,26 +11,34 @@
 //! client → server (per stream):
 //!     "MPQR" · flags:u8 · resp_len:u32 · req_len:u32 · payload · FIN
 //! server → client (same stream):
-//!     "MPQS" · status:u8 · fnv64:u64 · resp_len:u32 · payload · FIN
+//!     "MPQS" · status:u8 · sum64:u64 · resp_len:u32 · payload · FIN
 //! ```
 //!
 //! All integers big-endian. `flags` bit 0 (`FLAG_FINAL`) marks the last
 //! request on the connection: once its response is flushed the server
 //! app reports success to its shard, so a clean client close is counted
-//! [`crate::EndpointSnapshot::completed`], not `failed`. The FNV-1a
-//! checksum of the request payload is echoed in the response as the
+//! [`crate::EndpointSnapshot::completed`], not `failed`. `sum64` is the
+//! [`Checksum64`] of the request payload, echoed in the response as the
 //! end-to-end integrity witness (same rationale as the transfer
 //! protocol: packet protection authenticates packets, the checksum
 //! proves multi-stream reassembly delivered every byte).
+//!
+//! Both sides take a message as it arrives (DESIGN.md §19): the fixed
+//! header is parsed the moment its last byte is readable, every payload
+//! chunk is folded into the checksum and a byte count and dropped. An
+//! exchange in flight holds a few dozen bytes whatever the payload
+//! size, and a request that cannot become valid — bad magic, a length
+//! over [`MAX_RPC_PAYLOAD`], more payload than announced — is answered
+//! [`STATUS_BAD_REQUEST`] at once, not after the peer's FIN.
 
 use bytes::Bytes;
 use mpquic_core::{Connection, StreamId};
 use mpquic_harness::QuicTransport;
+use mpquic_util::Checksum64;
 use std::collections::{HashMap, HashSet};
 
 use crate::endpoint::{AppStatus, ConnApp};
 use crate::error::{Error, Result};
-use crate::transfer::fnv1a64;
 
 /// Request magic ("MPQ Rpc").
 pub const REQ_MAGIC: &[u8; 4] = b"MPQR";
@@ -60,186 +68,235 @@ pub const ERR_RPC_MAGIC: u64 = 0x10;
 pub const ERR_RPC_TOO_LARGE: u64 = 0x11;
 /// [`Error::Protocol`] code: stream ended mid-message.
 pub const ERR_RPC_TRUNCATED: u64 = 0x12;
+/// [`Error::Protocol`] code: more payload than the header announced.
+pub const ERR_RPC_OVERLONG: u64 = 0x13;
 
-/// A parsed request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RpcRequest {
+fn protocol_error(code: u64, reason: &str) -> Error {
+    Error::Protocol {
+        code,
+        reason: reason.into(),
+    }
+}
+
+/// A fixed-length message header being collected from stream chunks.
+#[derive(Debug, Clone, Copy)]
+struct HeadBuf<const N: usize> {
+    bytes: [u8; N],
+    have: usize,
+}
+
+impl<const N: usize> HeadBuf<N> {
+    fn new() -> HeadBuf<N> {
+        HeadBuf {
+            bytes: [0u8; N],
+            have: 0,
+        }
+    }
+
+    /// Moves bytes from the front of `chunk` into the header until it
+    /// is full, leaving the message body in `chunk`; true once full.
+    fn fill(&mut self, chunk: &mut &[u8]) -> bool {
+        let room = self.bytes.get_mut(self.have..).unwrap_or_default();
+        let take = room.len().min(chunk.len());
+        let (head, body) = chunk.split_at(take);
+        for (dst, src) in room.iter_mut().zip(head) {
+            *dst = *src;
+        }
+        self.have += take;
+        *chunk = body;
+        self.have == N
+    }
+}
+
+/// The fields of a request header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RequestHead {
     /// Request flags ([`FLAG_FINAL`]).
-    pub flags: u8,
+    flags: u8,
     /// Response payload bytes the client asks for.
-    pub resp_len: u32,
-    /// Request payload.
-    pub payload: Vec<u8>,
+    resp_len: u32,
+    /// Request payload bytes that follow.
+    req_len: u32,
 }
 
-impl RpcRequest {
-    /// True if this is the connection's announced last request.
-    pub fn is_final(&self) -> bool {
-        self.flags & FLAG_FINAL != 0
+impl RequestHead {
+    fn encode(self) -> [u8; REQ_HEADER_LEN] {
+        let [m0, m1, m2, m3] = *REQ_MAGIC;
+        let [a0, a1, a2, a3] = self.resp_len.to_be_bytes();
+        let [b0, b1, b2, b3] = self.req_len.to_be_bytes();
+        [m0, m1, m2, m3, self.flags, a0, a1, a2, a3, b0, b1, b2, b3]
+    }
+
+    fn decode(bytes: &[u8; REQ_HEADER_LEN]) -> Result<RequestHead> {
+        let [m0, m1, m2, m3, flags, a0, a1, a2, a3, b0, b1, b2, b3] = *bytes;
+        if [m0, m1, m2, m3] != *REQ_MAGIC {
+            return Err(protocol_error(ERR_RPC_MAGIC, "bad rpc request magic"));
+        }
+        let head = RequestHead {
+            flags,
+            resp_len: u32::from_be_bytes([a0, a1, a2, a3]),
+            req_len: u32::from_be_bytes([b0, b1, b2, b3]),
+        };
+        if head.req_len as usize > MAX_RPC_PAYLOAD || head.resp_len as usize > MAX_RPC_PAYLOAD {
+            return Err(protocol_error(
+                ERR_RPC_TOO_LARGE,
+                "rpc length exceeds limit",
+            ));
+        }
+        Ok(head)
     }
 }
 
-/// A parsed response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RpcResponse {
+/// The fields of a response header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ResponseHead {
     /// [`STATUS_OK`] or [`STATUS_BAD_REQUEST`].
-    pub status: u8,
-    /// FNV-1a checksum of the request payload, as the server saw it.
-    pub checksum: u64,
-    /// Response payload.
-    pub payload: Vec<u8>,
+    status: u8,
+    /// [`Checksum64`] of the request payload, as the server saw it.
+    checksum: u64,
+    /// Response payload bytes that follow.
+    resp_len: u32,
 }
 
-/// Encodes a complete request message (the caller FINs the stream).
-pub fn encode_request(flags: u8, resp_len: u32, payload: &[u8]) -> Vec<u8> {
-    assert!(
-        payload.len() <= MAX_RPC_PAYLOAD,
-        "request payload too large"
-    );
-    assert!(resp_len as usize <= MAX_RPC_PAYLOAD, "response too large");
-    let mut out = Vec::with_capacity(REQ_HEADER_LEN + payload.len());
-    out.extend_from_slice(REQ_MAGIC);
-    out.push(flags);
-    out.extend_from_slice(&resp_len.to_be_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(payload);
-    out
+impl ResponseHead {
+    fn encode(self) -> [u8; RESP_HEADER_LEN] {
+        let [m0, m1, m2, m3] = *RESP_MAGIC;
+        let [c0, c1, c2, c3, c4, c5, c6, c7] = self.checksum.to_be_bytes();
+        let [l0, l1, l2, l3] = self.resp_len.to_be_bytes();
+        let st = self.status;
+        [
+            m0, m1, m2, m3, st, c0, c1, c2, c3, c4, c5, c6, c7, l0, l1, l2, l3,
+        ]
+    }
+
+    fn decode(bytes: &[u8; RESP_HEADER_LEN]) -> Result<ResponseHead> {
+        let [m0, m1, m2, m3, status, c0, c1, c2, c3, c4, c5, c6, c7, l0, l1, l2, l3] = *bytes;
+        if [m0, m1, m2, m3] != *RESP_MAGIC {
+            return Err(protocol_error(ERR_RPC_MAGIC, "bad rpc response magic"));
+        }
+        let head = ResponseHead {
+            status,
+            checksum: u64::from_be_bytes([c0, c1, c2, c3, c4, c5, c6, c7]),
+            resp_len: u32::from_be_bytes([l0, l1, l2, l3]),
+        };
+        if head.resp_len as usize > MAX_RPC_PAYLOAD {
+            return Err(protocol_error(
+                ERR_RPC_TOO_LARGE,
+                "rpc length exceeds limit",
+            ));
+        }
+        Ok(head)
+    }
 }
 
-/// Decodes a complete request message (a finished stream's bytes).
-pub fn decode_request(buf: &[u8]) -> Result<RpcRequest> {
-    let (flags, a, b, rest) = split_header(buf, *REQ_MAGIC, ERR_RPC_MAGIC)?;
-    let resp_len = a;
-    let req_len = b as usize;
-    if req_len > MAX_RPC_PAYLOAD || resp_len as usize > MAX_RPC_PAYLOAD {
-        return Err(Error::Protocol {
-            code: ERR_RPC_TOO_LARGE,
-            reason: "rpc length exceeds limit".into(),
-        });
-    }
-    if rest.len() != req_len {
-        return Err(Error::Protocol {
-            code: ERR_RPC_TRUNCATED,
-            reason: "rpc request truncated".into(),
-        });
-    }
-    Ok(RpcRequest {
-        flags,
-        resp_len,
-        payload: rest.to_vec(),
-    })
+/// A request as it arrives: the header, then the payload folded into
+/// its checksum. Holds no payload bytes.
+#[derive(Debug)]
+struct RequestReader {
+    head: HeadBuf<REQ_HEADER_LEN>,
+    /// The header, once complete and acceptable.
+    parsed: Option<RequestHead>,
+    /// Checksum and byte count of the payload so far.
+    sum: Checksum64,
 }
 
-/// Encodes a complete response message (the caller FINs the stream).
-pub fn encode_response(status: u8, checksum: u64, payload: &[u8]) -> Vec<u8> {
-    assert!(
-        payload.len() <= MAX_RPC_PAYLOAD,
-        "response payload too large"
-    );
-    let mut out = Vec::with_capacity(RESP_HEADER_LEN + payload.len());
-    out.extend_from_slice(RESP_MAGIC);
-    out.push(status);
-    out.extend_from_slice(&checksum.to_be_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(payload);
-    out
+impl RequestReader {
+    fn new() -> RequestReader {
+        RequestReader {
+            head: HeadBuf::new(),
+            parsed: None,
+            sum: Checksum64::new(),
+        }
+    }
+
+    /// Takes the next chunk of the request stream. Fails the moment the
+    /// message can no longer become valid: the completed header has the
+    /// wrong magic or a length over [`MAX_RPC_PAYLOAD`], or more payload
+    /// has arrived than the header announced.
+    fn push(&mut self, mut chunk: &[u8]) -> Result<()> {
+        let head = match self.parsed {
+            Some(head) => head,
+            None if self.head.fill(&mut chunk) => {
+                *self.parsed.insert(RequestHead::decode(&self.head.bytes)?)
+            }
+            None => return Ok(()),
+        };
+        self.sum.update(chunk);
+        if self.sum.absorbed() > u64::from(head.req_len) {
+            return Err(protocol_error(
+                ERR_RPC_OVERLONG,
+                "rpc request longer than announced",
+            ));
+        }
+        Ok(())
+    }
+
+    /// The stream ended: the request's header and payload checksum, if
+    /// all of it arrived.
+    fn finish(&self) -> Result<(RequestHead, u64)> {
+        match self.parsed {
+            Some(head) if self.sum.absorbed() == u64::from(head.req_len) => {
+                Ok((head, self.sum.finish()))
+            }
+            _ => Err(protocol_error(ERR_RPC_TRUNCATED, "rpc request truncated")),
+        }
+    }
 }
 
-/// Decodes a complete response message (a finished stream's bytes).
-pub fn decode_response(buf: &[u8]) -> Result<RpcResponse> {
-    if buf.len() < RESP_HEADER_LEN {
-        return Err(Error::Protocol {
-            code: ERR_RPC_TRUNCATED,
-            reason: "rpc response truncated".into(),
-        });
-    }
-    if buf.get(..4) != Some(RESP_MAGIC.as_slice()) {
-        return Err(Error::Protocol {
-            code: ERR_RPC_MAGIC,
-            reason: "bad rpc response magic".into(),
-        });
-    }
-    let status = buf.get(4).copied().unwrap_or(0);
-    let checksum = be_u64(buf.get(5..13).unwrap_or(&[]));
-    let resp_len = be_u32(buf.get(13..17).unwrap_or(&[])) as usize;
-    if resp_len > MAX_RPC_PAYLOAD {
-        return Err(Error::Protocol {
-            code: ERR_RPC_TOO_LARGE,
-            reason: "rpc length exceeds limit".into(),
-        });
-    }
-    let rest = buf.get(RESP_HEADER_LEN..).unwrap_or(&[]);
-    if rest.len() != resp_len {
-        return Err(Error::Protocol {
-            code: ERR_RPC_TRUNCATED,
-            reason: "rpc response truncated".into(),
-        });
-    }
-    Ok(RpcResponse {
-        status,
-        checksum,
-        payload: rest.to_vec(),
-    })
-}
+/// The response pattern repeats with this period: byte `i` depends only
+/// on the low 16 bits of `i ^ checksum`.
+const PATTERN_PERIOD: usize = 1 << 16;
 
-/// Shared request-header split: flags byte, two u32 fields, payload.
-/// `magic` is by value so the one reference input (`buf`) elides the
-/// output lifetime.
-fn split_header(buf: &[u8], magic: [u8; 4], magic_err: u64) -> Result<(u8, u32, u32, &[u8])> {
-    if buf.len() < REQ_HEADER_LEN {
-        return Err(Error::Protocol {
-            code: ERR_RPC_TRUNCATED,
-            reason: "rpc message truncated".into(),
-        });
+/// Appends [`response_pattern`]`(len, checksum)` to `out`: the first
+/// period byte by byte from the generator, the rest as block copies of
+/// it.
+fn write_pattern(out: &mut Vec<u8>, len: usize, checksum: u64) {
+    let start = out.len();
+    let first = len.min(PATTERN_PERIOD);
+    out.extend((0..first as u64).map(|i| {
+        let i = i ^ checksum;
+        (i.wrapping_mul(31).wrapping_add(i >> 8) & 0xff) as u8
+    }));
+    let mut left = len - first;
+    while left > 0 {
+        let n = left.min(PATTERN_PERIOD);
+        out.extend_from_within(start..start + n);
+        left -= n;
     }
-    if buf.get(..4) != Some(magic.as_slice()) {
-        return Err(Error::Protocol {
-            code: magic_err,
-            reason: "bad rpc magic".into(),
-        });
-    }
-    let flags = buf.get(4).copied().unwrap_or(0);
-    let a = be_u32(buf.get(5..9).unwrap_or(&[]));
-    let b = be_u32(buf.get(9..13).unwrap_or(&[]));
-    Ok((flags, a, b, buf.get(REQ_HEADER_LEN..).unwrap_or(&[])))
-}
-
-/// Panic-free fixed-width reads: the callers' header-length guards
-/// make short slices impossible, but these paths decode untrusted
-/// bytes, so missing bytes read as zero rather than trusting that.
-fn be_u32(bytes: &[u8]) -> u32 {
-    let mut out = [0u8; 4];
-    for (dst, src) in out.iter_mut().zip(bytes) {
-        *dst = *src;
-    }
-    u32::from_be_bytes(out)
-}
-
-fn be_u64(bytes: &[u8]) -> u64 {
-    let mut out = [0u8; 8];
-    for (dst, src) in out.iter_mut().zip(bytes) {
-        *dst = *src;
-    }
-    u64::from_be_bytes(out)
 }
 
 /// Deterministic response payload: same generator as
 /// [`crate::transfer::pattern`], offset by the checksum so responses to
 /// different requests differ.
 pub fn response_pattern(len: usize, checksum: u64) -> Vec<u8> {
-    (0..len)
-        .map(|i| {
-            let i = i as u64 ^ checksum;
-            (i.wrapping_mul(31).wrapping_add(i >> 8) & 0xff) as u8
-        })
-        .collect()
+    let mut out = Vec::with_capacity(len);
+    write_pattern(&mut out, len, checksum);
+    out
+}
+
+/// Writes a whole response — header and `resp_len` pattern bytes, built
+/// once into one buffer — and ends the stream.
+fn respond(conn: &mut Connection, id: StreamId, status: u8, checksum: u64, resp_len: u32) {
+    let head = ResponseHead {
+        status,
+        checksum,
+        resp_len,
+    };
+    let mut message = Vec::with_capacity(RESP_HEADER_LEN + resp_len as usize);
+    message.extend_from_slice(&head.encode());
+    write_pattern(&mut message, resp_len as usize, checksum);
+    let _ = conn.stream_write(id, Bytes::from(message));
+    conn.stream_finish(id);
 }
 
 /// Per-stream server state.
 enum StreamState {
-    /// Accumulating request bytes until the client's FIN.
-    Receiving { buf: Vec<u8> },
-    /// Response written; waiting for full acknowledgement.
+    /// Taking the request in as it arrives.
+    Receiving(RequestReader),
+    /// Response written — the answer to a complete request, or an early
+    /// rejection. Whatever else the client sends is discarded; the
+    /// exchange ends once the client's FIN has been read and the
+    /// response acknowledged.
     Flushing { final_req: bool },
 }
 
@@ -280,63 +337,57 @@ impl ConnApp for RpcServerApp {
         if self.finished {
             return AppStatus::Done { ok: !self.any_bad };
         }
+        let conn = &mut transport.conn;
 
         // Adopt newly appeared peer streams.
-        let fresh: Vec<StreamId> = transport
-            .conn
-            .peer_stream_ids()
-            .filter(|id| !self.tracked.contains(id))
-            .collect();
-        for id in fresh {
-            self.tracked.insert(id);
-            self.streams
-                .insert(id, StreamState::Receiving { buf: Vec::new() });
-        }
-
-        // Advance every in-flight exchange.
-        let active: Vec<StreamId> = self.streams.keys().copied().collect();
-        for id in active {
-            let Some(state) = self.streams.get_mut(&id) else {
-                continue;
-            };
-            match state {
-                StreamState::Receiving { buf } => {
-                    while let Some(chunk) = transport.conn.stream_read(id, usize::MAX) {
-                        buf.extend_from_slice(&chunk);
-                    }
-                    if !transport.conn.stream_is_finished(id) {
-                        continue;
-                    }
-                    let (response, final_req) = match decode_request(buf) {
-                        Ok(req) => {
-                            let checksum = fnv1a64(&req.payload);
-                            let payload = response_pattern(req.resp_len as usize, checksum);
-                            (
-                                encode_response(STATUS_OK, checksum, &payload),
-                                req.is_final(),
-                            )
-                        }
-                        Err(_) => {
-                            self.any_bad = true;
-                            (encode_response(STATUS_BAD_REQUEST, 0, &[]), false)
-                        }
-                    };
-                    let _ = transport.conn.stream_write(id, Bytes::from(response));
-                    transport.conn.stream_finish(id);
-                    *state = StreamState::Flushing { final_req };
-                }
-                StreamState::Flushing { final_req } => {
-                    if transport.conn.stream_fully_acked(id) || transport.conn.is_closed() {
-                        let final_req = *final_req;
-                        self.streams.remove(&id);
-                        self.served += 1;
-                        if final_req {
-                            self.final_flushed = true;
-                        }
-                    }
-                }
+        for id in conn.peer_stream_ids() {
+            if self.tracked.insert(id) {
+                self.streams
+                    .insert(id, StreamState::Receiving(RequestReader::new()));
             }
         }
+
+        // Advance every in-flight exchange; a served one leaves the map.
+        self.streams.retain(|&id, state| match state {
+            StreamState::Receiving(reader) => {
+                let mut taken = Ok(());
+                while let Some(chunk) = conn.stream_read(id, usize::MAX) {
+                    // After a rejection the rest is read and dropped, so
+                    // the stream's flow-control window keeps moving.
+                    if taken.is_ok() {
+                        taken = reader.push(&chunk);
+                    }
+                }
+                let request = match taken {
+                    Ok(()) if !conn.stream_is_finished(id) => return true,
+                    Ok(()) => reader.finish(),
+                    Err(e) => Err(e),
+                };
+                let final_req = match request {
+                    Ok((head, checksum)) => {
+                        respond(conn, id, STATUS_OK, checksum, head.resp_len);
+                        head.flags & FLAG_FINAL != 0
+                    }
+                    Err(_) => {
+                        self.any_bad = true;
+                        respond(conn, id, STATUS_BAD_REQUEST, 0, 0);
+                        false
+                    }
+                };
+                *state = StreamState::Flushing { final_req };
+                true
+            }
+            StreamState::Flushing { final_req } => {
+                while conn.stream_read(id, usize::MAX).is_some() {}
+                let flushed = conn.stream_fully_acked(id) && conn.stream_is_finished(id);
+                if !flushed && !conn.is_closed() {
+                    return true;
+                }
+                self.served += 1;
+                self.final_flushed |= *final_req;
+                false
+            }
+        });
 
         if self.final_flushed && self.streams.is_empty() {
             self.finished = true;
@@ -347,12 +398,14 @@ impl ConnApp for RpcServerApp {
 }
 
 /// One client-side in-flight call: open a stream, send the request,
-/// accumulate the response until the server's FIN.
+/// count the response as it arrives until the server's FIN.
 pub struct RpcCall {
     id: StreamId,
     expect_checksum: u64,
-    expect_resp_len: usize,
-    buf: Vec<u8>,
+    expect_resp_len: u64,
+    head: HeadBuf<RESP_HEADER_LEN>,
+    /// Response payload bytes seen so far (counted, not kept).
+    received: u64,
 }
 
 /// What a completed [`RpcCall`] verified.
@@ -366,18 +419,29 @@ pub struct RpcVerdict {
 }
 
 impl RpcCall {
-    /// Opens a new stream on `conn` and writes a complete request.
+    /// Opens a new stream on `conn` and writes a complete request: the
+    /// header as one small chunk, then one copy of `payload`.
     pub fn start(conn: &mut Connection, payload: &[u8], resp_len: u32, last: bool) -> RpcCall {
+        assert!(
+            payload.len() <= MAX_RPC_PAYLOAD,
+            "request payload too large"
+        );
+        assert!(resp_len as usize <= MAX_RPC_PAYLOAD, "response too large");
+        let head = RequestHead {
+            flags: if last { FLAG_FINAL } else { 0 },
+            resp_len,
+            req_len: payload.len() as u32,
+        };
         let id = conn.open_stream();
-        let flags = if last { FLAG_FINAL } else { 0 };
-        let message = encode_request(flags, resp_len, payload);
-        let _ = conn.stream_write(id, Bytes::from(message));
+        let _ = conn.stream_write(id, Bytes::copy_from_slice(&head.encode()));
+        let _ = conn.stream_write(id, Bytes::copy_from_slice(payload));
         conn.stream_finish(id);
         RpcCall {
             id,
-            expect_checksum: fnv1a64(payload),
-            expect_resp_len: resp_len as usize,
-            buf: Vec::new(),
+            expect_checksum: Checksum64::of(payload),
+            expect_resp_len: u64::from(resp_len),
+            head: HeadBuf::new(),
+            received: 0,
         }
     }
 
@@ -390,24 +454,31 @@ impl RpcCall {
     /// complete. Call on every loop iteration until it completes.
     pub fn poll(&mut self, conn: &mut Connection) -> Option<RpcVerdict> {
         while let Some(chunk) = conn.stream_read(self.id, usize::MAX) {
-            self.buf.extend_from_slice(&chunk);
+            let mut body = &*chunk;
+            self.head.fill(&mut body);
+            self.received += body.len() as u64;
         }
         if !conn.stream_is_finished(self.id) {
             return None;
         }
-        let verdict = match decode_response(&self.buf) {
-            Ok(resp) => RpcVerdict {
-                ok: resp.status == STATUS_OK,
-                intact: resp.status == STATUS_OK
-                    && resp.checksum == self.expect_checksum
-                    && resp.payload.len() == self.expect_resp_len,
-            },
-            Err(_) => RpcVerdict {
+        // A short header, a bad one, or a payload of another length than
+        // the header announced is no response at all.
+        let complete = self.head.have == RESP_HEADER_LEN;
+        Some(match ResponseHead::decode(&self.head.bytes) {
+            Ok(head) if complete && u64::from(head.resp_len) == self.received => {
+                let ok = head.status == STATUS_OK;
+                RpcVerdict {
+                    ok,
+                    intact: ok
+                        && head.checksum == self.expect_checksum
+                        && self.received == self.expect_resp_len,
+                }
+            }
+            _ => RpcVerdict {
                 ok: false,
                 intact: false,
             },
-        };
-        Some(verdict)
+        })
     }
 }
 
@@ -423,31 +494,118 @@ mod tests {
         s.parse().unwrap()
     }
 
-    #[test]
-    fn request_round_trips() {
-        let wire = encode_request(FLAG_FINAL, 512, b"hello rpc");
-        let req = decode_request(&wire).unwrap();
-        assert!(req.is_final());
-        assert_eq!(req.resp_len, 512);
-        assert_eq!(req.payload, b"hello rpc");
+    /// A whole request message as one buffer.
+    fn request_wire(flags: u8, resp_len: u32, payload: &[u8]) -> Vec<u8> {
+        let head = RequestHead {
+            flags,
+            resp_len,
+            req_len: payload.len() as u32,
+        };
+        [&head.encode()[..], payload].concat()
     }
 
     #[test]
-    fn response_round_trips() {
-        let wire = encode_response(STATUS_OK, 0xfeed_f00d, b"payload");
-        let resp = decode_response(&wire).unwrap();
-        assert_eq!(resp.status, STATUS_OK);
-        assert_eq!(resp.checksum, 0xfeed_f00d);
-        assert_eq!(resp.payload, b"payload");
+    fn request_reader_takes_any_chunking() {
+        let wire = request_wire(FLAG_FINAL, 512, b"hello rpc");
+        for cut in 0..=wire.len() {
+            let mut reader = RequestReader::new();
+            reader.push(&wire[..cut]).unwrap();
+            reader.push(&wire[cut..]).unwrap();
+            let (head, checksum) = reader.finish().unwrap();
+            assert_eq!(
+                (head.flags, head.resp_len, head.req_len),
+                (FLAG_FINAL, 512, 9)
+            );
+            assert_eq!(checksum, Checksum64::of(b"hello rpc"));
+        }
     }
 
     #[test]
-    fn truncated_and_bad_magic_are_rejected() {
-        assert!(decode_request(b"MPQ").is_err());
-        assert!(decode_request(&encode_request(0, 0, b"x")[..9]).is_err());
-        let mut wire = encode_response(STATUS_OK, 1, b"y");
+    fn response_head_round_trips() {
+        let head = ResponseHead {
+            status: STATUS_OK,
+            checksum: 0xfeed_f00d_0bad_cafe,
+            resp_len: 7,
+        };
+        assert_eq!(ResponseHead::decode(&head.encode()).unwrap(), head);
+    }
+
+    fn code(result: Result<()>) -> Option<u64> {
+        match result {
+            Err(Error::Protocol { code, .. }) => Some(code),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn bad_requests_fail_as_early_as_they_can() {
+        // Bad magic: known with the header's last byte, not before.
+        let mut wire = request_wire(0, 0, b"x");
         wire[0] = b'X';
-        assert!(decode_response(&wire).is_err());
+        let mut reader = RequestReader::new();
+        assert!(reader.push(&wire[..REQ_HEADER_LEN - 1]).is_ok());
+        assert_eq!(
+            code(reader.push(&wire[REQ_HEADER_LEN - 1..])),
+            Some(ERR_RPC_MAGIC)
+        );
+        // A length over the cap, in either field.
+        for (resp_len, req_len) in [(0, MAX_RPC_PAYLOAD as u32 + 1), (u32::MAX, 0)] {
+            let head = RequestHead {
+                flags: 0,
+                resp_len,
+                req_len,
+            };
+            assert_eq!(
+                code(RequestReader::new().push(&head.encode())),
+                Some(ERR_RPC_TOO_LARGE)
+            );
+        }
+        // One byte more than announced.
+        let mut reader = RequestReader::new();
+        assert!(reader.push(&request_wire(0, 0, b"abc")).is_ok());
+        assert_eq!(code(reader.push(b"d")), Some(ERR_RPC_OVERLONG));
+        // FIN short of the announced length, or inside the header.
+        let wire = request_wire(0, 0, b"abc");
+        for cut in [3, REQ_HEADER_LEN, wire.len() - 1] {
+            let mut reader = RequestReader::new();
+            reader.push(&wire[..cut]).unwrap();
+            assert_eq!(
+                code(reader.finish().map(|_| ())),
+                Some(ERR_RPC_TRUNCATED),
+                "cut at {cut}"
+            );
+        }
+        let mut wire = ResponseHead {
+            status: STATUS_OK,
+            checksum: 1,
+            resp_len: 0,
+        }
+        .encode();
+        wire[0] = b'X';
+        assert!(ResponseHead::decode(&wire).is_err());
+    }
+
+    #[test]
+    fn response_pattern_matches_the_one_line_generator() {
+        // The generator as it was first written, one byte at a time.
+        let reference = |len: usize, checksum: u64| -> Vec<u8> {
+            (0..len)
+                .map(|i| {
+                    let i = i as u64 ^ checksum;
+                    (i.wrapping_mul(31).wrapping_add(i >> 8) & 0xff) as u8
+                })
+                .collect()
+        };
+        for checksum in [0, 1, 0xff00, 0xfeed_f00d_dead_beef, u64::MAX] {
+            for len in [0, 1, 255, 256, 257, 65_535, 65_536, 65_537, 200_000] {
+                assert_eq!(
+                    response_pattern(len, checksum),
+                    reference(len, checksum),
+                    "len {len} checksum {checksum:#x}"
+                );
+            }
+        }
+        assert_eq!(response_pattern(4096, 0), crate::transfer::pattern(4096));
     }
 
     /// Client connection and server app joined by a zero-delay
@@ -461,17 +619,29 @@ mod tests {
 
     impl Pair {
         fn new() -> Pair {
-            let config = Config::default();
+            Pair::with_config(Config::default())
+        }
+
+        /// A pair past its handshake.
+        fn with_config(config: Config) -> Pair {
             let ca = addr("10.0.0.1:1111");
             let sa = addr("10.0.0.2:4433");
             let client = Connection::client(config.clone(), vec![ca], 0, sa, 7);
             let server = QuicTransport::server(Connection::server(config, vec![sa], 8));
-            Pair {
+            let mut pair = Pair {
                 client,
                 server,
                 app: RpcServerApp::new(),
                 now: SimTime::ZERO,
+            };
+            for _ in 0..50 {
+                pair.tick();
+                if pair.client.is_established() {
+                    break;
+                }
             }
+            assert!(pair.client.is_established(), "handshake stalled");
+            pair
         }
 
         /// One tick: shuttle datagrams both ways, poll the server app.
@@ -491,19 +661,37 @@ mod tests {
             while self.client.poll_event().is_some() {}
             status
         }
+
+        /// Writes `pieces` to a fresh stream, one per tick, and with
+        /// `fin` ends it; ticks on until the server's whole response
+        /// has arrived (or gives up) and returns it with the stream.
+        fn raw_exchange(&mut self, pieces: &[&[u8]], fin: bool) -> (StreamId, Vec<u8>) {
+            let id = self.client.open_stream();
+            for piece in pieces {
+                let _ = self.client.stream_write(id, Bytes::copy_from_slice(piece));
+                self.tick();
+            }
+            if fin {
+                self.client.stream_finish(id);
+            }
+            let mut response = Vec::new();
+            for _ in 0..400 {
+                self.tick();
+                while let Some(chunk) = self.client.stream_read(id, usize::MAX) {
+                    response.extend_from_slice(&chunk);
+                }
+                if self.client.stream_is_finished(id) {
+                    break;
+                }
+            }
+            assert!(self.client.stream_is_finished(id), "no response");
+            (id, response)
+        }
     }
 
     #[test]
     fn serves_concurrent_calls_and_finishes_on_final() {
         let mut pair = Pair::new();
-        for _ in 0..50 {
-            pair.tick();
-            if pair.client.is_established() {
-                break;
-            }
-        }
-        assert!(pair.client.is_established(), "handshake stalled");
-
         let mut calls = vec![
             RpcCall::start(&mut pair.client, b"first", 64, false),
             RpcCall::start(&mut pair.client, b"second", 256, false),
@@ -552,31 +740,109 @@ mod tests {
         assert_eq!(pair.app.served(), 3);
     }
 
+    /// Big enough for several packets and a pattern past one period.
+    const RESP_LEN: u32 = 70_000;
+
+    #[test]
+    fn response_is_the_same_however_the_request_arrives() {
+        let payload: Vec<u8> = (0..3000u32).map(|i| (i * 7 % 251) as u8).collect();
+        let wire = request_wire(0, RESP_LEN, &payload);
+        let checksum = Checksum64::of(&payload);
+        let head = ResponseHead {
+            status: STATUS_OK,
+            checksum,
+            resp_len: RESP_LEN,
+        };
+        let expected = [
+            &head.encode()[..],
+            &response_pattern(RESP_LEN as usize, checksum),
+        ]
+        .concat();
+
+        let mut pair = Pair::new();
+        let (_, whole) = pair.raw_exchange(&[&wire], true);
+        assert_eq!(whole, expected, "request in one piece");
+        let (_, split) = pair.raw_exchange(&[&wire[..6], &wire[6..]], true);
+        assert_eq!(split, expected, "request split inside the header");
+        // A shorter message keeps the byte-per-tick case quick.
+        let small = request_wire(0, 64, b"drip");
+        let bytes: Vec<&[u8]> = small.chunks(1).collect();
+        let (_, dripped) = pair.raw_exchange(&bytes, true);
+        let (_, at_once) = pair.raw_exchange(&[&small], true);
+        assert_eq!(dripped, at_once, "request one byte per tick");
+        assert_eq!(dripped.len(), RESP_HEADER_LEN + 64);
+        assert!(!pair.app.any_bad);
+    }
+
+    fn bad_request_response() -> Vec<u8> {
+        ResponseHead {
+            status: STATUS_BAD_REQUEST,
+            checksum: 0,
+            resp_len: 0,
+        }
+        .encode()
+        .to_vec()
+    }
+
     #[test]
     fn malformed_request_yields_bad_status() {
         let mut pair = Pair::new();
-        for _ in 0..50 {
-            pair.tick();
-            if pair.client.is_established() {
-                break;
-            }
-        }
         // Hand-rolled garbage on a fresh stream.
-        let id = pair.client.open_stream();
-        let _ = pair
-            .client
-            .stream_write(id, Bytes::from(b"not an rpc".to_vec()));
-        pair.client.stream_finish(id);
-        let mut ok = None;
-        for _ in 0..200 {
-            pair.tick();
-            while let Some(_chunk) = pair.client.stream_read(id, usize::MAX) {}
-            if pair.client.stream_is_finished(id) {
-                ok = Some(true);
-                break;
-            }
-        }
-        assert_eq!(ok, Some(true), "no response to malformed request");
+        let (_, response) = pair.raw_exchange(&[b"not an rpc request"], true);
+        assert_eq!(response, bad_request_response());
         assert!(pair.app.any_bad, "server accepted garbage");
+    }
+
+    #[test]
+    fn truncated_request_is_rejected_at_fin() {
+        let mut pair = Pair::new();
+        let wire = request_wire(0, 64, b"0123456789");
+        let (_, response) = pair.raw_exchange(&[&wire[..wire.len() - 4]], true);
+        assert_eq!(response, bad_request_response());
+        assert!(pair.app.any_bad);
+    }
+
+    /// Over-cap and over-long requests are answered before the client's
+    /// FIN, and whatever the client streams afterwards is drained, not
+    /// kept: with windows this small an unread stream would stall the
+    /// client long before its 1 MiB is acknowledged.
+    #[test]
+    fn hopeless_requests_are_rejected_early_and_drained() {
+        let over_cap = RequestHead {
+            flags: 0,
+            resp_len: 0,
+            req_len: MAX_RPC_PAYLOAD as u32 + 1,
+        }
+        .encode()
+        .to_vec();
+        let over_long = request_wire(0, 64, b"four!");
+        for (what, mut opening) in [("over-cap", over_cap), ("over-long", over_long)] {
+            let mut pair = Pair::with_config(Config {
+                stream_recv_window: 64 << 10,
+                conn_recv_window: 128 << 10,
+                ..Config::default()
+            });
+            if what == "over-long" {
+                // Announced five bytes; a sixth follows.
+                opening.push(b'!');
+            }
+            let (id, response) = pair.raw_exchange(&[&opening], false);
+            assert_eq!(response, bad_request_response(), "{what}");
+            assert!(pair.app.any_bad, "{what}");
+
+            let _ = pair
+                .client
+                .stream_write(id, Bytes::from(vec![0xAAu8; 1 << 20]));
+            pair.client.stream_finish(id);
+            for _ in 0..2000 {
+                pair.tick();
+                if pair.client.stream_fully_acked(id) {
+                    break;
+                }
+            }
+            assert!(pair.client.stream_fully_acked(id), "{what}: stream wedged");
+            pair.tick();
+            assert!(pair.app.streams.is_empty(), "{what}: exchange never ended");
+        }
     }
 }

@@ -12,7 +12,7 @@
 //! the simulator experiments (`write`/`finish`/`read_chunk`/
 //! `recv_finished`), so applications written against either look alike.
 
-use bytes::Bytes;
+use bytes::{Buf, Bytes};
 use mpquic_harness::Transport;
 use std::io;
 use std::time::{Duration, Instant};
@@ -31,10 +31,9 @@ pub const DEFAULT_OP_TIMEOUT: Duration = Duration::from_secs(30);
 pub struct BlockingStream<T: Transport> {
     driver: Driver<T>,
     timeout: Duration,
-    /// Read-side staging: the last chunk pulled from the transport that
-    /// the caller's buffer could not fully absorb.
-    pending: Vec<u8>,
-    cursor: usize,
+    /// Read-side staging: what is left of the last chunk pulled from the
+    /// transport after the caller's buffer took its fill.
+    pending: Bytes,
 }
 
 impl<T: Transport> BlockingStream<T> {
@@ -48,8 +47,7 @@ impl<T: Transport> BlockingStream<T> {
         BlockingStream {
             driver,
             timeout,
-            pending: Vec::new(),
-            cursor: 0,
+            pending: Bytes::new(),
         }
     }
 
@@ -91,7 +89,7 @@ impl<T: Transport> BlockingStream<T> {
 
     /// True once the peer's end-of-stream was received and all data read.
     pub fn recv_finished(&self) -> bool {
-        self.pending.len() == self.cursor && self.driver.transport().recv_finished()
+        self.pending.is_empty() && self.driver.transport().recv_finished()
     }
 
     /// Runs the event loop until it goes idle (everything sendable now is
@@ -134,23 +132,17 @@ impl<T: Transport> io::Read for BlockingStream<T> {
         let mut backoff = Backoff::new();
         loop {
             // 1. Staged bytes from an earlier oversized chunk.
-            if self.cursor < self.pending.len() {
-                let src = self.pending.get(self.cursor..).unwrap_or(&[]);
-                let n = src.len().min(buf.len());
-                buf.iter_mut().zip(src).for_each(|(d, s)| *d = *s);
-                self.cursor += n;
-                if self.cursor == self.pending.len() {
-                    self.pending.clear();
-                    self.cursor = 0;
-                }
+            if !self.pending.is_empty() {
+                let n = self.pending.len().min(buf.len());
+                buf.iter_mut()
+                    .zip(self.pending.iter())
+                    .for_each(|(d, s)| *d = *s);
+                self.pending.advance(n);
                 return Ok(n);
             }
             // 2. Fresh in-order data from the transport.
             if let Some(chunk) = self.driver.transport_mut().read_chunk() {
-                if !chunk.is_empty() {
-                    self.pending = chunk.to_vec();
-                    self.cursor = 0;
-                }
+                self.pending = chunk;
                 continue;
             }
             // 3. Clean end of stream.

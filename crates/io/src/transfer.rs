@@ -6,17 +6,20 @@
 //! not an application:
 //!
 //! ```text
-//! client → server:  "MPQ1" · name_len:u16 · name · size:u64 · fnv64:u64 · payload
-//! server → client:  status:u8 (1 = verified) · fnv64:u64 (as computed)
+//! client → server:  "MPQ1" · name_len:u16 · name · size:u64 · sum64:u64 · payload
+//! server → client:  status:u8 (1 = verified) · sum64:u64 (as announced)
 //! ```
 //!
-//! All integers are big-endian. The FNV-1a checksum is an *end-to-end
-//! integrity witness* over the application payload: packet protection
-//! already authenticates each packet, the checksum additionally proves the
+//! All integers are big-endian. `sum64` is the [`Checksum64`] of the
+//! payload, an *end-to-end integrity witness*: packet protection already
+//! authenticates each packet, the checksum additionally proves the
 //! multipath reassembly (two packet-number spaces, one stream) delivered
-//! every byte in order.
+//! every byte in order. The receiving side folds the payload into the
+//! checksum as it arrives ([`RequestReader`], [`recv_request`]) instead
+//! of walking a finished buffer a second time.
 
-use std::io::{Read, Write};
+use mpquic_util::Checksum64;
+use std::io::{self, Read, Write};
 
 use crate::error::{Error, Result};
 
@@ -29,8 +32,6 @@ pub const ERR_BAD_MAGIC: u64 = 0x1;
 pub const ERR_NAME_TOO_LONG: u64 = 0x2;
 /// [`Error::Protocol`] code: file name is not valid UTF-8.
 pub const ERR_NAME_NOT_UTF8: u64 = 0x3;
-/// [`Error::Protocol`] code: announced payload size does not fit memory.
-pub const ERR_SIZE_OVERFLOW: u64 = 0x4;
 
 /// Server verdict: payload arrived intact.
 pub const STATUS_OK: u8 = 1;
@@ -41,17 +42,6 @@ pub const STATUS_CORRUPT: u8 = 0;
 /// Longest accepted file name, bytes.
 pub const MAX_NAME_LEN: usize = 1024;
 
-/// FNV-1a 64-bit checksum (dependency-free; collision resistance is not a
-/// goal — transport authenticity comes from packet protection).
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in data {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// The transfer request header.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransferHeader {
@@ -59,7 +49,7 @@ pub struct TransferHeader {
     pub name: String,
     /// Payload size in bytes.
     pub size: u64,
-    /// FNV-1a checksum of the payload.
+    /// [`Checksum64`] of the payload.
     pub checksum: u64,
 }
 
@@ -69,7 +59,7 @@ impl TransferHeader {
         TransferHeader {
             name: name.to_string(),
             size: data.len() as u64,
-            checksum: fnv1a64(data),
+            checksum: Checksum64::of(data),
         }
     }
 
@@ -121,6 +111,15 @@ impl TransferHeader {
             checksum: u64::from_be_bytes(checksum),
         })
     }
+
+    /// Checks what `sum` absorbed — the payload as received — against
+    /// the announced size and checksum; [`Error::Auth`] on a mismatch.
+    fn verify(&self, sum: &Checksum64) -> Result<()> {
+        if sum.absorbed() != self.size || sum.finish() != self.checksum {
+            return Err(Error::Auth("payload checksum mismatch".into()));
+        }
+        Ok(())
+    }
 }
 
 /// Writes a complete transfer request (header + payload) to `writer`.
@@ -133,21 +132,86 @@ pub fn send_request<W: Write>(writer: &mut W, name: &str, data: &[u8]) -> Result
     Ok(())
 }
 
+/// Bytes [`recv_request`] asks its reader for at a time.
+const READ_CHUNK: u64 = 64 << 10;
+
 /// Reads a complete transfer request. Returns the header and payload;
 /// fails with [`Error::Auth`] if the payload does not match the
-/// announced checksum.
+/// announced checksum. The payload buffer grows with what arrives, not
+/// with what the header announces, and each piece is folded into the
+/// checksum as it is read.
 pub fn recv_request<R: Read>(reader: &mut R) -> Result<(TransferHeader, Vec<u8>)> {
     let header = TransferHeader::decode(reader)?;
-    let size = usize::try_from(header.size).map_err(|_| Error::Protocol {
-        code: ERR_SIZE_OVERFLOW,
-        reason: "file too large".into(),
-    })?;
-    let mut payload = vec![0u8; size];
-    reader.read_exact(&mut payload)?;
-    if fnv1a64(&payload) != header.checksum {
-        return Err(Error::Auth("payload checksum mismatch".into()));
+    let mut payload = Vec::new();
+    let mut sum = Checksum64::new();
+    while sum.absorbed() < header.size {
+        let start = payload.len();
+        let want = (header.size - sum.absorbed()).min(READ_CHUNK);
+        if reader.by_ref().take(want).read_to_end(&mut payload)? == 0 {
+            return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+        }
+        sum.update(payload.get(start..).unwrap_or_default());
     }
+    header.verify(&sum)?;
     Ok((header, payload))
+}
+
+/// A transfer request as it arrives on a non-blocking stream: the
+/// variable-length header is parsed once enough bytes are in, then the
+/// payload is folded into its checksum chunk by chunk and dropped. Holds
+/// at most the header's bytes, never the payload's.
+#[derive(Debug, Default)]
+pub struct RequestReader {
+    /// Header bytes so far; emptied once the header parses.
+    head: Vec<u8>,
+    header: Option<TransferHeader>,
+    /// The first error met; later input is dropped.
+    error: Option<Error>,
+    /// Checksum and byte count of the payload so far.
+    sum: Checksum64,
+}
+
+impl RequestReader {
+    /// A reader before its first byte.
+    pub fn new() -> RequestReader {
+        RequestReader::default()
+    }
+
+    /// Takes the next chunk of the request stream.
+    pub fn push(&mut self, chunk: &[u8]) {
+        if self.error.is_some() {
+            return;
+        }
+        if self.header.is_some() {
+            self.sum.update(chunk);
+            return;
+        }
+        self.head.extend_from_slice(chunk);
+        let mut rest = self.head.as_slice();
+        match TransferHeader::decode(&mut rest) {
+            Ok(header) => {
+                self.sum.update(rest);
+                self.header = Some(header);
+                self.head = Vec::new();
+            }
+            // The header is still short of its own length.
+            Err(Error::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => {}
+            Err(e) => self.error = Some(e),
+        }
+    }
+
+    /// The stream ended: the header of a request that arrived whole and
+    /// matches its announced size and checksum.
+    pub fn finish(self) -> Result<TransferHeader> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        let header = self
+            .header
+            .ok_or_else(|| io::Error::from(io::ErrorKind::UnexpectedEof))?;
+        header.verify(&self.sum)?;
+        Ok(header)
+    }
 }
 
 /// Writes the server's verdict.
@@ -239,9 +303,58 @@ mod tests {
     }
 
     #[test]
-    fn fnv_is_stable() {
-        // Reference vector: FNV-1a 64 of empty input is the offset basis.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
+    fn request_reader_agrees_with_recv_request_under_any_chunking() {
+        let data = pattern(3000);
+        let mut wire = Vec::new();
+        send_request(&mut wire, "blob", &data).unwrap();
+        let (expected, _) = recv_request(&mut &wire[..]).unwrap();
+        for step in [1, 7, 19, 1200, wire.len()] {
+            let mut reader = RequestReader::new();
+            for chunk in wire.chunks(step) {
+                reader.push(chunk);
+            }
+            assert_eq!(reader.finish().unwrap(), expected, "step {step}");
+        }
+        // Damage, a missing tail and a surplus byte all fail the check.
+        let last = wire.len() - 1;
+        let mut corrupt = wire.clone();
+        corrupt[last] ^= 1;
+        let mut longer = wire.clone();
+        longer.push(0);
+        for bad in [&corrupt[..], &wire[..last], &longer[..]] {
+            let mut reader = RequestReader::new();
+            reader.push(bad);
+            assert!(matches!(reader.finish(), Err(Error::Auth(_))));
+        }
+        // A bad header is a protocol error however late the FIN.
+        let mut reader = RequestReader::new();
+        reader.push(b"NOPE\x00\x00");
+        reader.push(&data);
+        assert!(matches!(
+            reader.finish(),
+            Err(Error::Protocol {
+                code: ERR_BAD_MAGIC,
+                ..
+            })
+        ));
+        // FIN inside the header.
+        let mut reader = RequestReader::new();
+        reader.push(&wire[..5]);
+        assert!(matches!(reader.finish(), Err(Error::Io(_))));
+    }
+
+    #[test]
+    fn announced_size_does_not_size_the_buffer() {
+        // A header claiming 2^60 bytes over a short stream: an early end
+        // of input, not an allocation of what was claimed.
+        let header = TransferHeader {
+            name: "huge".into(),
+            size: 1 << 60,
+            checksum: 0,
+        };
+        let mut wire = header.encode();
+        wire.extend_from_slice(&[0u8; 100]);
+        let err = recv_request(&mut &wire[..]).unwrap_err();
+        assert!(matches!(err, Error::Io(_)), "got {err:?}");
     }
 }

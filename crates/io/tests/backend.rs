@@ -67,7 +67,7 @@ fn run_transfer(choice: BackendChoice, expected: BackendKind) {
         verified,
         "{expected:?}: server reported a checksum mismatch"
     );
-    assert_eq!(checksum, transfer::fnv1a64(&data));
+    assert_eq!(checksum, mpquic_util::Checksum64::of(&data));
 
     let mut sink = Vec::new();
     stream.read_to_end(&mut sink).expect("drain to EOF");

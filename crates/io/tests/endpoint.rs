@@ -64,7 +64,7 @@ fn run_transfer(driver: Driver<QuicTransport>, seed: u64, payload: &[u8]) -> Dri
     let mut stream = BlockingStream::with_timeout(driver, OP_TIMEOUT);
     stream.wait_established().expect("handshake");
 
-    let checksum = transfer::fnv1a64(payload);
+    let checksum = mpquic_util::Checksum64::of(payload);
     transfer::send_request(&mut stream, "mine.bin", payload).expect("send");
     stream.finish().expect("finish");
     let (ok, server_checksum) = transfer::recv_response(&mut stream).expect("verdict");

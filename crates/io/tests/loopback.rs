@@ -86,7 +86,7 @@ fn run_transfer_with(
     assert!(verified, "server reported a checksum mismatch");
     assert_eq!(
         server_checksum,
-        transfer::fnv1a64(&data),
+        mpquic_util::Checksum64::of(&data),
         "server's checksum matches ours"
     );
     // Drain the server's end-of-stream, then close so the server's linger

@@ -46,7 +46,7 @@ fn churn_client(server: SocketAddr, seed: u64, payload: &[u8]) {
     let mut stream = BlockingStream::with_timeout(driver, OP_TIMEOUT);
     stream.wait_established().expect("handshake");
 
-    let checksum = transfer::fnv1a64(payload);
+    let checksum = mpquic_util::Checksum64::of(payload);
     transfer::send_request(&mut stream, "churn.bin", payload).expect("send");
     stream.finish().expect("finish");
     let (ok, server_checksum) = transfer::recv_response(&mut stream).expect("verdict");

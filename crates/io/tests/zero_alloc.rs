@@ -14,10 +14,17 @@
 //! frames into buffers reused across ACKs (returned via
 //! `Recovery::reclaim`), so acknowledging a full flight allocates
 //! nothing at steady state either.
+//!
+//! The third test is not a zero but a budget: a whole `Connection` pair
+//! moving 1,200-byte STREAM packets still allocates per packet (sent-map
+//! nodes, per-packet frame vectors, decoded payloads), and the test pins
+//! how often, so a copy or a scratch `Vec` creeping back into the stream
+//! path (DESIGN.md §19) fails here.
 
 use bytes::Bytes;
 use mpquic_core::recovery::{Recovery, SentPacket};
 use mpquic_core::rtt::RttEstimator;
+use mpquic_core::{Config, Connection, TransmitQueue};
 use mpquic_io::{RecvBatch, SocketRegistry};
 use mpquic_util::alloc_count::{self, CountingAlloc};
 use mpquic_util::SimTime;
@@ -169,4 +176,94 @@ fn steady_state_ack_processing_does_not_allocate() {
             );
         }
     }
+}
+
+/// Moves everything `from` has to send into `to`.
+fn flush(from: &mut Connection, to: &mut Connection, queue: &mut TransmitQueue, now: SimTime) {
+    loop {
+        from.poll_transmit_batch(now, queue);
+        if queue.is_empty() {
+            return;
+        }
+        while let Some(transmit) = queue.pop() {
+            for segment in transmit.segments() {
+                to.handle_datagram(now, transmit.remote, transmit.local, segment);
+            }
+            queue.recycle(transmit.payload);
+        }
+    }
+}
+
+/// One turn of an in-memory wire: time advances, due timers fire, each
+/// side sends what it has.
+fn turn(client: &mut Connection, server: &mut Connection, queue: &mut TransmitQueue, now: SimTime) {
+    for conn in [&mut *client, &mut *server] {
+        if conn.next_timeout().is_some_and(|due| due <= now) {
+            conn.on_timeout(now);
+        }
+    }
+    flush(client, server, queue, now);
+    flush(server, client, queue, now);
+}
+
+/// Allocations per packet the stream path may cost, both ends and the
+/// returning ACKs included. The same measurement read 11.66 before
+/// STREAM frames became views of the written buffer, the per-packet
+/// stream-id `Vec` went and in-order reassembly stopped building scratch
+/// range sets; the budget sits three below that.
+const STREAM_ALLOCS_PER_PACKET: f64 = 8.66;
+
+/// The shape of `mpquic-perf`'s `core.allocs_per_pkt` rung: a warm
+/// two-path pair, the client writing 64-packet bursts of one shared
+/// buffer, the server reading them out.
+#[test]
+fn stream_path_allocations_per_packet_stay_in_budget() {
+    const BURST: usize = 64;
+    const PACKETS: u64 = 20_000;
+    let config = Config::builder()
+        .multipath()
+        .idle_timeout(None)
+        .build()
+        .expect("valid config");
+    let server_addr: SocketAddr = "10.0.0.2:4433".parse().unwrap();
+    let client_addrs: Vec<SocketAddr> = vec![
+        "10.0.0.1:1111".parse().unwrap(),
+        "10.0.1.1:1111".parse().unwrap(),
+    ];
+    let mut client = Connection::client(config.clone(), client_addrs, 0, server_addr, 7);
+    let mut server = Connection::server(config.clone(), vec![server_addr], 8);
+    let mut queue = TransmitQueue::for_config(&config);
+    let mut now = SimTime::ZERO;
+    for _ in 0..64 {
+        now += Duration::from_millis(1);
+        turn(&mut client, &mut server, &mut queue, now);
+    }
+    assert!(client.is_established() && client.path_ids().len() == 2);
+
+    let chunk = Bytes::from(vec![0x5au8; SEGMENT * BURST]);
+    let stream = client.open_stream();
+    let mut run = |packets: u64, client: &mut Connection, server: &mut Connection| {
+        let before = client.stats().packets_sent + server.stats().packets_sent;
+        let mut written = 0;
+        while written < packets {
+            let _ = client.stream_write(stream, chunk.clone());
+            written += BURST as u64;
+            now += Duration::from_micros(200);
+            turn(client, server, &mut queue, now);
+            while server.stream_read(stream, usize::MAX).is_some() {}
+        }
+        client.stats().packets_sent + server.stats().packets_sent - before
+    };
+    run(PACKETS / 10, &mut client, &mut server);
+
+    alloc_count::reset_thread_counts();
+    let packets = run(PACKETS, &mut client, &mut server);
+    let allocs = alloc_count::thread_counts().allocs;
+
+    let per_packet = allocs as f64 / packets as f64;
+    assert!(
+        per_packet <= STREAM_ALLOCS_PER_PACKET,
+        "{per_packet:.2} allocations per packet ({allocs} over {packets} packets), \
+         budget {STREAM_ALLOCS_PER_PACKET}"
+    );
 }

@@ -16,6 +16,9 @@
 //!   wire format.
 //! * [`ranges`] — a compact set of `u64` ranges, used for ACK ranges and
 //!   stream reassembly bookkeeping.
+//! * [`checksum`] — the streaming, word-wide 64-bit checksum
+//!   ([`checksum::Checksum64`]) the application protocols carry as their
+//!   end-to-end integrity witness.
 //! * [`stats`] — the statistics the paper's figures report: CDFs, medians,
 //!   percentiles and box-plot five-number summaries.
 //! * [`alloc_count`] — a counting global allocator so tests and benches
@@ -33,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod alloc_count;
+pub mod checksum;
 pub mod datagram;
 pub mod model;
 pub mod ranges;
@@ -42,6 +46,7 @@ pub mod sync;
 pub mod time;
 pub mod varint;
 
+pub use checksum::Checksum64;
 pub use datagram::Datagram;
 pub use ranges::RangeSet;
 pub use rng::DetRng;

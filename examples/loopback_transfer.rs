@@ -89,7 +89,7 @@ fn main() {
     stream.finish().expect("finish");
     let (verified, checksum) = transfer::recv_response(&mut stream).expect("read verdict");
     let elapsed = started.elapsed().as_secs_f64();
-    assert!(verified && checksum == transfer::fnv1a64(&payload));
+    assert!(verified && checksum == mpquic_util::Checksum64::of(&payload));
 
     let mut sink = Vec::new();
     stream.read_to_end(&mut sink).expect("drain EOF");
