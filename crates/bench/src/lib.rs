@@ -8,8 +8,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod gate;
-
 use mpquic_expdesign::ExperimentClass;
 use mpquic_harness::{Overrides, SweepConfig};
 use std::time::Duration;

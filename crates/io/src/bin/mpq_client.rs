@@ -1,9 +1,10 @@
-//! `mpq-client` — send one authenticated file transfer over real UDP.
+//! `mpq-client` — upload one payload over real UDP and have the server
+//! verify it.
 //!
 //! ```text
 //! mpq-client --connect ADDR [--local ADDR]... [--file PATH | --size BYTES]
 //!            [--single-path | --multipath] [--scheduler NAME] [--qlog FILE]
-//!            [--stats-interval SECS] [--name NAME] [--seed N] [--timeout SECS]
+//!            [--stats-interval SECS] [--seed N] [--timeout SECS]
 //! ```
 //!
 //! Binds one UDP socket per `--local` address (defaults: two ephemeral
@@ -11,15 +12,19 @@
 //! the server from the first, and — once the handshake completes and the
 //! server's ADD_ADDRESS frames arrive — the path manager opens one
 //! additional path per extra local address. The file (or a `--size`-byte
-//! synthetic payload) is sent with a checksum header; the exit status
-//! reflects the server's verification verdict. Per-path statistics show
-//! how the lowest-RTT scheduler split the transfer.
+//! synthetic payload, `k`/`m`/`g` suffixes accepted) goes up as one
+//! `mpq-rpc` exchange ([`mpquic_io::rpc`]); the server echoes the
+//! checksum of what it reassembled, and the exit status reflects that
+//! verdict. A payload over 64 MiB (`MAX_RPC_PAYLOAD`, the protocol's
+//! cap on one message) is refused before any socket is bound. Per-path
+//! statistics show how the lowest-RTT scheduler split the upload.
 
 use mpquic_core::Config;
 use mpquic_io::cli::{
     entropy_seed, install_telemetry, print_report, scheduler_kind, stats_interval, Args,
 };
-use mpquic_io::{quic_client, transfer, BlockingStream};
+use mpquic_io::rpc::{response_pattern, MAX_RPC_PAYLOAD};
+use mpquic_io::{quic_client, RpcCall};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -36,7 +41,9 @@ fn run() -> Result<(), String> {
         println!(
             "usage: mpq-client --connect ADDR [--local ADDR]... [--file PATH | --size BYTES] \
              [--single-path|--multipath] [--scheduler NAME] [--qlog FILE] \
-             [--stats-interval SECS] [--name NAME] [--seed N] [--timeout SECS]"
+             [--stats-interval SECS] [--seed N] [--timeout SECS]\n\
+             the payload is one mpq-rpc message: at most {} bytes (64 MiB)",
+            MAX_RPC_PAYLOAD
         );
         return Ok(());
     }
@@ -70,18 +77,7 @@ fn run() -> Result<(), String> {
         None => 60,
     });
 
-    let (name, payload) = match args.value("file") {
-        Some(path) => {
-            let data = std::fs::read(path).map_err(|e| format!("--file: {e}"))?;
-            let name = args.value("name").unwrap_or(path).to_string();
-            (name, data)
-        }
-        None => {
-            let size = parse_size(args.value("size").unwrap_or("4m"))?;
-            let name = args.value("name").unwrap_or("synthetic.bin").to_string();
-            (name, transfer::pattern(size))
-        }
-    };
+    let payload = load_payload(args.value("file"), args.value("size"))?;
 
     let mut builder = if single_path {
         Config::builder().single_path()
@@ -112,47 +108,72 @@ fn run() -> Result<(), String> {
         }
     );
 
-    let mut stream = BlockingStream::with_timeout(driver, timeout);
-    stream
-        .wait_established()
+    let established = driver
+        .run_until(timeout, |t| t.conn.is_established())
         .map_err(|e| format!("handshake: {e}"))?;
+    if !established {
+        return Err("handshake timed out".into());
+    }
     let started = Instant::now();
 
-    let checksum = mpquic_util::Checksum64::of(&payload);
-    transfer::send_request(&mut stream, &name, &payload).map_err(|e| format!("send: {e}"))?;
-    stream.finish().map_err(|e| format!("finish: {e}"))?;
-    println!(
-        "sent {:?}: {} bytes, checksum {checksum:#018x}",
-        name,
-        payload.len()
-    );
-
-    let (verified, server_checksum) =
-        transfer::recv_response(&mut stream).map_err(|e| format!("response: {e}"))?;
+    // One exchange, the last on this connection: the payload up, no
+    // response body. The verdict is the server's echo of the checksum.
+    let mut call = RpcCall::start(driver.connection_mut(), &payload, 0, true);
+    println!("sending {} bytes", payload.len());
+    let mut verdict = None;
+    driver
+        .run_until(timeout, |t| {
+            verdict = call.poll(&mut t.conn);
+            verdict.is_some() || t.conn.is_closed()
+        })
+        .map_err(|e| format!("upload: {e}"))?;
     let elapsed = started.elapsed().as_secs_f64();
 
-    let driver = stream.driver_mut();
     driver.connection_mut().close(0, "transfer complete");
     let _ = driver.run_for(Duration::from_millis(100));
 
-    print_report(
-        "mpq-client",
-        driver.connection(),
-        &driver.stats(),
-        &driver.socket_drops(),
-        driver.batch_stats(),
-        (driver.backend_kind(), &driver.backend_stats()),
-        elapsed,
-        Some(&metrics.snapshot()),
-    );
+    print_report("mpq-client", &driver, elapsed, Some(&metrics.snapshot()));
 
-    if !verified || server_checksum != checksum {
-        return Err(format!(
-            "server failed to verify the transfer (ours {checksum:#018x}, theirs {server_checksum:#018x})"
-        ));
+    match verdict {
+        Some(v) if v.ok && v.intact => {
+            println!("server verified the transfer");
+            Ok(())
+        }
+        Some(v) if v.ok => Err("server echoed a different checksum than ours".into()),
+        Some(_) => Err("server rejected the request".into()),
+        None => Err("no verdict: the connection closed or --timeout expired first".into()),
     }
-    println!("server verified the transfer");
-    Ok(())
+}
+
+/// The bytes to upload: `--file`'s contents, else a `--size`-byte
+/// synthetic pattern (default `4m`). Refuses anything over
+/// [`MAX_RPC_PAYLOAD`] — one `mpq-rpc` message cannot carry it — and
+/// checks a file's length before reading it.
+fn load_payload(file: Option<&str>, size: Option<&str>) -> Result<Vec<u8>, String> {
+    let fits = |len: u64, flag: &str| {
+        if len > MAX_RPC_PAYLOAD as u64 {
+            return Err(format!(
+                "{flag}: {len} bytes is over the {MAX_RPC_PAYLOAD}-byte (64 MiB) \
+                 limit of one mpq-rpc message"
+            ));
+        }
+        Ok(())
+    };
+    match file {
+        Some(path) => {
+            let meta = std::fs::metadata(path).map_err(|e| format!("--file: {e}"))?;
+            fits(meta.len(), "--file")?;
+            let data = std::fs::read(path).map_err(|e| format!("--file: {e}"))?;
+            // A pipe or a growing file has no length to trust.
+            fits(data.len() as u64, "--file")?;
+            Ok(data)
+        }
+        None => {
+            let size = parse_size(size.unwrap_or("4m"))?;
+            fits(size as u64, "--size")?;
+            Ok(response_pattern(size, 0))
+        }
+    }
 }
 
 /// Parses a byte count with an optional `k`/`m`/`g` (binary) suffix.
@@ -172,4 +193,64 @@ fn parse_size(raw: &str) -> Result<usize, String> {
         .map_err(|_| format!("--size: invalid byte count {raw:?}"))?;
     base.checked_mul(1usize << shift)
         .ok_or_else(|| "--size: too large".to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sizes_take_binary_suffixes() {
+        assert_eq!(parse_size("512"), Ok(512));
+        assert_eq!(parse_size("64k"), Ok(64 << 10));
+        assert_eq!(parse_size(" 3M "), Ok(3 << 20));
+        assert!(parse_size("lots").is_err());
+        assert!(parse_size("99999999999999g").is_err());
+    }
+
+    /// User input must reach `RpcCall::start` already inside its cap —
+    /// past it sits an `assert!`.
+    #[test]
+    fn a_payload_over_the_rpc_cap_is_a_usage_error() {
+        let at_cap = MAX_RPC_PAYLOAD.to_string();
+        assert_eq!(
+            load_payload(None, Some(&at_cap)).map(|p| p.len()),
+            Ok(MAX_RPC_PAYLOAD)
+        );
+        assert_eq!(
+            load_payload(None, Some("64m")).map(|p| p.len()),
+            Ok(64 << 20)
+        );
+        for over in [(MAX_RPC_PAYLOAD + 1).to_string(), "65m".into(), "1g".into()] {
+            let err = load_payload(None, Some(&over)).unwrap_err();
+            assert!(err.contains("--size") && err.contains("64 MiB"), "{err}");
+        }
+        assert_eq!(load_payload(None, None).map(|p| p.len()), Ok(4 << 20));
+    }
+
+    #[test]
+    fn an_oversized_file_is_refused_by_its_length() {
+        let dir = std::env::temp_dir();
+        let small = dir.join(format!("mpq-client-small-{}", std::process::id()));
+        std::fs::write(&small, b"multipath").expect("write small file");
+        assert_eq!(
+            load_payload(small.to_str(), Some("1g")),
+            Ok(b"multipath".to_vec()),
+            "--file wins over --size"
+        );
+        let _ = std::fs::remove_file(&small);
+
+        // Sparse: a length past the cap, no blocks behind it.
+        let big = dir.join(format!("mpq-client-big-{}", std::process::id()));
+        let file = std::fs::File::create(&big).expect("create big file");
+        file.set_len(MAX_RPC_PAYLOAD as u64 + 1).expect("extend");
+        drop(file);
+        let err = load_payload(big.to_str(), None).unwrap_err();
+        assert!(err.contains("--file") && err.contains("64 MiB"), "{err}");
+        let _ = std::fs::remove_file(&big);
+
+        assert!(load_payload(Some("/nonexistent/mpq"), None)
+            .unwrap_err()
+            .starts_with("--file:"));
+    }
 }

@@ -1,4 +1,4 @@
-//! `mpq-server` — serve authenticated file transfers over real UDP.
+//! `mpq-server` — serve `mpq-rpc` over real UDP.
 //!
 //! ```text
 //! mpq-server [--listen ADDR]... [--single-path | --multipath]
@@ -12,15 +12,20 @@
 //! and serves **many concurrent clients** through an
 //! [`mpquic_io::Endpoint`]: `--workers` identical loops (default: one
 //! per core), each with its own sockets, and the kernel delivers each
-//! datagram to the loop that owns its connection ID. Each connection receives one
-//! file, verifies its checksum and reports the verdict to its client.
+//! datagram to the loop that owns its connection ID. Every connection
+//! runs [`mpquic_io::RpcServerApp`] — the application `mpquic-loadgen`
+//! and the `perf/` yardstick drive: each client-opened stream is one
+//! request/response exchange, answered with the checksum of the request
+//! as reassembled here. An `mpq-client` upload is one such exchange.
 //!
 //! `--max-conns` (default 1, the old single-shot behaviour) is both the
 //! accept limit — datagrams with new connection IDs beyond it are
-//! dropped and counted — and the number of transfers served before the
-//! process prints its per-shard report and exits. The exit status is
-//! non-zero if any transfer failed verification or `--timeout` expired
-//! first.
+//! dropped and counted — and the number of connections served before
+//! the process prints its per-shard report and exits. A connection
+//! counts as completed once the request its client marked final has
+//! been answered and acknowledged; one that sent a malformed request,
+//! or closed without a final one, counts as failed. The exit status is
+//! non-zero if any connection failed or `--timeout` expired first.
 //!
 //! With `--multipath` (the default) every listen address is advertised
 //! to each client via ADD_ADDRESS so it can open one path per local
@@ -37,7 +42,7 @@ use mpquic_core::Config;
 use mpquic_io::cli::{
     entropy_seed, metrics_addr, metrics_interval, print_endpoint_report, scheduler_kind, Args,
 };
-use mpquic_io::{Endpoint, TransferApp};
+use mpquic_io::{Endpoint, RpcServerApp};
 use mpquic_telemetry::endpoint::{MetricsServer, SnapshotWriter};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -106,7 +111,7 @@ fn run() -> Result<(), String> {
         &listen,
         config,
         seed,
-        Box::new(|_cid| Box::new(TransferApp::new())),
+        Box::new(|_cid| Box::new(RpcServerApp::new())),
     )
     .map_err(|e| format!("bind: {e}"))?;
     let plane = endpoint.plane();
@@ -138,7 +143,7 @@ fn run() -> Result<(), String> {
         max_conns,
     );
 
-    // Serve until `--max-conns` transfers have finished (counting
+    // Serve until `--max-conns` connections have finished (counting
     // failures, so a misbehaving client cannot pin the process) or the
     // deadline passes.
     let started = Instant::now();
@@ -166,7 +171,7 @@ fn run() -> Result<(), String> {
 
     if timed_out {
         return Err(format!(
-            "timed out after {:.0}s with {}/{} transfers done",
+            "timed out after {:.0}s with {}/{} connections done",
             timeout.as_secs_f64(),
             report.totals.completed + report.totals.failed,
             max_conns,
@@ -174,7 +179,7 @@ fn run() -> Result<(), String> {
     }
     if report.totals.failed > 0 {
         return Err(format!(
-            "{} of {} transfers failed verification",
+            "{} of {} connections failed",
             report.totals.failed,
             report.totals.completed + report.totals.failed,
         ));

@@ -5,12 +5,11 @@ use mpquic_core::telemetry::{
     MetricsHandle, MetricsSnapshot, MetricsSubscriber, StatsReporter, StreamingQlog,
 };
 use mpquic_core::{Connection, SchedulerKind};
+use mpquic_harness::QuicTransport;
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use crate::backend::{BackendKind, BackendStats};
-use crate::driver::IoStats;
-use crate::socket::BatchStats;
+use crate::driver::Driver;
 
 /// A parsed command line: flags with optional values, in order.
 #[derive(Debug, Default)]
@@ -178,22 +177,23 @@ pub fn install_telemetry(
     Ok(handle)
 }
 
-/// Prints the end-of-run report both binaries share: per-path byte
+/// Prints a one-connection driver's end-of-run report: per-path byte
 /// counts and smoothed RTTs (with loss and scheduler share when a
 /// metrics snapshot is supplied), connection totals, socket-level
 /// counters with per-socket send drops, and a datapath batching
 /// summary (datagrams per syscall, syscalls saved).
 pub fn print_report(
     label: &str,
-    conn: &Connection,
-    io: &IoStats,
-    socket_drops: &[(SocketAddr, u64)],
-    batch: &BatchStats,
-    backend: (BackendKind, &BackendStats),
+    driver: &Driver<QuicTransport>,
     elapsed_secs: f64,
     metrics: Option<&MetricsSnapshot>,
 ) {
+    let conn = driver.connection();
     let stats = conn.stats();
+    let io = driver.stats();
+    let sockets = driver.sockets();
+    let batch = sockets.batch_stats();
+    let backend = sockets.backend_stats();
     println!("--- {label} ---");
     for id in conn.path_ids() {
         let Some(path) = conn.path(id) else { continue };
@@ -233,8 +233,8 @@ pub fn print_report(
         "sockets: {} datagrams out ({} dropped at socket), {} in, {} timer fires",
         io.datagrams_sent, io.send_drops, io.datagrams_received, io.timer_fires,
     );
-    for (local, drops) in socket_drops {
-        if *drops > 0 {
+    for (local, drops) in sockets.send_drops_per_socket() {
+        if drops > 0 {
             println!("        {local}: {drops} datagrams dropped (send buffer full)");
         }
     }
@@ -251,12 +251,11 @@ pub fn print_report(
             batch.syscalls_saved,
         );
     }
-    let (backend_kind, backend) = backend;
     if backend.submissions > 0 || backend.fallbacks > 0 {
         println!(
             "backend: {} — {} submissions, {} completions, {} fallbacks \
              (batch mean {}, max {})",
-            backend_kind,
+            sockets.backend_kind(),
             backend.submissions,
             backend.completions,
             backend.fallbacks,
@@ -272,8 +271,8 @@ pub fn print_report(
 
 /// Prints a multi-connection endpoint's end-of-run report: one line per
 /// worker shard, the merged socket/batching counters (folded with
-/// [`IoStats::merge`] / [`BatchStats::merge`]), and the endpoint-level
-/// accept/verdict totals.
+/// [`crate::IoStats::merge`] / [`crate::BatchStats::merge`]), and the
+/// endpoint-level accept/verdict totals.
 pub fn print_endpoint_report(label: &str, report: &crate::EndpointReport, elapsed_secs: f64) {
     let totals = &report.totals;
     println!("--- {label} ---");

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use crate::clock::Clock;
 use crate::error::{Error, Result};
-use crate::socket::{BatchStats, RecvBatch, SocketRegistry};
+use crate::socket::{RecvBatch, SocketRegistry};
 use crate::timer::Timer;
 
 /// Per-step caps so a flood on one side of the cycle cannot starve the
@@ -241,25 +241,10 @@ impl<T: Transport> Driver<T> {
         self.stats.with_socket_counters(&self.sockets)
     }
 
-    /// Datapath batching telemetry (datagrams-per-syscall histograms).
-    pub fn batch_stats(&self) -> &BatchStats {
-        self.sockets.batch_stats()
-    }
-
-    /// Which datapath backend the socket registry is running on.
-    pub fn backend_kind(&self) -> crate::BackendKind {
-        self.sockets.backend_kind()
-    }
-
-    /// Datapath backend telemetry (submissions, completions,
-    /// batch-size histogram, fallbacks).
-    pub fn backend_stats(&self) -> crate::BackendStats {
-        self.sockets.backend_stats()
-    }
-
-    /// Send-buffer drops broken down by local socket, in bind order.
-    pub fn socket_drops(&self) -> Vec<(SocketAddr, u64)> {
-        self.sockets.send_drops_per_socket()
+    /// The socket registry underneath: batching and backend telemetry,
+    /// per-socket send drops.
+    pub fn sockets(&self) -> &SocketRegistry {
+        &self.sockets
     }
 
     /// Runs one non-blocking iteration of the event loop: fires due
@@ -345,7 +330,7 @@ impl<T: Transport> Driver<T> {
     /// Waits out an idle moment: until a datagram arrives, or else
     /// until the transport's next deadline clamped to the polling
     /// granularity ([`Timer::sleep_for`]).
-    pub(crate) fn park(&mut self) {
+    fn park(&mut self) {
         let wait = self
             .timer
             .sleep_for(self.clock.now(), self.transport.next_timeout());

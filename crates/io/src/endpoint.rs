@@ -29,11 +29,11 @@
 //! the metrics plane's relaxed counters and the stop flag.
 //!
 //! The application each accepted connection runs is pluggable
-//! ([`ConnApp`]); [`TransferApp`] implements the `mpq` file-transfer
-//! server the binaries speak.
+//! ([`ConnApp`]); the one this repository serves is
+//! [`crate::RpcServerApp`].
 
 use mpquic_core::Config;
-use mpquic_harness::{QuicTransport, Transport};
+use mpquic_harness::QuicTransport;
 use mpquic_util::sync::atomic::{AtomicBool, Ordering};
 use mpquic_util::sync::Arc;
 use mpquic_util::DetRng;
@@ -53,7 +53,6 @@ use crate::error::{Error, Result};
 use crate::mmsg::Waker;
 use crate::shard::{ShardCore, ShardReport};
 use crate::socket::{RecvBatch, SocketRegistry};
-use crate::transfer;
 
 /// Datagrams pulled per loop iteration (one batched syscall's worth).
 const RECV_BATCH: usize = 64;
@@ -91,75 +90,6 @@ pub trait ConnApp: Send {
 
 /// Builds the [`ConnApp`] for each accepted connection, given its CID.
 pub type AppFactory = Box<dyn Fn(u64) -> Box<dyn ConnApp> + Send + Sync>;
-
-/// The application stream both binaries use (the client's first
-/// stream; mirrors `mpquic_harness`'s `APP_STREAM`).
-const APP_STREAM: mpquic_core::StreamId = 1;
-
-/// The `mpq` file-transfer server as a [`ConnApp`]: take one request
-/// in as it arrives (header parsed, payload folded into its checksum
-/// and dropped), answer with the verdict, and report success once the
-/// client has acknowledged the response.
-#[derive(Debug, Default)]
-pub struct TransferApp {
-    /// The request as taken in so far; holds no payload bytes.
-    request: transfer::RequestReader,
-    state: TransferState,
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-enum TransferState {
-    /// Taking the request stream in until the client's FIN.
-    #[default]
-    Receiving,
-    /// Response written; waiting for it to be fully acknowledged.
-    Flushing { ok: bool },
-    /// Verdict delivered to the shard.
-    Finished { ok: bool },
-}
-
-impl TransferApp {
-    /// A fresh transfer server. The [`AppFactory`] form is
-    /// `Box::new(|_| Box::new(TransferApp::new()))`.
-    pub fn new() -> TransferApp {
-        TransferApp::default()
-    }
-}
-
-impl ConnApp for TransferApp {
-    fn poll(&mut self, transport: &mut QuicTransport) -> AppStatus {
-        match self.state {
-            TransferState::Receiving => {
-                while let Some(chunk) = transport.read_chunk() {
-                    self.request.push(&chunk);
-                }
-                if !transport.recv_finished() {
-                    return AppStatus::Pending;
-                }
-                let (ok, checksum) = match std::mem::take(&mut self.request).finish() {
-                    Ok(header) => (true, header.checksum),
-                    Err(_) => (false, 0),
-                };
-                let mut response = Vec::new();
-                let _ = transfer::send_response(&mut response, ok, checksum);
-                transport.write(bytes::Bytes::from(response));
-                transport.finish();
-                self.state = TransferState::Flushing { ok };
-                AppStatus::Pending
-            }
-            TransferState::Flushing { ok } => {
-                if transport.conn.stream_fully_acked(APP_STREAM) || transport.conn.is_closed() {
-                    self.state = TransferState::Finished { ok };
-                    return AppStatus::Done { ok };
-                }
-                AppStatus::Pending
-            }
-            // The shard stops polling after the first `Done`; repeat
-            // the verdict if it asks again anyway.
-            TransferState::Finished { ok } => AppStatus::Done { ok },
-        }
-    }
-}
 
 /// End-of-run report: every shard's counters plus the endpoint totals.
 #[derive(Debug, Clone, Default)]

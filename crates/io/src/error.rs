@@ -1,23 +1,16 @@
 //! The runtime's single error surface.
 //!
-//! Before this module, the io crate leaked three error vocabularies at
-//! its callers: raw `std::io::Error` from the sockets, stringly
-//! `InvalidData` errors from the transfer protocol, and `TimedOut` from
-//! the blocking stream. [`Error`] folds them into one enum with four
-//! meaningful cases, so a binary (or a test) can match on *what went
-//! wrong* instead of parsing error strings:
+//! [`Error`] has one case per way the runtime can fail, so a binary (or
+//! a test) can match on *what went wrong* instead of parsing error
+//! strings:
 //!
 //! * [`Error::Io`] — the OS refused a socket operation;
-//! * [`Error::Protocol`] — the peer (or the bytes on the stream)
-//!   violated a protocol rule;
-//! * [`Error::Timeout`] — a blocking operation exceeded its deadline;
-//! * [`Error::Auth`] — an end-to-end integrity or authentication check
-//!   failed (e.g. the transfer checksum).
+//! * [`Error::Protocol`] — the bytes on a stream violated an
+//!   application-protocol rule ([`crate::rpc`]'s `ERR_RPC_*` codes).
 //!
-//! `Error` converts to `std::io::Error` (and from it), so the
-//! `std::io::Read`/`Write` impls on [`crate::BlockingStream`] keep
-//! their standard signatures while everything underneath speaks the
-//! typed enum.
+//! A deadline is not an error here: [`crate::Driver::run_until`] returns
+//! whether its condition was reached, and the caller names what it was
+//! waiting for.
 
 use std::fmt;
 use std::io;
@@ -38,13 +31,6 @@ pub enum Error {
         /// Human-readable description.
         reason: String,
     },
-    /// A blocking operation did not complete within its deadline.
-    Timeout {
-        /// The operation that timed out (e.g. `"handshake"`, `"read"`).
-        op: &'static str,
-    },
-    /// An end-to-end integrity or authentication check failed.
-    Auth(String),
 }
 
 impl fmt::Display for Error {
@@ -54,8 +40,6 @@ impl fmt::Display for Error {
             Error::Protocol { code, reason } => {
                 write!(f, "protocol error {code:#x}: {reason}")
             }
-            Error::Timeout { op } => write!(f, "{op} timed out"),
-            Error::Auth(reason) => write!(f, "authentication failure: {reason}"),
         }
     }
 }
@@ -75,18 +59,6 @@ impl From<io::Error> for Error {
     }
 }
 
-impl From<Error> for io::Error {
-    fn from(e: Error) -> io::Error {
-        match e {
-            Error::Io(e) => e,
-            Error::Timeout { op } => {
-                io::Error::new(io::ErrorKind::TimedOut, format!("{op} timed out"))
-            }
-            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,30 +66,21 @@ mod tests {
     #[test]
     fn displays_are_specific() {
         let e = Error::Protocol {
-            code: 0x2,
-            reason: "bad transfer magic".into(),
+            code: 0x10,
+            reason: "bad rpc request magic".into(),
         };
-        assert!(e.to_string().contains("0x2"));
-        assert!(e.to_string().contains("bad transfer magic"));
-        assert_eq!(
-            Error::Timeout { op: "handshake" }.to_string(),
-            "handshake timed out"
-        );
+        assert!(e.to_string().contains("0x10"));
+        assert!(e.to_string().contains("bad rpc request magic"));
     }
 
     #[test]
-    fn io_round_trip_preserves_kind() {
-        let original = io::Error::new(io::ErrorKind::AddrInUse, "busy");
-        let wrapped = Error::from(original);
-        let back = io::Error::from(wrapped);
-        assert_eq!(back.kind(), io::ErrorKind::AddrInUse);
-    }
-
-    #[test]
-    fn timeout_maps_to_timed_out_kind() {
-        let back = io::Error::from(Error::Timeout { op: "read" });
-        assert_eq!(back.kind(), io::ErrorKind::TimedOut);
-        let auth = io::Error::from(Error::Auth("checksum mismatch".into()));
-        assert_eq!(auth.kind(), io::ErrorKind::InvalidData);
+    fn io_errors_keep_their_kind_and_source() {
+        let wrapped = Error::from(io::Error::new(io::ErrorKind::AddrInUse, "busy"));
+        assert!(wrapped.to_string().contains("busy"));
+        let Error::Io(inner) = &wrapped else {
+            panic!("an io::Error converts to Error::Io");
+        };
+        assert_eq!(inner.kind(), io::ErrorKind::AddrInUse);
+        assert!(std::error::Error::source(&wrapped).is_some());
     }
 }

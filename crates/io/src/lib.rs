@@ -23,8 +23,6 @@
 //! * [`driver::Driver`] — the event loop pumping any
 //!   [`mpquic_harness::Transport`] (QUIC, and equally the TCP stack)
 //!   through the ingress → timers → egress cycle.
-//! * [`stream::BlockingStream`] — `std::io::Read`/`Write` over the
-//!   transport's byte stream, for ordinary blocking application code.
 //! * [`endpoint::Endpoint`] + [`shard`] — the multi-connection server:
 //!   N identical `Driver`-style loops, each over its own sockets and a
 //!   disjoint connection set the kernel steers to it by connection ID
@@ -33,31 +31,39 @@
 //!   a full send buffer, and spin → yield → *park* for an idle loop:
 //!   every loop above blocks on its sockets
 //!   ([`socket::SocketRegistry::wait_readable`]) rather than sleep.
-//! * [`transfer`] — the tiny authenticated file-transfer protocol the
-//!   `mpq-server` / `mpq-client` binaries speak.
-//! * [`rpc`] — the multi-stream request/response protocol the
-//!   `mpquic-loadgen` harness drives: many concurrent exchanges per
-//!   connection, one per client-opened stream.
+//! * [`rpc`] — `mpq-rpc`, the one application protocol everything
+//!   here serves and measures (DESIGN.md §20): `mpq-server` and
+//!   `mpq-client`, the `mpquic-loadgen` harness and the `perf/`
+//!   yardstick all run [`RpcServerApp`] against [`RpcCall`] — many
+//!   concurrent exchanges per connection, one per client-opened stream.
 //!
-//! ## A multipath transfer over real sockets
+//! ## A multipath upload over real sockets
 //!
 //! ```no_run
 //! use mpquic_core::Config;
-//! use mpquic_io::{quic_client, BlockingStream};
-//! use std::io::Write;
+//! use mpquic_io::{quic_client, RpcCall};
+//! use std::time::Duration;
 //!
 //! // Two local interfaces (here: two loopback ports) — the path manager
 //! // opens the second path automatically after the handshake.
-//! let driver = quic_client(
+//! let mut driver = quic_client(
 //!     Config::builder().multipath().build().unwrap(),
 //!     &["127.0.0.1:0".parse().unwrap(), "127.0.0.1:0".parse().unwrap()],
 //!     "127.0.0.1:4433".parse().unwrap(),
 //!     7,
 //! ).unwrap();
-//! let mut stream = BlockingStream::new(driver);
-//! stream.wait_established().unwrap();
-//! stream.write_all(b"over two real UDP sockets").unwrap();
-//! stream.finish().unwrap();
+//! // One exchange: the payload up, no response body, last on this
+//! // connection. The request is buffered now and leaves as the
+//! // handshake and the windows allow.
+//! let payload = b"over two real UDP sockets";
+//! let mut call = RpcCall::start(driver.connection_mut(), payload, 0, true);
+//! let mut verdict = None;
+//! driver.run_until(Duration::from_secs(30), |t| {
+//!     verdict = call.poll(&mut t.conn);
+//!     verdict.is_some() || t.conn.is_closed()
+//! }).unwrap();
+//! // The server echoed the checksum of what it reassembled.
+//! assert!(verdict.is_some_and(|v| v.ok && v.intact));
 //! ```
 
 // `deny`, not `forbid`: the socket FFI (`sendmmsg`/`recvmmsg`, the
@@ -78,9 +84,7 @@ pub mod probe;
 pub mod rpc;
 pub mod shard;
 pub mod socket;
-pub mod stream;
 pub mod timer;
-pub mod transfer;
 
 pub use backend::{Backend, BackendChoice, BackendKind, BackendStats};
 pub use backoff::Backoff;
@@ -88,13 +92,12 @@ pub use clock::Clock;
 pub use driver::{quic_client, quic_server, Driver, IoStats};
 pub use endpoint::{
     AppFactory, AppStatus, ConnApp, Endpoint, EndpointPlane, EndpointReport, EndpointSnapshot,
-    EndpointStats, FlightKind, PlaneSnapshot, Tombstones, TransferApp,
+    EndpointStats, FlightKind, PlaneSnapshot, Tombstones,
 };
 pub use error::Error;
 pub use rpc::{RpcCall, RpcServerApp, RpcVerdict};
 pub use shard::{shard_for_cid, ShardReport};
 pub use socket::{BatchStats, RecvBatch, SocketRegistry};
-pub use stream::BlockingStream;
 pub use timer::Timer;
 
 // The abstractions this runtime plugs into, re-exported for convenience.

@@ -1,11 +1,13 @@
 //! The `mpq-rpc` request/response application protocol.
 //!
-//! Where [`crate::transfer`] speaks one request per connection on one
-//! stream, `mpq-rpc` multiplexes many request/response exchanges over
-//! one connection — one exchange per client-opened bidirectional
-//! stream, the shape every netbench-style load harness needs
-//! (request/response and streaming workloads issue thousands of calls
-//! per connection; connection churn issues one).
+//! The one application protocol this repository serves and measures
+//! (DESIGN.md §20): `mpq-server`/`mpq-client`, `mpquic-loadgen` and the
+//! `perf/` yardstick all speak it. `mpq-rpc` multiplexes many
+//! request/response exchanges over one connection — one exchange per
+//! client-opened bidirectional stream, the shape every netbench-style
+//! load harness needs (request/response and streaming workloads issue
+//! thousands of calls per connection; connection churn, and a file
+//! upload, issue one).
 //!
 //! ```text
 //! client → server (per stream):
@@ -19,9 +21,9 @@
 //! app reports success to its shard, so a clean client close is counted
 //! [`crate::EndpointSnapshot::completed`], not `failed`. `sum64` is the
 //! [`Checksum64`] of the request payload, echoed in the response as the
-//! end-to-end integrity witness (same rationale as the transfer
-//! protocol: packet protection authenticates packets, the checksum
-//! proves multi-stream reassembly delivered every byte).
+//! end-to-end integrity witness: packet protection authenticates
+//! packets, the checksum proves that reassembly — two packet-number
+//! spaces, many streams — delivered every byte in order.
 //!
 //! Both sides take a message as it arrives (DESIGN.md §19): the fixed
 //! header is parsed the moment its last byte is readable, every payload
@@ -265,9 +267,10 @@ fn write_pattern(out: &mut Vec<u8>, len: usize, checksum: u64) {
     }
 }
 
-/// Deterministic response payload: same generator as
-/// [`crate::transfer::pattern`], offset by the checksum so responses to
-/// different requests differ.
+/// Deterministic response payload: a varying pattern, so reassembly
+/// bugs cannot hide behind repetition, offset by the checksum so
+/// responses to different requests differ. With `checksum` 0 it is also
+/// the synthetic upload `mpq-client --size` sends.
 pub fn response_pattern(len: usize, checksum: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(len);
     write_pattern(&mut out, len, checksum);
@@ -605,7 +608,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(response_pattern(4096, 0), crate::transfer::pattern(4096));
     }
 
     /// Client connection and server app joined by a zero-delay

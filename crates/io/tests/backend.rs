@@ -3,11 +3,11 @@
 //! each pinned through `SocketRegistry::bind_with`.
 
 use mpquic_core::{Config, Connection};
+use mpquic_io::rpc::response_pattern;
 use mpquic_io::{
-    mmsg, transfer, BackendChoice, BackendKind, BlockingStream, Driver, QuicTransport,
-    SocketRegistry,
+    mmsg, AppStatus, BackendChoice, BackendKind, ConnApp, Driver, QuicTransport, RpcCall,
+    RpcServerApp, SocketRegistry,
 };
-use std::io::Read;
 use std::net::SocketAddr;
 use std::sync::mpsc;
 use std::time::Duration;
@@ -19,8 +19,9 @@ fn loopback0() -> SocketAddr {
     "127.0.0.1:0".parse().unwrap()
 }
 
-/// One single-path client→server transfer with both ends' registries
-/// bound on `choice`; asserts both ends stayed on `expected`.
+/// One single-path `mpq-rpc` upload with both ends' registries bound on
+/// `choice`; asserts the server's echoed checksum matched and both ends
+/// stayed on `expected`.
 fn run_transfer(choice: BackendChoice, expected: BackendKind) {
     let (addr_tx, addr_rx) = mpsc::channel();
     let (server_tx, server_rx) = mpsc::channel();
@@ -28,19 +29,18 @@ fn run_transfer(choice: BackendChoice, expected: BackendKind) {
     let server = std::thread::spawn(move || {
         let sockets = SocketRegistry::bind_with(&[loopback0()], choice).expect("bind server");
         let conn = Connection::server(Config::single_path(), sockets.local_addrs(), 0xBEEF);
-        let driver = Driver::new(QuicTransport::server(conn), sockets);
+        let mut driver = Driver::new(QuicTransport::server(conn), sockets);
         addr_tx.send(driver.local_addrs()[0]).expect("report addr");
-        let mut stream = BlockingStream::with_timeout(driver, OP_TIMEOUT);
-        stream.wait_established().expect("server handshake");
-        let (header, payload) = transfer::recv_request(&mut stream).expect("receive upload");
-        transfer::send_response(&mut stream, true, header.checksum).expect("send verdict");
-        stream.finish().expect("finish response");
-        let driver = stream.driver_mut();
-        let _ = driver.run_until(Duration::from_secs(5), |t| {
-            t.conn.stream_fully_acked(1) || t.conn.is_closed()
+        // The endpoint's application, polled by hand on one connection.
+        let mut app = RpcServerApp::new();
+        let mut status = AppStatus::Pending;
+        let _ = driver.run_until(OP_TIMEOUT, |t| {
+            status = app.poll(t);
+            status != AppStatus::Pending || t.conn.is_closed()
         });
+        let sockets = driver.sockets();
         server_tx
-            .send((payload, driver.backend_kind(), driver.backend_stats()))
+            .send((status, sockets.backend_kind(), sockets.backend_stats()))
             .expect("report outcome");
     });
 
@@ -55,39 +55,44 @@ fn run_transfer(choice: BackendChoice, expected: BackendKind) {
         server_addr,
         0xC0FFEE,
     );
-    let driver = Driver::new(QuicTransport::client(conn), sockets);
-    let mut stream = BlockingStream::with_timeout(driver, OP_TIMEOUT);
-    stream.wait_established().expect("client handshake");
+    let mut driver = Driver::new(QuicTransport::client(conn), sockets);
 
-    let data = transfer::pattern(SIZE);
-    transfer::send_request(&mut stream, "backend.bin", &data).expect("send upload");
-    stream.finish().expect("finish upload");
-    let (verified, checksum) = transfer::recv_response(&mut stream).expect("read verdict");
+    let data = response_pattern(SIZE, 0);
+    let mut call = RpcCall::start(driver.connection_mut(), &data, 0, true);
+    let mut verdict = None;
+    driver
+        .run_until(OP_TIMEOUT, |t| {
+            verdict = call.poll(&mut t.conn);
+            verdict.is_some() || t.conn.is_closed()
+        })
+        .expect("pump the upload");
     assert!(
-        verified,
-        "{expected:?}: server reported a checksum mismatch"
+        verdict.is_some_and(|v| v.ok && v.intact),
+        "{expected:?}: server did not echo our checksum: {verdict:?}"
     );
-    assert_eq!(checksum, mpquic_util::Checksum64::of(&data));
 
-    let mut sink = Vec::new();
-    stream.read_to_end(&mut sink).expect("drain to EOF");
-    let mut driver = stream.into_driver();
+    // The close ends the server's wait if the response's last
+    // acknowledgement has not already.
     driver.connection_mut().close(0, "transfer complete");
     let _ = driver.run_for(Duration::from_millis(100));
-
-    let (payload, server_kind, server_stats) = server_rx
+    let (status, server_kind, server_stats) = server_rx
         .recv_timeout(Duration::from_secs(30))
-        .expect("server delivered payload");
+        .expect("server finished");
     server.join().expect("server thread clean exit");
 
-    assert_eq!(payload, data, "{expected:?}: payload reassembled exactly");
     assert_eq!(
-        driver.backend_kind(),
+        status,
+        AppStatus::Done { ok: true },
+        "{expected:?}: server verified the upload"
+    );
+    let sockets = driver.sockets();
+    assert_eq!(
+        sockets.backend_kind(),
         expected,
         "client kept the forced backend"
     );
     assert_eq!(server_kind, expected, "server kept the forced backend");
-    let client_stats = driver.backend_stats();
+    let client_stats = sockets.backend_stats();
     assert!(
         client_stats.submissions > 0 && client_stats.completions > 0,
         "{expected:?}: client backend saw no traffic: {client_stats:?}"

@@ -11,13 +11,16 @@
 //! it; every datagram received is delivered or counted under a reason;
 //! the CID→loop assignment is stable and balanced over random CIDs; one
 //! `mpq-server` *process* completes eight concurrent `mpq-client`
-//! transfers; and the loop is O(active) — silent connections are never
-//! polled, an idle loop parks, and timers and shutdown reach it there.
+//! transfers; a client of an earlier build (the `mpq` transfer protocol)
+//! is turned away cleanly; and the loop is O(active) — silent
+//! connections are never polled, an idle loop parks, and timers and
+//! shutdown reach it there.
 
 use mpquic_core::{Config, Connection, PathId, SchedulerKind, TransmitQueue};
+use mpquic_io::rpc::STATUS_BAD_REQUEST;
 use mpquic_io::{
-    quic_client, shard_for_cid, transfer, AppStatus, BlockingStream, Clock, ConnApp, Driver,
-    Endpoint, QuicTransport, RecvBatch, RpcCall, RpcServerApp, SocketRegistry, TransferApp,
+    quic_client, shard_for_cid, AppStatus, Clock, ConnApp, Driver, Endpoint, QuicTransport,
+    RecvBatch, RpcCall, RpcServerApp, SocketRegistry, Transport,
 };
 use mpquic_util::DetRng;
 use std::collections::HashMap;
@@ -46,7 +49,7 @@ fn distinct_payload(tag: u64, size: usize) -> Vec<u8> {
 }
 
 /// One complete client transfer against a running endpoint: handshake,
-/// upload `payload`, and assert the server's verdict echoes *our*
+/// upload `payload`, and assert the server's response echoes *our*
 /// checksum — the isolation proof. Closes cleanly so the server retires
 /// the connection promptly.
 fn run_client(server: SocketAddr, seed: u64, payload: &[u8]) {
@@ -55,28 +58,33 @@ fn run_client(server: SocketAddr, seed: u64, payload: &[u8]) {
         .build()
         .expect("client config");
     let driver = quic_client(config, &[loopback0()], server, seed).expect("client bind");
-    run_transfer(driver, seed, payload);
+    run_transfer(driver, payload);
 }
 
 /// [`run_client`] over an already-bound driver (any path count).
 /// Returns the driver, closed, for the caller to inspect.
-fn run_transfer(driver: Driver<QuicTransport>, seed: u64, payload: &[u8]) -> Driver<QuicTransport> {
-    let mut stream = BlockingStream::with_timeout(driver, OP_TIMEOUT);
-    stream.wait_established().expect("handshake");
-
-    let checksum = mpquic_util::Checksum64::of(payload);
-    transfer::send_request(&mut stream, "mine.bin", payload).expect("send");
-    stream.finish().expect("finish");
-    let (ok, server_checksum) = transfer::recv_response(&mut stream).expect("verdict");
-    assert!(ok, "server failed to verify the transfer");
-    assert_eq!(
-        server_checksum, checksum,
-        "server verified someone else's bytes (seed {seed})"
-    );
-
-    let mut driver = stream.into_driver();
+fn run_transfer(mut driver: Driver<QuicTransport>, payload: &[u8]) -> Driver<QuicTransport> {
+    exchange(&mut driver, payload, 0, true);
     close(&mut driver);
     driver
+}
+
+/// One verified `mpq-rpc` exchange on `driver`: `request` up,
+/// `resp_len` bytes back, the echoed checksum ours and no one else's.
+fn exchange(driver: &mut Driver<QuicTransport>, request: &[u8], resp_len: u32, last: bool) {
+    let cid = driver.connection().connection_id();
+    let mut call = RpcCall::start(driver.connection_mut(), request, resp_len, last);
+    let mut verdict = None;
+    driver
+        .run_until(OP_TIMEOUT, |t| {
+            verdict = call.poll(&mut t.conn);
+            verdict.is_some() || t.conn.is_closed()
+        })
+        .expect("pump");
+    assert!(
+        verdict.is_some_and(|v| v.ok && v.intact),
+        "server did not verify our bytes (cid {cid:#x}): {verdict:?}"
+    );
 }
 
 /// Closes cleanly, so the server retires the connection promptly.
@@ -106,7 +114,7 @@ fn concurrent_clients_get_their_own_files_back() {
         &[loopback0()],
         config,
         0x15011,
-        Box::new(|_cid| Box::new(TransferApp::new())),
+        Box::new(|_cid| Box::new(RpcServerApp::new())),
     )
     .expect("bind endpoint");
     let server = endpoint.local_addrs()[0];
@@ -160,32 +168,31 @@ fn beyond_the_accept_limit(workers: usize) {
         &[loopback0()],
         config,
         0x7E57,
-        Box::new(|_cid| Box::new(TransferApp::new())),
+        Box::new(|_cid| Box::new(RpcServerApp::new())),
     )
     .expect("bind endpoint");
     let server = endpoint.local_addrs()[0];
 
     // First client takes the only slot and holds it.
-    let holder = quic_client(
+    let mut holder = quic_client(
         Config::builder().single_path().build().expect("config"),
         &[loopback0()],
         server,
         0xAAAA,
     )
     .expect("holder bind");
-    let mut holder = BlockingStream::with_timeout(holder, OP_TIMEOUT);
-    holder.wait_established().expect("holder handshake");
+    let established = holder
+        .run_until(OP_TIMEOUT, |t| t.is_established())
+        .expect("pump");
+    assert!(established, "holder handshake");
     assert_eq!(endpoint.stats().accepted, 1);
 
     // Second client's unknown CID arrives past the limit: every one of
     // its datagrams is dropped and counted, so its handshake times out.
     // Its seed is the first whose CID another loop owns (where there is
     // another loop).
-    let holder_shard = shard_for_cid(
-        holder.driver().connection().connection_id(),
-        endpoint.workers(),
-    );
-    let rejected = (0xBBBB_u64..)
+    let holder_shard = shard_for_cid(holder.connection().connection_id(), endpoint.workers());
+    let mut rejected = (0xBBBB_u64..)
         .map(|seed| {
             quic_client(
                 Config::builder().single_path().build().expect("config"),
@@ -200,9 +207,11 @@ fn beyond_the_accept_limit(workers: usize) {
             endpoint.workers() == 1 || shard_for_cid(cid, endpoint.workers()) != holder_shard
         })
         .expect("some seed maps to the other loop");
-    let mut rejected = BlockingStream::with_timeout(rejected, Duration::from_millis(700));
+    let established = rejected
+        .run_until(Duration::from_millis(700), |t| t.is_established())
+        .expect("pump");
     assert!(
-        rejected.wait_established().is_err(),
+        !established,
         "second connection must not get through a --max-conns 1 endpoint"
     );
     assert!(
@@ -211,7 +220,7 @@ fn beyond_the_accept_limit(workers: usize) {
         endpoint.stats()
     );
 
-    close(holder.driver_mut());
+    close(&mut holder);
     let report = endpoint.shutdown();
     assert_eq!(report.totals.accepted, 1, "only the holder was accepted");
     assert!(report.totals.rejected >= 1);
@@ -231,7 +240,7 @@ fn both_paths_of_a_multipath_client_reach_one_loop() {
         &[loopback0()],
         server_config,
         0x2BA7,
-        Box::new(|_cid| Box::new(TransferApp::new())),
+        Box::new(|_cid| Box::new(RpcServerApp::new())),
     )
     .expect("bind endpoint");
     assert_eq!(endpoint.workers(), 2, "this kernel steers by CID");
@@ -246,7 +255,7 @@ fn both_paths_of_a_multipath_client_reach_one_loop() {
     let driver = quic_client(client_config, &[loopback0(), loopback0()], server, 0x2BA7)
         .expect("client bind");
     let owner = shard_for_cid(driver.connection().connection_id(), 2);
-    let driver = run_transfer(driver, 0x2BA7, &distinct_payload(7, 512 * 1024));
+    let driver = run_transfer(driver, &distinct_payload(7, 512 * 1024));
 
     let conn = driver.connection();
     let paths = conn.path_ids();
@@ -270,22 +279,9 @@ fn both_paths_of_a_multipath_client_reach_one_loop() {
     }
 }
 
-/// One verified `mpq-rpc` exchange on `driver`.
+/// One small verified exchange on `driver`, its request unique to `tag`.
 fn rpc(driver: &mut Driver<QuicTransport>, tag: u64, last: bool) {
-    let request = distinct_payload(tag, 2048);
-    let mut call = RpcCall::start(driver.connection_mut(), &request, 4096, last);
-    let mut verdict = None;
-    let done = driver
-        .run_until(OP_TIMEOUT, |t| {
-            verdict = call.poll(&mut t.conn);
-            verdict.is_some()
-        })
-        .expect("pump");
-    assert!(done, "rpc {tag} timed out");
-    assert!(
-        verdict.is_some_and(|v| v.ok && v.intact),
-        "rpc {tag} failed"
-    );
+    exchange(driver, &distinct_payload(tag, 2048), 4096, last);
 }
 
 /// A migrating client: new source port, then — once the server has
@@ -374,7 +370,7 @@ fn every_received_datagram_is_delivered_or_counted() {
         &[loopback0()],
         config,
         0xACC7,
-        Box::new(|_cid| Box::new(TransferApp::new())),
+        Box::new(|_cid| Box::new(RpcServerApp::new())),
     )
     .expect("bind endpoint");
     let server = endpoint.local_addrs()[0];
@@ -525,6 +521,75 @@ fn one_server_process_completes_eight_concurrent_client_transfers() {
     assert!(
         report.contains("8 completed"),
         "server report counts all eight transfers:\n{report}"
+    );
+}
+
+/// A client built before `mpq-rpc` was the one protocol opens with the
+/// `mpq` transfer header on the transport's first stream. The server
+/// answers that stream `STATUS_BAD_REQUEST` at once, keeps serving, and
+/// counts the connection failed when the client gives up and closes.
+#[test]
+fn an_old_builds_first_flight_is_answered_bad_request() {
+    let config = Config::builder()
+        .single_path()
+        .worker_shards(1)
+        .build()
+        .expect("server config");
+    let endpoint = Endpoint::bind(
+        &[loopback0()],
+        config,
+        0x01D,
+        Box::new(|_cid| Box::new(RpcServerApp::new())),
+    )
+    .expect("bind endpoint");
+    let server = endpoint.local_addrs()[0];
+
+    let mut old = quic_client(
+        Config::builder().single_path().build().expect("config"),
+        &[loopback0()],
+        server,
+        0x01D,
+    )
+    .expect("client bind");
+    // "MPQ1" · name_len:u16 · name · size:u64 · sum64:u64 · payload.
+    let payload = distinct_payload(1, 4096);
+    let mut flight = b"MPQ1\x00\x07old.bin".to_vec();
+    flight.extend_from_slice(&(payload.len() as u64).to_be_bytes());
+    flight.extend_from_slice(&mpquic_util::Checksum64::of(&payload).to_be_bytes());
+    flight.extend_from_slice(&payload);
+    old.transport_mut().write(flight.into());
+    old.transport_mut().finish();
+
+    let mut answer = Vec::new();
+    let answered = old
+        .run_until(OP_TIMEOUT, |t| {
+            while let Some(chunk) = t.read_chunk() {
+                answer.extend_from_slice(&chunk);
+            }
+            t.recv_finished()
+        })
+        .expect("pump");
+    assert!(answered, "the server never answered the old request");
+    // "MPQS" · status · sum64 · resp_len, and no body.
+    let mut expected = b"MPQS".to_vec();
+    expected.push(STATUS_BAD_REQUEST);
+    expected.extend_from_slice(&[0; 12]);
+    assert_eq!(answer, expected);
+    assert_eq!(endpoint.stats().failed, 0, "not judged before it closes");
+
+    close(&mut old);
+    wait_for(&endpoint, |s| s.closed == 1);
+    // Still serving: a current client gets through afterwards.
+    run_client(server, 0x01E, &distinct_payload(2, 4096));
+    wait_for(&endpoint, |s| s.closed == 2);
+
+    let report = endpoint.shutdown();
+    let t = report.totals;
+    assert_eq!((t.accepted, t.closed), (2, 2));
+    assert_eq!(
+        (t.completed, t.failed),
+        (1, 1),
+        "old client failed, new one served"
     );
 }
 
@@ -789,7 +854,7 @@ fn shutdown_wakes_parked_loops() {
             &[loopback0()],
             config,
             0x570B,
-            Box::new(|_cid| Box::new(TransferApp::new())),
+            Box::new(|_cid| Box::new(RpcServerApp::new())),
         )
         .expect("bind endpoint");
         let plane = endpoint.plane();

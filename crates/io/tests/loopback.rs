@@ -8,8 +8,9 @@
 //! spaces work outside the simulator.
 
 use mpquic_core::Config;
-use mpquic_io::{quic_client, quic_server, transfer, BlockingStream, Driver, QuicTransport};
-use std::io::Read;
+use mpquic_io::rpc::response_pattern;
+use mpquic_io::{quic_client, quic_server, Driver, QuicTransport, Transport};
+use mpquic_util::Checksum64;
 use std::net::SocketAddr;
 use std::sync::mpsc;
 use std::time::Duration;
@@ -21,10 +22,20 @@ fn loopback0() -> SocketAddr {
     "127.0.0.1:0".parse().unwrap()
 }
 
+/// The deterministic upload: a varying pattern, so a reassembly bug
+/// cannot hide behind repetition.
+fn pattern(size: usize) -> Vec<u8> {
+    response_pattern(size, 0)
+}
+
 /// Runs one complete client→server transfer over real sockets: the server
 /// in its own thread (as a separate process would be), the client on the
 /// test thread. Returns the client driver (for stats/qlog inspection) and
 /// the payload exactly as the server received it.
+///
+/// No application protocol here: the bytes go up the transport's one
+/// raw stream and the server keeps every one of them, so the callers
+/// can compare what arrived byte for byte.
 fn run_transfer(
     client_config: Config,
     server_config: Config,
@@ -53,15 +64,23 @@ fn run_transfer_with(
     let (payload_tx, payload_rx) = mpsc::channel();
 
     let server = std::thread::spawn(move || {
-        let driver = quic_server(server_config, &[loopback0()], 0xBEEF).expect("bind server");
+        let mut driver = quic_server(server_config, &[loopback0()], 0xBEEF).expect("bind server");
         addr_tx.send(driver.local_addrs()[0]).expect("report addr");
-        let mut stream = BlockingStream::with_timeout(driver, OP_TIMEOUT);
-        stream.wait_established().expect("server handshake");
-        let (header, payload) = transfer::recv_request(&mut stream).expect("receive upload");
-        transfer::send_response(&mut stream, true, header.checksum).expect("send verdict");
-        stream.finish().expect("finish response");
-        // Linger until the client acknowledged the verdict or closed.
-        let driver = stream.driver_mut();
+        let mut payload = Vec::new();
+        let finished = driver
+            .run_until(OP_TIMEOUT, |t| {
+                while let Some(chunk) = t.read_chunk() {
+                    payload.extend_from_slice(&chunk);
+                }
+                t.recv_finished()
+            })
+            .expect("pump the upload");
+        assert!(finished, "upload never finished");
+        // The receipt: the checksum of what arrived, then end of stream.
+        let receipt = Checksum64::of(&payload).to_be_bytes();
+        driver.transport_mut().write(receipt.to_vec().into());
+        driver.transport_mut().finish();
+        // Linger until the client acknowledged the receipt or closed.
         let _ = driver.run_until(Duration::from_secs(5), |t| {
             t.conn.stream_fully_acked(1) || t.conn.is_closed()
         });
@@ -75,25 +94,26 @@ fn run_transfer_with(
     let mut driver =
         quic_client(client_config, &locals, server_addr, 0xC0FFEE).expect("bind client");
     setup(driver.connection_mut());
-    let mut stream = BlockingStream::with_timeout(driver, OP_TIMEOUT);
-    stream.wait_established().expect("client handshake");
 
-    let data = transfer::pattern(size);
-    transfer::send_request(&mut stream, "loopback.bin", &data).expect("send upload");
-    stream.finish().expect("finish upload");
-
-    let (verified, server_checksum) = transfer::recv_response(&mut stream).expect("read verdict");
-    assert!(verified, "server reported a checksum mismatch");
+    let data = pattern(size);
+    driver.transport_mut().write(data.clone().into());
+    driver.transport_mut().finish();
+    let mut receipt = Vec::new();
+    let finished = driver
+        .run_until(OP_TIMEOUT, |t| {
+            while let Some(chunk) = t.read_chunk() {
+                receipt.extend_from_slice(&chunk);
+            }
+            t.recv_finished()
+        })
+        .expect("pump the receipt");
+    assert!(finished, "receipt never arrived");
     assert_eq!(
-        server_checksum,
-        mpquic_util::Checksum64::of(&data),
+        receipt,
+        Checksum64::of(&data).to_be_bytes(),
         "server's checksum matches ours"
     );
-    // Drain the server's end-of-stream, then close so the server's linger
-    // loop ends promptly.
-    let mut sink = Vec::new();
-    stream.read_to_end(&mut sink).expect("drain to EOF");
-    let mut driver = stream.into_driver();
+    // Close so the server's linger loop ends promptly.
     driver.connection_mut().close(0, "transfer complete");
     let _ = driver.run_for(Duration::from_millis(100));
 
@@ -112,11 +132,7 @@ fn multipath_loopback_transfer_uses_both_paths() {
 
     // In-order, verified delivery of every byte over real sockets.
     assert_eq!(payload.len(), SIZE);
-    assert_eq!(
-        payload,
-        transfer::pattern(SIZE),
-        "payload reassembled exactly"
-    );
+    assert_eq!(payload, pattern(SIZE), "payload reassembled exactly");
 
     let conn = driver.connection();
     let ids = conn.path_ids();
@@ -151,7 +167,7 @@ fn multipath_loopback_transfer_uses_both_paths() {
     assert!(io.datagrams_sent > 0);
     #[cfg(target_os = "linux")]
     {
-        let batch = driver.batch_stats();
+        let batch = driver.sockets().batch_stats();
         assert!(
             batch.send_batch_size.max() >= 2,
             "no send syscall ever carried more than one datagram: {batch:?}"
@@ -242,12 +258,11 @@ fn timed_out_transfer_still_leaves_a_qlog_file() {
         .expect("bind client");
         let qlog = mpquic_core::telemetry::StreamingQlog::create(&qlog_path).expect("create qlog");
         driver.connection_mut().set_subscriber(Box::new(qlog));
-        let mut stream = BlockingStream::with_timeout(driver, Duration::from_millis(500));
-        assert!(
-            stream.wait_established().is_err(),
-            "handshake against a black hole must time out"
-        );
-        // `stream` (and the connection holding the subscriber) drops here,
+        let established = driver
+            .run_until(Duration::from_millis(500), |t| t.is_established())
+            .expect("pump");
+        assert!(!established, "handshake against a black hole must time out");
+        // `driver` (and the connection holding the subscriber) drops here,
         // exactly like the binaries' error exit.
     }
 
@@ -272,11 +287,7 @@ fn single_path_loopback_transfer_completes() {
     let (driver, payload) = run_transfer(Config::single_path(), Config::single_path(), 1, SIZE);
 
     assert_eq!(payload.len(), SIZE);
-    assert_eq!(
-        payload,
-        transfer::pattern(SIZE),
-        "payload reassembled exactly"
-    );
+    assert_eq!(payload, pattern(SIZE), "payload reassembled exactly");
 
     let conn = driver.connection();
     assert_eq!(

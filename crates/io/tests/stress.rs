@@ -14,7 +14,7 @@
 //! seconds. Run with `cargo test -p mpquic-io --test stress -- --ignored`.
 
 use mpquic_core::Config;
-use mpquic_io::{quic_client, transfer, BlockingStream, Endpoint, TransferApp};
+use mpquic_io::{quic_client, Endpoint, RpcCall, RpcServerApp};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -42,21 +42,23 @@ fn churn_client(server: SocketAddr, seed: u64, payload: &[u8]) {
         .single_path()
         .build()
         .expect("client config");
-    let driver = quic_client(config, &[loopback0()], server, seed).expect("client bind");
-    let mut stream = BlockingStream::with_timeout(driver, OP_TIMEOUT);
-    stream.wait_established().expect("handshake");
+    let mut driver = quic_client(config, &[loopback0()], server, seed).expect("client bind");
 
-    let checksum = mpquic_util::Checksum64::of(payload);
-    transfer::send_request(&mut stream, "churn.bin", payload).expect("send");
-    stream.finish().expect("finish");
-    let (ok, server_checksum) = transfer::recv_response(&mut stream).expect("verdict");
-    assert!(ok, "server failed to verify the transfer (seed {seed})");
-    assert_eq!(
-        server_checksum, checksum,
-        "cross-connection bytes (seed {seed})"
+    // The echoed checksum is of *this* client's payload: no other
+    // connection's bytes were verified in its place.
+    let mut call = RpcCall::start(driver.connection_mut(), payload, 0, true);
+    let mut verdict = None;
+    driver
+        .run_until(OP_TIMEOUT, |t| {
+            verdict = call.poll(&mut t.conn);
+            verdict.is_some() || t.conn.is_closed()
+        })
+        .expect("pump");
+    assert!(
+        verdict.is_some_and(|v| v.ok && v.intact),
+        "server failed to verify the upload (seed {seed}): {verdict:?}"
     );
 
-    let driver = stream.driver_mut();
     driver.connection_mut().close(0, "churn done");
     let _ = driver.run_until(Duration::from_millis(50), |t| t.conn.is_closed());
 }
@@ -81,7 +83,7 @@ fn accept_close_churn_is_race_free() {
         &[loopback0()],
         config,
         0x57E55,
-        Box::new(|_cid| Box::new(TransferApp::new())),
+        Box::new(|_cid| Box::new(RpcServerApp::new())),
     )
     .expect("bind endpoint");
     let server = endpoint.local_addrs()[0];

@@ -1,10 +1,11 @@
 //! `mpquic-loadgen`: a netbench-style workload harness for the
 //! multipath QUIC endpoint.
 //!
-//! Where `mpquic-bench` measures datapath micro-costs and one bulk
-//! transfer shape, this crate answers the deployment question: *what
-//! latency do real request/response workloads see from the endpoint,
-//! at what load, and does it hold an SLO?* It drives the actual
+//! Where `perf/` measures what the endpoint costs and
+//! `mpquic-bench`'s criterion benches time the hot paths in isolation,
+//! this crate answers the deployment question: *what latency do real
+//! request/response workloads see from the endpoint, at what load, and
+//! does it hold an SLO?* It drives the actual
 //! sharded [`mpquic_io::Endpoint`] over loopback sockets — no
 //! simulator shortcuts — with declarative scenarios:
 //!
@@ -28,8 +29,8 @@
 //! * [`runner`] — executes a schedule open-loop against a fresh
 //!   loopback endpoint, measuring each op from its *scheduled*
 //!   instant into a [`mpquic_telemetry::LogHistogram`].
-//! * [`report`] — flat JSON reports whose keys feed
-//!   [`mpquic_bench::gate`] for CI baselines, plus the SLO verdict.
+//! * [`report`] — flat JSON reports plus the SLO verdict: zero failed
+//!   ops and an absolute p99 bound per scenario.
 //!
 //! On the wire each op is one `mpq-rpc` exchange
 //! ([`mpquic_io::rpc`]): a fresh bidirectional stream per request, a

@@ -1,20 +1,20 @@
 //! `mpquic-loadgen` binary: run workload scenarios against the real
-//! endpoint and emit a gateable JSON report.
+//! endpoint, judge each against its SLO and emit a flat JSON report.
 //!
 //! ```text
 //! mpquic-loadgen [--smoke] [--scenario NAME] [--seed N] [--workers N]
 //!                [--client-threads N] [--scheduler NAME] [--out FILE]
-//!                [--baseline FILE] [--flight-dump FILE]
+//!                [--flight-dump FILE]
 //! ```
 //!
 //! Without `--scenario` the whole catalog runs (request_response,
 //! streaming, incast, churn, mobility). `--scheduler NAME` selects a
 //! policy from the scheduler zoo (lowest-rtt, no-duplicate,
 //! round-robin, redundant, blest) for the server endpoint and every
-//! client connection. `--baseline FILE` gates each scenario's
-//! p99 against the checked-in baseline (`LowerIsBetter`, 30%
-//! tolerance) and churn's conns/sec (`HigherIsBetter`). Exit status is
-//! non-zero on SLO failure or baseline regression.
+//! client connection. Exit status is non-zero when a scenario misses
+//! its SLO (any failed op, or p99 over the scenario's absolute bound)
+//! or the endpoint shed load. This is a correctness suite; performance
+//! numbers come from `perf/` (DESIGN.md §20).
 //!
 //! `--flight-dump FILE` writes each scenario's flight-recorder dump
 //! (JSON lines, see DESIGN.md §15) to FILE. Even without the flag, a
@@ -22,7 +22,6 @@
 //! load or misses an SLO, so a failing CI run always leaves the last
 //! endpoint events behind for triage.
 
-use mpquic_bench::gate::{enforce_baseline, Direction};
 use mpquic_loadgen::report::{print_summary, render_report};
 use mpquic_loadgen::runner::{run_scenario, RunOptions};
 use mpquic_loadgen::scenario::{by_name, catalog};
@@ -30,8 +29,7 @@ use mpquic_loadgen::scenario::{by_name, catalog};
 fn usage() -> ! {
     eprintln!(
         "usage: mpquic-loadgen [--smoke] [--scenario NAME] [--seed N] [--workers N] \
-         [--client-threads N] [--scheduler NAME] [--out FILE] [--baseline FILE] \
-         [--flight-dump FILE]\n\
+         [--client-threads N] [--scheduler NAME] [--out FILE] [--flight-dump FILE]\n\
          scenarios: request_response streaming incast churn mobility"
     );
     std::process::exit(2);
@@ -49,7 +47,6 @@ fn main() {
     let mut smoke = false;
     let mut scenario_name: Option<String> = None;
     let mut out_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
     let mut flight_path: Option<String> = None;
     let mut opts = RunOptions::default();
 
@@ -70,7 +67,6 @@ fn main() {
             "--smoke" => smoke = true,
             "--scenario" => scenario_name = Some(value(&args, &mut i, "--scenario")),
             "--out" => out_path = Some(value(&args, &mut i, "--out")),
-            "--baseline" => baseline_path = Some(value(&args, &mut i, "--baseline")),
             "--flight-dump" => flight_path = Some(value(&args, &mut i, "--flight-dump")),
             "--seed" => {
                 opts.seed = value(&args, &mut i, "--seed")
@@ -184,27 +180,6 @@ fn main() {
         println!("report written to {path}");
     } else {
         print!("{report}");
-    }
-
-    if let Some(path) = &baseline_path {
-        for outcome in &outcomes {
-            enforce_baseline(
-                "mpquic-loadgen",
-                path,
-                &format!("{}_p99_us", outcome.name),
-                outcome.p99_us as f64,
-                Direction::LowerIsBetter,
-            );
-            if outcome.name == "churn" {
-                enforce_baseline(
-                    "mpquic-loadgen",
-                    path,
-                    "churn_conns_per_sec",
-                    outcome.conns_per_sec,
-                    Direction::HigherIsBetter,
-                );
-            }
-        }
     }
 
     let failed: Vec<&str> = outcomes

@@ -1,9 +1,8 @@
 //! JSON reports and SLO verdicts.
 //!
-//! Reports are flat, hand-formatted JSON — the same shape
-//! `mpquic-bench` emits — so [`mpquic_bench::gate::parse_flat_key`]
-//! can gate CI on any metric without a JSON dependency. Every gated
-//! key is prefixed with its scenario name (`churn_p99_us`,
+//! Reports are flat, hand-formatted JSON, so a consumer can pull any
+//! metric out with a key scan and no JSON dependency. Every key is
+//! prefixed with its scenario name (`churn_p99_us`,
 //! `request_response_achieved_rps`, …) so keys stay unique in the
 //! file.
 
@@ -150,7 +149,6 @@ pub fn print_summary(o: &ScenarioOutcome) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpquic_bench::gate::parse_flat_key;
     use mpquic_io::{EndpointReport, EndpointSnapshot};
     use mpquic_telemetry::LogHistogram;
 
@@ -196,8 +194,18 @@ mod tests {
         }
     }
 
+    /// `"key": <number>` out of flat JSON text, first occurrence.
+    fn parse_flat_key(text: &str, key: &str) -> Option<f64> {
+        let (_, rest) = text.split_once(&format!("\"{key}\":"))?;
+        let number = rest
+            .trim_start()
+            .split(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
+            .next()?;
+        number.parse().ok()
+    }
+
     #[test]
-    fn report_keys_parse_back_through_the_gate() {
+    fn report_keys_parse_back_with_a_flat_key_scan() {
         let outcomes = [outcome("churn"), outcome("incast")];
         let text = render_report(&outcomes, 42, 1, true);
         assert_eq!(parse_flat_key(&text, "seed"), Some(42.0));

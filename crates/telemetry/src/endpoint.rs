@@ -40,8 +40,9 @@
 //! against a single registry entry. The hot paths (`add`, `record`,
 //! [`FlightRecorder::record`]) allocate nothing after construction;
 //! `crates/telemetry/tests/flight_recorder.rs` pins that with the
-//! counting global allocator, and `mpquic-bench datapath --gate-overhead`
-//! gates the throughput cost at ≤ 3%.
+//! counting global allocator, and `crates/io/tests/zero_alloc.rs` both
+//! repeats it on a live send loop and gates that loop's throughput
+//! cost at ≤ 3%.
 
 use crate::metrics::LogHistogram;
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -2,7 +2,7 @@
 //!
 //! The batched datapath (DESIGN.md §11) claims a steady state with no
 //! heap allocation per datagram. That claim is only worth having if it
-//! is *checked*, so tests and the `mpquic-bench` datapath benchmark
+//! is *checked*, so the tests that pin it (`crates/io/tests/zero_alloc.rs`)
 //! install [`CountingAlloc`] as the global allocator and read the
 //! per-thread counters around the hot loop:
 //!

@@ -1,6 +1,6 @@
 //! A streaming 64-bit checksum for application payloads.
 //!
-//! The transfer and `mpq-rpc` protocols carry a checksum of the payload
+//! The `mpq-rpc` protocol carries a checksum of the payload
 //! as an *end-to-end integrity witness*: packet protection already
 //! authenticates each packet, the checksum additionally shows that
 //! multipath reassembly delivered every byte, once, in order. It guards

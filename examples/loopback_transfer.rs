@@ -3,8 +3,9 @@
 //! Everything the other examples do inside `mpquic-netsim`, this one does
 //! through the OS network stack: the client binds two loopback ports (its
 //! two "interfaces"), the server binds one, and `mpquic-io` drives the
-//! same sans-IO `Connection` over `std::net::UdpSocket`. The server runs
-//! in a thread, standing in for a separate process; `mpq-server` and
+//! same sans-IO `Connection` over `std::net::UdpSocket`. The server is an
+//! [`Endpoint`] on its own threads, standing in for a separate process,
+//! and the upload is one `mpq-rpc` exchange; `mpq-server` and
 //! `mpq-client` are the two halves as real binaries.
 //!
 //! Run with:
@@ -16,10 +17,9 @@
 
 use mpquic_core::telemetry::{MetricsSubscriber, StreamingQlog};
 use mpquic_core::Config;
-use mpquic_io::{quic_client, quic_server, transfer, BlockingStream};
-use std::io::Read;
+use mpquic_io::rpc::{response_pattern, MAX_RPC_PAYLOAD};
+use mpquic_io::{quic_client, Endpoint, RpcCall, RpcServerApp};
 use std::net::SocketAddr;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -34,30 +34,23 @@ fn main() {
         }
     }
     let size = (size_mb * 1024.0 * 1024.0) as usize;
+    if size > MAX_RPC_PAYLOAD {
+        eprintln!("loopback_transfer: one mpq-rpc message carries at most 64 MB");
+        std::process::exit(2);
+    }
     let loopback: SocketAddr = "127.0.0.1:0".parse().unwrap();
 
     // The "remote host": one socket, its address advertised via
-    // ADD_ADDRESS during the handshake.
-    let (addr_tx, addr_rx) = mpsc::channel();
-    let server = std::thread::spawn(move || {
-        let driver = quic_server(
-            Config::builder().build().expect("defaults are valid"),
-            &[loopback],
-            2,
-        )
-        .expect("bind server");
-        addr_tx.send(driver.local_addrs()[0]).unwrap();
-        let mut stream = BlockingStream::new(driver);
-        stream.wait_established().expect("server handshake");
-        let (header, _payload) = transfer::recv_request(&mut stream).expect("receive upload");
-        transfer::send_response(&mut stream, true, header.checksum).expect("send verdict");
-        stream.finish().expect("finish");
-        let _ = stream.driver_mut().run_until(Duration::from_secs(2), |t| {
-            t.conn.stream_fully_acked(1) || t.conn.is_closed()
-        });
-        header
-    });
-    let server_addr = addr_rx.recv().expect("server came up");
+    // ADD_ADDRESS during the handshake; every connection it accepts runs
+    // the `mpq-rpc` server.
+    let endpoint = Endpoint::bind(
+        &[loopback],
+        Config::builder().build().expect("defaults are valid"),
+        2,
+        Box::new(|_cid| Box::new(RpcServerApp::new())),
+    )
+    .expect("bind server");
+    let server_addr = endpoint.local_addrs()[0];
 
     // The "client host": two loopback ports play the role of two
     // interfaces (say, Wi-Fi and LTE on a smartphone).
@@ -80,24 +73,37 @@ fn main() {
         driver.local_addrs(),
         size as f64 / 1048576.0
     );
-    let mut stream = BlockingStream::new(driver);
-    stream.wait_established().expect("client handshake");
+    let established = driver
+        .run_until(Duration::from_secs(30), |t| t.conn.is_established())
+        .expect("pump the handshake");
+    assert!(established, "client handshake");
 
+    // One exchange, the last on this connection: the payload up, no
+    // response body; the server echoes the checksum of what it got.
     let started = Instant::now();
-    let payload = transfer::pattern(size);
-    transfer::send_request(&mut stream, "loopback.bin", &payload).expect("send upload");
-    stream.finish().expect("finish");
-    let (verified, checksum) = transfer::recv_response(&mut stream).expect("read verdict");
+    let payload = response_pattern(size, 0);
+    let mut call = RpcCall::start(driver.connection_mut(), &payload, 0, true);
+    let mut verdict = None;
+    driver
+        .run_until(Duration::from_secs(30), |t| {
+            verdict = call.poll(&mut t.conn);
+            verdict.is_some() || t.conn.is_closed()
+        })
+        .expect("pump the upload");
     let elapsed = started.elapsed().as_secs_f64();
-    assert!(verified && checksum == mpquic_util::Checksum64::of(&payload));
+    assert!(
+        verdict.is_some_and(|v| v.ok && v.intact),
+        "server echoed our checksum: {verdict:?}"
+    );
 
-    let mut sink = Vec::new();
-    stream.read_to_end(&mut sink).expect("drain EOF");
-    let mut driver = stream.into_driver();
     driver.connection_mut().close(0, "done");
     let _ = driver.run_for(Duration::from_millis(100));
-    let header = server.join().expect("server thread");
-    assert_eq!(header.size as usize, size);
+    let report = endpoint.shutdown();
+    assert_eq!(
+        (report.totals.completed, report.totals.failed),
+        (1, 0),
+        "the server counted one clean connection"
+    );
 
     println!();
     println!(
