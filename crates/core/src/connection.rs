@@ -30,8 +30,8 @@ use mpquic_crypto::{
 use mpquic_crypto::{nonce_for, NonceMode};
 use mpquic_util::{DetRng, SimTime};
 use mpquic_wire::{
-    AckFrame, AddressInfo, Frame, PacketBuilder, PacketType, PathId, PathInfo, PathStatus,
-    PublicHeader, Spans, StreamFrame, MAX_DATAGRAM_SIZE,
+    AckFrame, Frame, PacketBuilder, PacketType, PathId, PathInfo, PublicHeader, Spans, StreamFrame,
+    MAX_DATAGRAM_SIZE,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::net::SocketAddr;
@@ -42,11 +42,11 @@ use mpquic_telemetry::{self as telemetry, Subscriber};
 use crate::buffer::{DatagramSink, TransmitQueue};
 use crate::config::{Config, ConnStats, Role, Transmit};
 use crate::invariant::InvariantChecker;
-use crate::path::{ChallengeTimeout, Path, PathState};
+pub use crate::path::PathOp;
+use crate::path::{ack_carrier, Path, PathManager, PathState};
 use crate::recovery::SentPacket;
-use crate::scheduler::{self, PathView, SchedulerReason};
+use crate::scheduler::{self, SchedulerReason};
 use crate::stream::{StreamError, StreamId, StreamSet};
-use mpquic_cc::PathSnapshot;
 
 /// Transport-level error codes used in CONNECTION_CLOSE.
 pub mod error_codes {
@@ -58,30 +58,6 @@ pub mod error_codes {
     pub const STREAM_STATE_ERROR: u64 = 0x5;
     /// The connection idled out (closed silently, no CONNECTION_CLOSE).
     pub const IDLE_TIMEOUT: u64 = 0x10;
-}
-
-/// Demux-facing operations a connection asks its endpoint to perform,
-/// drained via [`Connection::pop_path_op`] after each batch of work.
-///
-/// CID rotation only works if the endpoint's demux table learns the new
-/// connection ID *before* the peer starts using it — otherwise the first
-/// rotated datagram is dropped on the floor. The connection therefore
-/// publishes routing changes through this queue instead of mutating demux
-/// state it cannot see.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PathOp {
-    /// Route datagrams carrying this connection ID to this connection (a
-    /// rotation is in progress; the peer may switch at any moment).
-    MapCid(u64),
-    /// Stop routing this connection ID (rotation complete). Endpoints
-    /// should tombstone it so stragglers are counted, not misrouted.
-    UnmapCid(u64),
-    /// A path validation started (an address change quarantined a path).
-    ValidationStarted,
-    /// A path validation completed successfully.
-    ValidationCompleted,
-    /// A path validation exhausted its challenge retries.
-    ValidationAbandoned,
 }
 
 /// A Multipath QUIC connection endpoint.
@@ -109,23 +85,6 @@ pub enum PathOp {
 pub struct Connection {
     role: Role,
     config: Config,
-    /// Connection ID (chosen by the client; learned by the server).
-    cid: u64,
-    /// Previous connection ID, still accepted inbound after a rotation so
-    /// in-flight datagrams keyed to the old CID are not dropped.
-    prev_cid: Option<u64>,
-    /// A rotation we initiated and are waiting to see retired:
-    /// `(sequence, new CID)`.
-    pending_new_cid: Option<(u64, u64)>,
-    /// Sequence number for the next NEW_CONNECTION_ID we issue.
-    next_cid_seq: u64,
-    /// Lowest NEW_CONNECTION_ID sequence we would still accept from the
-    /// peer (highest adopted + 1).
-    peer_cid_seq: u64,
-    /// Deterministic RNG for path-challenge tokens and rotated CIDs.
-    rng: DetRng,
-    /// Demux-facing operations, drained via [`Connection::pop_path_op`].
-    path_ops: VecDeque<PathOp>,
     /// Connection-wide packet-number counter, used instead of the
     /// per-path counters when `Config::shared_pn_space` is set (the
     /// paper's single-space ablation).
@@ -144,20 +103,9 @@ pub struct Connection {
     /// Crypto frames awaiting transmission in Handshake packets.
     crypto_queue: VecDeque<Frame>,
 
-    // --- paths & addressing ---
-    paths: BTreeMap<PathId, Path>,
-    local_addrs: Vec<SocketAddr>,
-    /// Index (into `local_addrs`) of the interface the connection started on.
-    initial_local_index: usize,
-    /// Remote addresses by the peer's address ID (ADD_ADDRESS).
-    remote_addrs: BTreeMap<u64, SocketAddr>,
-    /// Next client-initiated path ID (odd).
-    next_path_id: u32,
-    /// Most recent PATHS frame received from the peer.
-    peer_paths: Vec<PathInfo>,
-    addresses_advertised: bool,
-    /// Set while processing a packet that contained ADD_ADDRESS frames.
-    addresses_dirty: bool,
+    /// Paths, their addressing, validation and connection IDs, and the
+    /// frames bound to one path.
+    paths: PathManager,
 
     /// Streams and connection flow control (path-independent).
     streams: StreamSet,
@@ -165,8 +113,6 @@ pub struct Connection {
     // --- frame queues ---
     /// Path-agnostic control frames (sendable anywhere).
     control_queue: VecDeque<Frame>,
-    /// Frames bound to a specific path (WINDOW_UPDATE duplicates, probes).
-    per_path_queue: BTreeMap<PathId, VecDeque<Frame>>,
     /// Stream frames duplicated toward a specific path by the scheduler's
     /// unknown-RTT phase (always `Frame::Stream`).
     duplicate_queue: BTreeMap<PathId, VecDeque<Frame>>,
@@ -191,12 +137,6 @@ pub struct Connection {
     /// Reusable ingress scratch the opened payload's frames decode into;
     /// STREAM and CRYPTO payloads are spans of `scratch_open`.
     scratch_frames: Vec<Frame<Range<usize>>>,
-    /// Reusable scheduler input: one [`PathView`] per schedulable path,
-    /// refilled by [`Connection::refresh_views`] for each decision.
-    views: Vec<PathView>,
-    /// Reusable coupled-congestion-control input: one [`PathSnapshot`]
-    /// per path, refilled for each ACK.
-    cc_snapshots: Vec<PathSnapshot>,
     /// Range vectors of sent and received ACK frames, reused by the next
     /// ACK built or decoded.
     ack_ranges: Vec<Vec<(u64, u64)>>,
@@ -208,9 +148,9 @@ impl std::fmt::Debug for Connection {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Connection")
             .field("role", &self.role)
-            .field("cid", &self.cid)
+            .field("cid", &self.paths.cid())
             .field("handshake_complete", &self.handshake_complete)
-            .field("paths", &self.paths.keys().collect::<Vec<_>>())
+            .field("paths", &self.path_ids())
             .field("closed", &self.closed)
             .finish()
     }
@@ -245,45 +185,36 @@ impl Connection {
                 data: bytes,
             });
         }
-        let mut conn = Connection::new_common(Role::Client, config, cid, local_addrs, rng);
-        conn.initial_local_index = initial_local_index;
+        let local = local_addrs[initial_local_index];
+        let paths = PathManager::new(Role::Client, &config, cid, local_addrs, rng);
+        let mut conn = Connection::new_common(Role::Client, config, paths);
         conn.client_hs = Some(hs);
         conn.crypto_queue = crypto_queue;
-        let local = conn.local_addrs[initial_local_index];
-        conn.create_path(SimTime::ZERO, PathId::INITIAL, local, remote_addr, true);
+        let (id, events) = (PathId::INITIAL, &mut *conn.subscriber);
+        conn.invariants.check_path_ownership(Role::Client, id, true);
+        conn.paths
+            .create(SimTime::ZERO, id, local, remote_addr, events);
         conn
     }
 
     /// Creates a server connection that will accept the first incoming
     /// datagram as its initial path.
     pub fn server(config: Config, local_addrs: Vec<SocketAddr>, seed: u64) -> Connection {
-        let mut rng = DetRng::new(seed);
-        let hs = ServerHandshake::new(&mut rng);
-        let mut conn = Connection::new_common(Role::Server, config, 0, local_addrs, rng);
-        conn.server_hs = Some(hs);
-        conn
-    }
-
-    fn new_common(
-        role: Role,
-        config: Config,
-        cid: u64,
-        local_addrs: Vec<SocketAddr>,
-        rng: DetRng,
-    ) -> Connection {
         assert!(
             !local_addrs.is_empty(),
             "at least one local address required"
         );
+        let mut rng = DetRng::new(seed);
+        let hs = ServerHandshake::new(&mut rng);
+        let paths = PathManager::new(Role::Server, &config, 0, local_addrs, rng);
+        let mut conn = Connection::new_common(Role::Server, config, paths);
+        conn.server_hs = Some(hs);
+        conn
+    }
+
+    fn new_common(role: Role, config: Config, paths: PathManager) -> Connection {
         Connection {
             role,
-            cid,
-            prev_cid: None,
-            pending_new_cid: None,
-            next_cid_seq: 0,
-            peer_cid_seq: 0,
-            rng,
-            path_ops: VecDeque::new(),
             shared_pn: 0,
             subscriber: Box::new(()),
             client_hs: None,
@@ -293,17 +224,9 @@ impl Connection {
             handshake_aead: None,
             handshake_complete: false,
             crypto_queue: VecDeque::new(),
-            paths: BTreeMap::new(),
-            local_addrs,
-            initial_local_index: 0,
-            remote_addrs: BTreeMap::new(),
-            next_path_id: 1,
-            peer_paths: Vec::new(),
-            addresses_advertised: false,
-            addresses_dirty: false,
+            paths,
             streams: StreamSet::new(role, &config),
             control_queue: VecDeque::new(),
-            per_path_queue: BTreeMap::new(),
             duplicate_queue: BTreeMap::new(),
             last_activity: None,
             close_reason: None,
@@ -313,8 +236,6 @@ impl Connection {
             invariants: InvariantChecker::new(),
             scratch_open: Vec::new(),
             scratch_frames: Vec::new(),
-            views: Vec::new(),
-            cc_snapshots: Vec::new(),
             ack_ranges: Vec::new(),
             window_updates: Vec::new(),
             config,
@@ -332,7 +253,7 @@ impl Connection {
 
     /// The connection ID.
     pub fn connection_id(&self) -> u64 {
-        self.cid
+        self.paths.cid()
     }
 
     /// True once the secure handshake finished.
@@ -362,22 +283,22 @@ impl Connection {
     /// The local addresses this connection may send from (one per
     /// interface). A real-socket driver binds one socket per entry.
     pub fn local_addrs(&self) -> &[SocketAddr] {
-        &self.local_addrs
+        self.paths.local_addrs()
     }
 
     /// IDs of the currently known paths.
     pub fn path_ids(&self) -> Vec<PathId> {
-        self.paths.keys().copied().collect()
+        self.paths.iter().map(|p| p.id).collect()
     }
 
     /// Read-only view of a path (tests and experiment instrumentation).
     pub fn path(&self, id: PathId) -> Option<&Path> {
-        self.paths.get(&id)
+        self.paths.get(id)
     }
 
     /// Most recent PATHS frame contents received from the peer.
     pub fn peer_paths(&self) -> &[PathInfo] {
-        &self.peer_paths
+        self.paths.peer_paths()
     }
 
     /// Installs a telemetry subscriber stack, replacing the current one.
@@ -401,17 +322,6 @@ impl Connection {
     /// Delivers one event to the subscriber stack.
     fn emit(&mut self, event: telemetry::Event) {
         self.subscriber.on_event(&event);
-    }
-
-    /// Reports a path's new liveness state to the subscriber stack.
-    fn emit_path_state(&mut self, now: SimTime, path: PathId, state: telemetry::PathState) {
-        self.emit(telemetry::Event::PathStateChanged(
-            telemetry::PathStateChanged {
-                time: now,
-                path,
-                state,
-            },
-        ));
     }
 
     // ------------------------------------------------------------------
@@ -532,16 +442,8 @@ impl Connection {
         // A fresh server has no CID yet and takes its first packet's — but
         // only once that packet authenticates (below): no state from
         // unauthenticated bytes.
-        let unadopted = self.role == Role::Server && self.cid == 0;
-        // During a CID rotation, three IDs route here: the current one,
-        // the freshly issued one (the peer may adopt it before our
-        // bookkeeping catches up), and the just-retired one (in-flight
-        // stragglers).
-        let cid_known = unadopted
-            || header.connection_id == self.cid
-            || self.prev_cid == Some(header.connection_id)
-            || self.pending_new_cid.map(|(_, cid)| cid) == Some(header.connection_id);
-        if !cid_known {
+        let unadopted = self.role == Role::Server && self.paths.cid() == 0;
+        if !unadopted && !self.paths.routes(header.connection_id) {
             self.stats.decrypt_failures += 1;
             return;
         }
@@ -578,68 +480,29 @@ impl Connection {
             return;
         }
         if unadopted {
-            self.cid = header.connection_id;
+            self.paths.adopt_first_cid(header.connection_id);
         }
 
         // Locate or create the path (peer-opened paths carry data in
-        // their first packet; no handshake needed).
-        if !self.paths.contains_key(&header.path_id) {
-            let valid_initiator = match self.role {
-                // Peer is the server: it may create even IDs.
-                Role::Client => header.path_id.server_initiated(),
-                // Peer is the client: ID 0 or odd IDs.
-                Role::Server => header.path_id.client_initiated(),
-            };
-            if !valid_initiator {
+        // their first packet; no handshake needed), or follow its remote
+        // address.
+        let (id, events) = (header.path_id, &mut *self.subscriber);
+        if self.paths.get(id).is_none() {
+            // The client opens path 0 and odd IDs, the server even ones.
+            if id.client_initiated() != (self.role == Role::Server) {
                 return;
             }
-            self.create_path(now, header.path_id, local, remote, false);
+            self.invariants.check_path_ownership(self.role, id, false);
+            self.paths.create(now, id, local, remote, events);
         } else {
-            // NAT rebinding / handover: the explicit Path ID lets us keep
-            // all path state while the remote address changes (paper §3).
-            // Once the handshake is done, the new address must prove it
-            // can return traffic before any fresh data is scheduled onto
-            // it: the path is quarantined in `Validating` and challenged
-            // (bounded, timer-driven retries); only a PATH_RESPONSE
-            // echoing the token lifts the quarantine. Receiving stays
-            // allowed throughout — the quarantine is outbound-only.
-            let mut validation_started = None;
-            if let Some(path) = self.paths.get_mut(&header.path_id) {
-                if path.remote != remote && path.state != PathState::Closed {
-                    // A still-pending challenge belongs to an address
-                    // the peer has already left: that validation is
-                    // superseded, not completed.
-                    let superseded = path.state == PathState::Validating;
-                    path.remote = remote;
-                    if self.handshake_complete {
-                        let token = self.rng.next_u64();
-                        path.begin_validation(token, now);
-                        self.per_path_queue
-                            .entry(header.path_id)
-                            .or_default()
-                            .push_back(Frame::PathChallenge { token });
-                        validation_started = Some((header.path_id, superseded));
-                    }
-                }
-            }
-            if let Some((path_id, superseded)) = validation_started {
-                if superseded {
-                    self.path_ops.push_back(PathOp::ValidationAbandoned);
-                }
-                self.path_ops.push_back(PathOp::ValidationStarted);
-                self.emit(telemetry::Event::PathValidationStarted(
-                    telemetry::PathValidationStarted {
-                        time: now,
-                        path: path_id,
-                    },
-                ));
-                self.emit_path_state(now, path_id, telemetry::PathState::Validating);
-            }
+            let validate = self.handshake_complete;
+            self.paths.follow_remote(now, id, remote, validate, events);
         }
+        self.paths.check_invariants(&self.invariants);
 
         let ack_eliciting = self.scratch_frames.iter().any(Frame::is_retransmittable);
         {
-            let path = self.paths.get_mut(&header.path_id).expect("just ensured");
+            let path = self.paths.get_mut(header.path_id).expect("just ensured");
             if !path.on_packet_received(header.packet_number, now, ack_eliciting) {
                 self.stats.duplicate_packets += 1;
                 return;
@@ -668,12 +531,13 @@ impl Connection {
         }
         self.scratch_frames = frames;
         self.scratch_open = plaintext;
+        self.paths.check_invariants(&self.invariants);
         if self.closed {
             return;
         }
-        if self.addresses_dirty {
-            self.addresses_dirty = false;
-            self.maybe_open_paths(now);
+        if self.paths.take_new_addresses() {
+            let events = &mut *self.subscriber;
+            self.paths.open_paths(now, &self.invariants, events);
         }
         self.streams.check_invariants(&self.invariants);
     }
@@ -701,7 +565,7 @@ impl Connection {
         match frame {
             Frame::Padding { .. } | Frame::Ping => {}
             Frame::Crypto { data, .. } => {
-                self.handle_crypto(now, plaintext.get(data).unwrap_or_default())
+                self.handle_crypto(plaintext.get(data).unwrap_or_default())
             }
             Frame::Ack(ack) => {
                 // Decode enforces the cap/layout; this asserts that
@@ -731,79 +595,28 @@ impl Connection {
                 self.closed = true;
                 self.close_reason.get_or_insert((error_code, reason));
             }
-            Frame::AddAddress(info) => {
-                self.remote_addrs.insert(info.address_id, info.addr);
-                // Path opening is deferred to the end of the packet so a
-                // multi-address advertisement is seen whole before local
-                // interfaces are paired with remote addresses.
-                self.addresses_dirty = true;
-            }
-            Frame::Paths(infos) => {
-                let mut changes: Vec<(PathId, telemetry::PathState)> = Vec::new();
-                for info in &infos {
-                    match info.status {
-                        PathStatus::PotentiallyFailed => {
-                            if let Some(path) = self.paths.get_mut(&info.path_id) {
-                                if path.state == PathState::Active {
-                                    path.mark_potentially_failed(now);
-                                    changes.push((
-                                        info.path_id,
-                                        telemetry::PathState::PotentiallyFailed,
-                                    ));
-                                }
-                            }
-                        }
-                        PathStatus::Closed => {
-                            if let Some(path) = self.paths.get_mut(&info.path_id) {
-                                if path.state != PathState::Closed {
-                                    path.state = PathState::Closed;
-                                    path.probe_at = None;
-                                    changes.push((info.path_id, telemetry::PathState::Closed));
-                                }
-                            }
-                        }
-                        PathStatus::Active => {}
-                    }
-                }
-                self.peer_paths = infos;
-                for (path, state) in changes {
-                    self.emit_path_state(now, path, state);
-                }
-            }
+            Frame::AddAddress(info) => self.paths.on_add_address(info),
+            Frame::Paths(infos) => self.paths.on_peer_paths(now, infos, &mut *self.subscriber),
+            // Echo on the challenged path while it can carry it (RFC 9000
+            // §8.2.2); the challenger accepts it on any path (§8.2.3).
             Frame::PathChallenge { token } => {
-                // Echo on the same path: a PATH_RESPONSE only proves the
-                // 4-tuple works if it travels the challenged path.
-                self.per_path_queue
-                    .entry(on_path)
-                    .or_default()
-                    .push_back(Frame::PathResponse { token });
+                self.paths.bind(on_path, Frame::PathResponse { token })
             }
-            Frame::PathResponse { token } => self.handle_path_response(now, token),
-            Frame::NewConnectionId { sequence, cid } => self.adopt_new_cid(now, sequence, cid),
-            Frame::RetireConnectionId { sequence } => self.complete_cid_rotation(now, sequence),
-        }
-    }
-
-    /// A PATH_RESPONSE lifts the quarantine on whichever path issued the
-    /// matching challenge. On the server, a successful migration also
-    /// triggers a CID rotation so on-path observers cannot link the
-    /// client's old and new addresses.
-    fn handle_path_response(&mut self, now: SimTime, token: u64) {
-        let validated = self
-            .paths
-            .values_mut()
-            .find_map(|p| p.complete_validation(token).then_some(p.id));
-        let Some(path_id) = validated else {
-            return;
-        };
-        self.path_ops.push_back(PathOp::ValidationCompleted);
-        self.emit(telemetry::Event::PathValidated(telemetry::PathValidated {
-            time: now,
-            path: path_id,
-        }));
-        self.emit_path_state(now, path_id, telemetry::PathState::Active);
-        if self.role == Role::Server {
-            self.rotate_cid();
+            Frame::PathResponse { token } => {
+                // On the server, a validated migration also rotates the
+                // CID, so that no observer links the old and new address.
+                let events = &mut *self.subscriber;
+                if self.paths.on_response(now, token, events) && self.role == Role::Server {
+                    self.rotate_cid();
+                }
+            }
+            Frame::NewConnectionId { sequence, cid } => {
+                let (control, events) = (&mut self.control_queue, &mut *self.subscriber);
+                self.paths.adopt_cid(now, (sequence, cid), control, events);
+            }
+            Frame::RetireConnectionId { sequence } => {
+                self.paths.on_retire(now, sequence, &mut *self.subscriber)
+            }
         }
     }
 
@@ -819,73 +632,9 @@ impl Connection {
     /// byte in eight links a rotated CID to its predecessor, so an
     /// observer narrows the candidates 256-fold; DESIGN.md §12).
     pub fn rotate_cid(&mut self) {
-        if self.pending_new_cid.is_some() || !self.handshake_complete || self.closed {
-            return;
+        if self.handshake_complete && !self.closed {
+            self.paths.rotate_cid(&mut self.control_queue);
         }
-        // The fresh CID keeps the low byte of the one it replaces: that
-        // byte is what a multi-loop endpoint steers datagrams on, so a
-        // rotated connection stays with the loop that owns it.
-        let low = self.cid & 0xFF;
-        let mut new_cid = (self.rng.next_u64() & !0xFF) | low;
-        while new_cid == 0 || new_cid == self.cid || Some(new_cid) == self.prev_cid {
-            new_cid = (self.rng.next_u64() & !0xFF) | low;
-        }
-        let sequence = self.next_cid_seq;
-        self.next_cid_seq += 1;
-        self.pending_new_cid = Some((sequence, new_cid));
-        self.path_ops.push_back(PathOp::MapCid(new_cid));
-        self.control_queue.push_back(Frame::NewConnectionId {
-            sequence,
-            cid: new_cid,
-        });
-    }
-
-    /// Peer issued us a fresh CID: adopt it for all future sends and
-    /// retire the sequence so the peer can drop its old routing entry.
-    fn adopt_new_cid(&mut self, now: SimTime, sequence: u64, cid: u64) {
-        if sequence < self.peer_cid_seq {
-            // Retransmission of one we already adopted; re-ack the
-            // retirement in case the first RETIRE_CONNECTION_ID was lost.
-            self.control_queue
-                .push_back(Frame::RetireConnectionId { sequence });
-            return;
-        }
-        if cid == 0 || cid == self.cid {
-            return;
-        }
-        self.peer_cid_seq = sequence + 1;
-        let old_cid = self.cid;
-        self.prev_cid = Some(old_cid);
-        self.cid = cid;
-        self.path_ops.push_back(PathOp::MapCid(cid));
-        self.control_queue
-            .push_back(Frame::RetireConnectionId { sequence });
-        self.emit(telemetry::Event::CidRotated(telemetry::CidRotated {
-            time: now,
-            old_cid,
-            new_cid: cid,
-        }));
-    }
-
-    /// Peer confirmed it switched to the CID we issued: cut over our own
-    /// bookkeeping and release the old demux route.
-    fn complete_cid_rotation(&mut self, now: SimTime, sequence: u64) {
-        let Some((pending_seq, new_cid)) = self.pending_new_cid else {
-            return;
-        };
-        if sequence != pending_seq {
-            return;
-        }
-        let old_cid = self.cid;
-        self.prev_cid = Some(old_cid);
-        self.cid = new_cid;
-        self.pending_new_cid = None;
-        self.path_ops.push_back(PathOp::UnmapCid(old_cid));
-        self.emit(telemetry::Event::CidRotated(telemetry::CidRotated {
-            time: now,
-            old_cid,
-            new_cid,
-        }));
     }
 
     /// Drains the next demux-facing path operation. Endpoints call this
@@ -893,10 +642,10 @@ impl Connection {
     /// rotations without dropping a datagram; drivers without a demux may
     /// drain and discard.
     pub fn pop_path_op(&mut self) -> Option<PathOp> {
-        self.path_ops.pop_front()
+        self.paths.pop_op()
     }
 
-    fn handle_crypto(&mut self, now: SimTime, data: &[u8]) {
+    fn handle_crypto(&mut self, data: &[u8]) {
         match self.role {
             Role::Client => {
                 let hs = self.client_hs.as_mut().expect("client handshake");
@@ -904,7 +653,6 @@ impl Connection {
                     Some(HandshakeEvent::Complete(keys)) => {
                         self.install_session_keys(keys);
                         self.handshake_complete = true;
-                        self.maybe_open_paths(now);
                     }
                     Some(HandshakeEvent::Send(bytes)) => {
                         // Version negotiation: retry CHLO with the
@@ -931,95 +679,55 @@ impl Connection {
                 if let Some(HandshakeEvent::Complete(keys)) = completion {
                     self.install_session_keys(keys);
                     self.handshake_complete = true;
-                    // Advertise our addresses so the client can open the
-                    // additional paths (paper §3, Path Management).
-                    if self.config.multipath && !self.addresses_advertised {
-                        self.addresses_advertised = true;
-                        for (i, &addr) in self.local_addrs.clone().iter().enumerate() {
-                            self.control_queue.push_back(Frame::AddAddress(AddressInfo {
-                                address_id: i as u64,
-                                addr,
-                            }));
-                        }
-                    }
+                    self.paths.advertise(&mut self.control_queue);
                 }
             }
         }
     }
 
     fn handle_ack(&mut self, now: SimTime, on_path: PathId, ack: &AckFrame) {
-        // Coupled congestion control needs a snapshot of every path.
-        self.cc_snapshots.clear();
-        self.cc_snapshots
-            .extend(self.paths.values().map(Path::snapshot));
-        let self_index = self
-            .paths
-            .keys()
-            .position(|&id| id == ack.path_id)
-            .unwrap_or(0);
-        let Some(path) = self.paths.get_mut(&ack.path_id) else {
+        let Some(mut outcome) = self.paths.on_ack(now, ack) else {
             return;
         };
-        let ack_delay = std::time::Duration::from_micros(ack.ack_delay_micros);
-        let mut outcome =
-            path.recovery
-                .on_ack(now, ack.iter_ranges_ascending(), ack_delay, &mut path.rtt);
-        // Telemetry payloads are gathered while the path borrow is live
-        // and emitted once it ends.
-        let mut metrics = None;
-        let mut recovered = false;
-        if outcome.newly_acked_bytes > 0 {
-            let rtt = path.rtt.latest();
-            path.cc.on_ack(
-                now,
-                outcome.newly_acked_bytes,
-                rtt,
-                &self.cc_snapshots,
-                self_index,
-            );
-            recovered = path.state == PathState::PotentiallyFailed;
-            path.mark_recovered();
-            metrics = Some(telemetry::MetricsUpdated {
-                time: now,
-                path: ack.path_id,
-                srtt_us: path.rtt.srtt().as_micros() as u64,
-                rttvar_us: path.rtt.rttvar().as_micros() as u64,
-                cwnd: path.cc.window(),
-                bytes_in_flight: path.recovery.bytes_in_flight(),
-            });
-        }
-        let mut window_after = None;
-        if outcome.congestion_event {
+        let id = ack.path_id;
+        let path = self.paths.get_mut(id).expect("acked path");
+        // The metrics are read before a congestion event cuts the window.
+        let metrics = telemetry::MetricsUpdated {
+            time: now,
+            path: id,
+            srtt_us: path.rtt.srtt().as_micros() as u64,
+            rttvar_us: path.rtt.rttvar().as_micros() as u64,
+            cwnd: path.cc.window(),
+            bytes_in_flight: path.recovery.bytes_in_flight(),
+        };
+        let window_after = outcome.congestion_event.then(|| {
             path.cc.on_congestion_event(now);
-            self.stats.congestion_events += 1;
-            window_after = Some(path.cc.window());
-        }
+            path.cc.window()
+        });
+        self.stats.congestion_events += u64::from(outcome.congestion_event);
         self.emit(telemetry::Event::AckReceived(telemetry::AckReceived {
             time: now,
             on_path,
-            acks_path: ack.path_id,
+            acks_path: id,
             largest_acked: ack.largest_acked,
             newly_acked_bytes: outcome.newly_acked_bytes,
         }));
-        if let Some(m) = metrics {
-            self.emit(telemetry::Event::MetricsUpdated(m));
-        }
-        if recovered {
-            self.emit_path_state(now, ack.path_id, telemetry::PathState::Active);
+        if outcome.newly_acked_bytes > 0 {
+            self.emit(telemetry::Event::MetricsUpdated(metrics));
+            self.paths.on_progress(now, id, &mut *self.subscriber);
         }
         if let Some(window_after) = window_after {
-            self.emit(telemetry::Event::CongestionEvent(
-                telemetry::CongestionEvent {
-                    time: now,
-                    path: ack.path_id,
-                    window_after,
-                },
-            ));
+            let event = telemetry::CongestionEvent {
+                time: now,
+                path: id,
+                window_after,
+            };
+            self.emit(telemetry::Event::CongestionEvent(event));
         }
         if outcome.lost_bytes > 0 {
             self.emit(telemetry::Event::FramesLost(telemetry::FramesLost {
                 time: now,
-                path: ack.path_id,
+                path: id,
                 frames: outcome.lost_frames.len(),
                 bytes: outcome.lost_bytes,
             }));
@@ -1027,10 +735,10 @@ impl Connection {
         for frame in outcome.acked_frames.drain(..) {
             self.on_frame_acked(frame);
         }
-        self.requeue_lost_frames(now, ack.path_id, outcome.lost_frames.drain(..));
+        self.requeue_lost_frames(now, id, outcome.lost_frames.drain(..));
         // Hand the outcome's spent buffers back so the next ACK on this
         // path reuses their capacity (the steady-state zero-alloc claim).
-        if let Some(path) = self.paths.get_mut(&ack.path_id) {
+        if let Some(path) = self.paths.get_mut(id) {
             path.recovery.reclaim(outcome);
         }
     }
@@ -1072,59 +780,6 @@ impl Connection {
     // Path management
     // ------------------------------------------------------------------
 
-    fn create_path(
-        &mut self,
-        now: SimTime,
-        id: PathId,
-        local: SocketAddr,
-        remote: SocketAddr,
-        locally_initiated: bool,
-    ) {
-        self.invariants
-            .check_path_ownership(self.role, id, locally_initiated);
-        let cc = self.config.cc.build(MAX_DATAGRAM_SIZE as u64);
-        let path = Path::new(id, local, remote, cc);
-        self.paths.insert(id, path);
-        self.emit_path_state(now, id, telemetry::PathState::Active);
-    }
-
-    /// Client-side: opens additional paths once the handshake is complete
-    /// and the server's addresses are known. Local interface `i` pairs
-    /// with the server address advertised under address ID `i`; if the
-    /// server advertised a single address, every interface pairs with it.
-    fn maybe_open_paths(&mut self, now: SimTime) {
-        if self.role != Role::Client || !self.config.multipath || !self.handshake_complete {
-            return;
-        }
-        for i in 0..self.local_addrs.len() {
-            if i == self.initial_local_index {
-                continue;
-            }
-            let local = self.local_addrs[i];
-            if self.paths.values().any(|p| p.local == local) {
-                continue;
-            }
-            let remote = self.remote_addrs.get(&(i as u64)).copied().or_else(|| {
-                if self.remote_addrs.len() == 1 {
-                    self.remote_addrs.values().next().copied()
-                } else {
-                    None
-                }
-            });
-            let Some(remote) = remote else { continue };
-            let id = PathId(self.next_path_id);
-            self.next_path_id += 2;
-            self.create_path(now, id, local, remote, true);
-            // Exercise the path immediately: the first packet tells the
-            // peer the path exists (so *its* scheduler can use it — vital
-            // when the server is the bulk sender) and samples the RTT.
-            self.per_path_queue
-                .entry(id)
-                .or_default()
-                .push_back(Frame::Ping);
-        }
-    }
-
     /// Migrates a path to a new local address — QUIC's *connection
     /// migration*, which the paper's introduction contrasts with
     /// multipath: "QUIC connection migration allows moving a flow from
@@ -1132,87 +787,36 @@ impl Connection {
     ///
     /// Path identity (Path ID, packet-number spaces) is preserved, but
     /// the congestion and RTT state is reset: the new network's
-    /// characteristics are unknown (RFC 9000 §9.4 semantics). The peer
-    /// learns the new address from the packets themselves (its
-    /// NAT-rebinding handling updates the remote address).
+    /// characteristics are unknown (RFC 9000 §9.4 semantics). A path
+    /// being validated stays so until its challenge, now sent from the
+    /// new address, is answered. The peer learns the new address from the
+    /// packets themselves, as from a NAT rebinding.
     pub fn migrate_path(&mut self, id: PathId, new_local: SocketAddr, now: SimTime) {
-        let Some(path) = self.paths.get_mut(&id) else {
-            return;
-        };
-        if path.local == new_local || path.state == PathState::Closed {
-            return;
+        if self
+            .paths
+            .migrate(now, id, new_local, &mut *self.subscriber)
+        {
+            // What went out on the old network is retransmitted on the new.
+            self.leave_service(now, id);
+            // Probe the new network immediately.
+            self.paths.bind(id, Frame::Ping);
         }
-        path.local = new_local;
-        path.cc = self.config.cc.build(MAX_DATAGRAM_SIZE as u64);
-        path.rtt = crate::rtt::RttEstimator::new(crate::rtt::DEFAULT_INITIAL_RTT);
-        path.state = PathState::Active;
-        path.probe_at = None;
-        // Everything in flight went out on the old network; surrender it
-        // for retransmission on the new one.
-        let frames = path.recovery.surrender_all();
-        self.requeue_lost_frames(now, id, frames);
-        // Probe the new network immediately.
-        self.per_path_queue
-            .entry(id)
-            .or_default()
-            .push_back(Frame::Ping);
-        self.emit_path_state(now, id, telemetry::PathState::Active);
     }
 
-    /// Closes a path: the paper's path manager controls "the creation
-    /// and deletion of paths". Outstanding frames move to the shared
-    /// retransmission queues (servable by the remaining paths) and the
-    /// peer is told via a PATHS frame carrying `Closed` status.
-    pub fn close_path(&mut self, id: PathId, now: SimTime) {
-        let Some(path) = self.paths.get_mut(&id) else {
-            return;
-        };
-        if path.state == PathState::Closed {
-            return;
-        }
-        path.state = PathState::Closed;
-        path.probe_at = None;
-        // Surrender everything in flight on the dying path.
-        let frames = path.recovery.surrender_all();
-        self.requeue_lost_frames(now, id, frames);
-        // Reroute its queued control frames.
-        if let Some(queue) = self.per_path_queue.get_mut(&id) {
-            let frames: Vec<Frame> = queue.drain(..).collect();
-            self.control_queue.extend(frames);
-        }
-        self.reclaim_duplicates(id);
-        self.queue_paths_frame();
-        self.emit_path_state(now, id, telemetry::PathState::Closed);
-    }
-
-    /// Duplicates still queued for a path that will carry nothing more go
-    /// back to their streams as lost, so another path resends the bytes.
-    fn reclaim_duplicates(&mut self, id: PathId) {
+    /// A path leaves the service it gave (its validation failed, or it
+    /// moved to another local address): what it has in flight and its
+    /// queued duplicates are resent on any path. Its bound frames stay:
+    /// a migrated path sends them from its new address, and a closed
+    /// one's strand at the next packet (step 3 of `poll_transmit_into`).
+    fn leave_service(&mut self, now: SimTime, id: PathId) {
+        let path = self.paths.get_mut(id);
+        let surrendered = path.map(|p| p.recovery.surrender_all());
+        self.requeue_lost_frames(now, id, surrendered.unwrap_or_default());
         for frame in self.duplicate_queue.remove(&id).unwrap_or_default() {
             if let Frame::Stream(f) = frame {
                 self.streams.on_lost(f);
             }
         }
-    }
-
-    fn queue_paths_frame(&mut self) {
-        if !self.config.send_paths_frames || !self.config.multipath {
-            return;
-        }
-        let infos: Vec<PathInfo> = self
-            .paths
-            .values()
-            .map(|p| PathInfo {
-                path_id: p.id,
-                status: p.status(),
-                srtt_micros: if p.rtt_known() {
-                    p.rtt.srtt().as_micros() as u64
-                } else {
-                    mpquic_wire::frame::SRTT_UNKNOWN
-                },
-            })
-            .collect();
-        self.control_queue.push_back(Frame::Paths(infos));
     }
 
     /// Routes reliable frames from lost (or surrendered) packets back to
@@ -1232,7 +836,7 @@ impl Connection {
             match frame {
                 Frame::Stream(f) => self.streams.on_lost(f),
                 Frame::Crypto { .. } => self.crypto_queue.push_back(frame),
-                Frame::Paths(_) => self.queue_paths_frame(),
+                Frame::Paths(_) => self.paths.queue_paths_frame(&mut self.control_queue),
                 Frame::Ping => {}
                 Frame::WindowUpdate { .. }
                 | Frame::AddAddress(_)
@@ -1267,31 +871,9 @@ impl Connection {
         if self.closed {
             return None;
         }
-        let mut earliest = SimTime::FAR_FUTURE;
-        if let (Some(idle), Some(last)) = (self.config.idle_timeout, self.last_activity) {
-            earliest = earliest.min(last + idle);
-        }
-        for path in self.paths.values() {
-            if let Some((when, _)) = path.recovery.next_timeout(&path.rtt) {
-                earliest = earliest.min(when);
-            }
-            if path.ack_pending {
-                if let Some(deadline) = path.ack_deadline {
-                    earliest = earliest.min(deadline);
-                }
-            }
-            if let Some(probe) = path.probe_at {
-                earliest = earliest.min(probe);
-            }
-            if let Some(challenge) = path.challenge_timeout() {
-                earliest = earliest.min(challenge);
-            }
-        }
-        if earliest == SimTime::FAR_FUTURE {
-            None
-        } else {
-            Some(earliest)
-        }
+        let idle = self.config.idle_timeout.zip(self.last_activity);
+        self.paths
+            .next_timeout(idle.map(|(idle, last)| last + idle))
     }
 
     /// Fires expired timers: loss detection, RTOs, and probe scheduling.
@@ -1310,58 +892,38 @@ impl Connection {
                 return;
             }
         }
-        let ids: Vec<PathId> = self.paths.keys().copied().collect();
-        for id in ids {
-            let (outcome, was_active) = {
-                let path = self.paths.get_mut(&id).expect("listed");
-                let due = path
-                    .recovery
-                    .next_timeout(&path.rtt)
-                    .is_some_and(|(when, _)| when <= now);
-                if !due {
-                    continue;
-                }
-                let was_active = path.state == PathState::Active;
-                let outcome = path.recovery.on_timeout(now, &path.rtt);
-                (outcome, was_active)
+        let mut after = Bound::Unbounded;
+        let due = |p: &Path| {
+            let timer = p.recovery.next_timeout(&p.rtt);
+            timer.is_some_and(|(at, _)| at <= now)
+        };
+        while let Some(id) = self.paths.next(after, due) {
+            after = Bound::Excluded(id);
+            let Some(path) = self.paths.get_mut(id) else {
+                break;
             };
+            let was_active = path.state == PathState::Active;
+            let outcome = path.recovery.on_timeout(now, &path.rtt);
             if outcome.rto_fired {
+                path.cc.on_rto(now);
                 self.stats.rtos += 1;
                 self.emit(telemetry::Event::Rto(telemetry::Rto {
                     time: now,
                     path: id,
                 }));
-                {
-                    let path = self.paths.get_mut(&id).expect("listed");
-                    path.cc.on_rto(now);
-                    // The paper's §4.3 behaviour: the path is only
-                    // *potentially* failed; the scheduler ignores it until
-                    // data is acked on it.
-                    path.mark_potentially_failed(now);
-                }
-                if was_active {
-                    self.emit_path_state(now, id, telemetry::PathState::PotentiallyFailed);
-                }
+                self.paths.on_rto(now, id, &mut *self.subscriber);
                 // Tell the peer which path failed so it does not have to
                 // discover it through its own RTO (Fig. 11).
-                if self.paths.len() > 1 {
-                    self.queue_paths_frame();
-                    if was_active {
-                        // Traffic moves to the best remaining usable path
-                        // (§4.3 handover). `None` means no healthy path is
-                        // left and the connection rides the fallback.
-                        self.refresh_views();
-                        self.views.retain(|v| v.id != id);
-                        let to_path = scheduler::select_for_control(&self.views);
-                        self.emit(telemetry::Event::Handover(telemetry::Handover {
-                            time: now,
-                            from_path: id,
-                            to_path,
-                        }));
-                    }
+                self.paths.queue_paths_frame(&mut self.control_queue);
+                if was_active && self.paths.count() > 1 {
+                    let to_path = self.paths.handover_target(id, self.handshake_complete);
+                    self.emit(telemetry::Event::Handover(telemetry::Handover {
+                        time: now,
+                        from_path: id,
+                        to_path,
+                    }));
                 }
             } else if outcome.congestion_event {
-                let path = self.paths.get_mut(&id).expect("listed");
                 path.cc.on_congestion_event(now);
                 self.stats.congestion_events += 1;
             }
@@ -1369,61 +931,21 @@ impl Connection {
                 self.requeue_lost_frames(now, id, outcome.lost_frames);
             }
         }
-        // Path-validation timers: retransmit the challenge (bounded
-        // budget) or abandon the rebound path.
-        let ids: Vec<PathId> = self.paths.keys().copied().collect();
-        for id in ids {
-            let action = self
-                .paths
-                .get_mut(&id)
-                .and_then(|p| p.on_challenge_timeout(now));
-            match action {
-                Some(ChallengeTimeout::Retransmit(token)) => {
-                    self.per_path_queue
-                        .entry(id)
-                        .or_default()
-                        .push_back(Frame::PathChallenge { token });
-                }
-                Some(ChallengeTimeout::Abandon) => self.abandon_path_validation(now, id),
-                None => {}
-            }
+        // Path-validation timers: a challenge is resent or its path abandoned.
+        let mut after = Bound::Unbounded;
+        while let Some(id) = self.paths.next_failed_challenge(now, after) {
+            after = Bound::Excluded(id);
+            self.abandon_path(now, id);
         }
+        self.paths.check_invariants(&self.invariants);
     }
 
-    /// The rebound address never answered its challenges: close the path,
-    /// reroute everything it still held, and tell the peer via PATHS.
-    fn abandon_path_validation(&mut self, now: SimTime, id: PathId) {
-        let surrendered = {
-            let Some(path) = self.paths.get_mut(&id) else {
-                return;
-            };
-            path.abandon_validation();
-            path.recovery.surrender_all()
-        };
-        if !surrendered.is_empty() {
-            self.requeue_lost_frames(now, id, surrendered);
-        }
-        if let Some(queue) = self.per_path_queue.get_mut(&id) {
-            // Stranded challenges/responses die with the path; everything
-            // else reroutes through the path-agnostic queue.
-            let rerouted: Vec<Frame> = queue
-                .drain(..)
-                .filter(|f| !matches!(f, Frame::PathChallenge { .. } | Frame::PathResponse { .. }))
-                .collect();
-            self.control_queue.extend(rerouted);
-        }
-        self.reclaim_duplicates(id);
-        if self.paths.len() > 1 {
-            self.queue_paths_frame();
-        }
-        self.path_ops.push_back(PathOp::ValidationAbandoned);
-        self.emit(telemetry::Event::PathValidationFailed(
-            telemetry::PathValidationFailed {
-                time: now,
-                path: id,
-            },
-        ));
-        self.emit_path_state(now, id, telemetry::PathState::Closed);
+    /// Closes a path, which leaves service; the peer hears of it through PATHS.
+    fn abandon_path(&mut self, now: SimTime, id: PathId) {
+        self.paths
+            .transition(now, id, PathState::Closed, &mut *self.subscriber);
+        self.leave_service(now, id);
+        self.paths.queue_paths_frame(&mut self.control_queue);
     }
 
     // ------------------------------------------------------------------
@@ -1482,9 +1004,9 @@ impl Connection {
             }
             let path_id = self
                 .paths
-                .values()
+                .iter()
                 .find(|p| p.state == PathState::Active)
-                .or_else(|| self.paths.values().next())
+                .or_else(|| self.paths.iter().next())
                 .map(|p| p.id);
             let sent = path_id.and_then(|id| {
                 self.assemble(now, id, self.keyed_packet_type(), out, |_, builder| {
@@ -1499,7 +1021,7 @@ impl Connection {
         // 1. Generate window updates (duplicated on all paths).
         self.flush_window_updates(now);
         // 2. Handshake packets (initial path, initial keys).
-        if !self.crypto_queue.is_empty() && self.paths.contains_key(&PathId::INITIAL) {
+        if !self.crypto_queue.is_empty() && self.paths.get(PathId::INITIAL).is_some() {
             let sent = self.assemble(
                 now,
                 PathId::INITIAL,
@@ -1514,37 +1036,12 @@ impl Connection {
                 return sent;
             }
         }
-        // 3. Path-bound control frames (window-update duplicates, probes).
-        // Frames stranded on a path that is no longer active are rerouted
-        // through the path-agnostic queue — frames are independent of
-        // paths by design.
-        let stranded: Vec<PathId> = self
-            .per_path_queue
-            .iter()
-            .filter(|(id, q)| {
-                // A Validating path keeps its queue: the PATH_CHALLENGE
-                // must leave on the quarantined 4-tuple to prove it.
-                !q.is_empty()
-                    && self.paths.get(id).is_none_or(|p| {
-                        !matches!(p.state, PathState::Active | PathState::Validating)
-                    })
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        for id in stranded {
-            if let Some(queue) = self.per_path_queue.get_mut(&id) {
-                let frames: Vec<Frame> = queue.drain(..).collect();
-                self.control_queue.extend(frames);
-            }
-        }
-        let path_with_control = self
-            .per_path_queue
-            .iter()
-            .find(|(_, q)| !q.is_empty())
-            .map(|(&id, _)| id);
-        if let Some(id) = path_with_control {
+        // 3. Path-bound frames (window-update duplicates, probes,
+        // challenges and responses); those stranded reroute.
+        self.paths.strand(&mut self.control_queue);
+        if let Some(id) = self.paths.next_bound() {
             let sent = self.assemble(now, id, PacketType::OneRtt, out, |conn, builder| {
-                if let Some(queue) = conn.per_path_queue.get_mut(&id) {
+                if let Some(queue) = conn.paths.bound_mut(id) {
                     fill_from(queue, builder);
                 }
                 // Nothing but ACKs would go out: leave those to step 5.
@@ -1560,46 +1057,21 @@ impl Connection {
                 return Some(t);
             }
         }
-        // 5. Due ACKs that found no ride. The ACK frame names the path it
-        // acknowledges, so it may travel on any path; prefer the path the
-        // data arrived on (like the paper's implementation), but fall back
-        // to the best active path when that one is potentially failed —
-        // otherwise ACKs for a broken path would be sent into the void.
+        // 5. Due ACKs that found no ride, each on a packet of the path the
+        // ACK-placement rule gives it. The assembler's own ACK pass is the
+        // whole packet (and an empty one is never sealed).
         let mut after = Bound::Unbounded;
-        while let Some((due_path, active)) = self
-            .paths
-            .range((after, Bound::Unbounded))
-            .find(|(_, p)| p.ack_due(now))
-            .map(|(&id, p)| (id, p.state == PathState::Active))
-        {
+        while let Some(due_path) = self.paths.next(after, |p| p.ack_due(now)) {
             after = Bound::Excluded(due_path);
-            let send_on = if active {
-                Some(due_path)
-            } else {
-                // The receiving path is sick: route its ACK over the best
-                // active path (ACK frames carry their own Path ID).
-                self.refresh_views();
-                scheduler::select_for_control(&self.views).or(Some(due_path))
-            };
-            if let Some(id) = send_on {
-                // The assembler's own ACK pass is the whole packet (and
-                // an empty one is never sealed).
-                let sent = self.assemble(now, id, self.keyed_packet_type(), out, |_, _| true);
-                if sent.is_some() {
-                    return sent;
-                }
+            let send_on = self.paths.due_ack_carrier(due_path);
+            let packet_type = self.keyed_packet_type();
+            let sent = self.assemble(now, send_on, packet_type, out, |_, _| true);
+            if sent.is_some() {
+                return sent;
             }
         }
         // 6. Probes of potentially-failed paths.
-        let probe_path = self
-            .paths
-            .values()
-            .find(|p| p.probe_at.is_some_and(|at| at <= now))
-            .map(|p| p.id);
-        let id = probe_path?;
-        // One probe per backoff period; the probe's own RTO (or its ACK)
-        // schedules what happens next.
-        self.paths.get_mut(&id)?.probe_at = None;
+        let id = self.paths.take_due_probe(now)?;
         self.assemble(now, id, PacketType::OneRtt, out, |_, builder| {
             builder.try_push(Frame::Ping);
             true
@@ -1616,12 +1088,9 @@ impl Connection {
         }
         if self.config.duplicate_window_updates && self.config.multipath {
             // The paper's rule: WINDOW_UPDATE goes out on *all* paths.
-            let active = self.paths.values().filter(|p| p.state == PathState::Active);
-            for path in active.clone() {
-                let queue = self.per_path_queue.entry(path.id).or_default();
-                queue.extend(updates.iter().cloned());
-            }
+            self.paths.bind_to_active(&updates);
             if self.telemetry_enabled() {
+                let active = self.paths.iter().filter(|p| p.state == PathState::Active);
                 let active: Vec<PathId> = active.map(|p| p.id).collect();
                 for update in &updates {
                     if let Frame::WindowUpdate {
@@ -1668,7 +1137,7 @@ impl Connection {
             }
         }
         let aead = Aead::new(initial_key(cid));
-        if cid == self.cid {
+        if cid == self.paths.cid() {
             self.handshake_aead = Some((cid, aead.clone()));
         }
         aead
@@ -1677,7 +1146,7 @@ impl Connection {
     /// Which AEAD protects packets we send of the given type.
     fn send_aead(&mut self, packet_type: PacketType) -> Option<Aead> {
         match packet_type {
-            PacketType::Handshake => Some(self.handshake_aead(self.cid)),
+            PacketType::Handshake => Some(self.handshake_aead(self.paths.cid())),
             PacketType::OneRtt => self.one_rtt_aead.as_ref().map(|(send, _)| send.clone()),
         }
     }
@@ -1687,54 +1156,30 @@ impl Connection {
             self.shared_pn
         } else {
             self.paths
-                .get(&path_id)
+                .get(path_id)
                 .map(|p| p.recovery.next_pn_peek())
                 .unwrap_or(0)
         };
         PublicHeader {
-            connection_id: self.cid,
+            connection_id: self.paths.cid(),
             path_id,
             packet_number,
             packet_type,
         }
     }
 
-    /// Adds pending ACK frames to a packet being built for `packet_path`.
-    ///
-    /// ACK affinity follows the paper: "our implementation returns the ACK
-    /// frame for a given path on the path where the data was received" —
-    /// unless that path is potentially failed, in which case the ACK may
-    /// ride the best active path ("since it contains the Path ID, it is
-    /// possible to send ACK frames over different paths"). Keeping healthy
-    /// paths' ACKs off sick paths prevents a single dead path from
-    /// starving the others of acknowledgements.
+    /// Adds the pending ACK frames the ACK-placement rule puts on a packet
+    /// for `packet_path`.
     fn push_acks(&mut self, now: SimTime, builder: &mut PacketBuilder, packet_path: PathId) {
-        let best_active = self
-            .paths
-            .values()
-            .filter(|p| p.state == PathState::Active)
-            .min_by_key(|p| p.rtt.srtt())
-            .map(|p| p.id);
-        let rides_here = |p: &Path| {
-            let target = if p.state == PathState::Active {
-                p.id
-            } else {
-                best_active.unwrap_or(packet_path)
-            };
-            p.ack_pending && target == packet_path
-        };
+        let best = self.paths.fastest(PathState::Active);
+        let rides = |p: &Path| ack_carrier(p, best).unwrap_or(packet_path) == packet_path;
         let mut after = Bound::Unbounded;
-        while let Some(id) = self
-            .paths
-            .range((after, Bound::Unbounded))
-            .find(|(_, p)| rides_here(p))
-            .map(|(&id, _)| id)
-        {
+        while let Some(id) = self.paths.next(after, |p| p.ack_pending && rides(p)) {
             after = Bound::Excluded(id);
             let ranges = self.ack_ranges.pop().unwrap_or_default();
             let ack = self
                 .paths
-                .get(&id)
+                .get(id)
                 .and_then(|path| path.peek_ack_frame(now, self.config.max_ack_ranges, ranges));
             let Some(ack) = ack else {
                 continue;
@@ -1746,7 +1191,9 @@ impl Connection {
             }
             let largest_acked = ack.largest_acked;
             builder.try_push(Frame::Ack(ack));
-            self.paths.get_mut(&id).expect("listed").note_ack_sent();
+            if let Some(path) = self.paths.get_mut(id) {
+                path.note_ack_sent();
+            }
             self.emit(telemetry::Event::AckSent(telemetry::AckSent {
                 time: now,
                 on_path: packet_path,
@@ -1787,7 +1234,7 @@ impl Connection {
         );
         let (local, remote) = self
             .paths
-            .get(&path_id)
+            .get(path_id)
             .map(|path| (path.local, path.remote))
             .expect("path exists");
         let size = packet.wire_size();
@@ -1806,7 +1253,7 @@ impl Connection {
         let mut frames = packet.frames;
         self.keep_retransmittable(&mut frames);
 
-        let path = self.paths.get_mut(&path_id).expect("path exists");
+        let path = self.paths.get_mut(path_id).expect("path exists");
         if self.config.shared_pn_space {
             // Single-space ablation: every path allocates from one
             // connection-wide counter. Recovery reserves the value so it
@@ -1872,7 +1319,7 @@ impl Connection {
         let header = self.provisional_header(path_id, packet_type);
         let frames = self
             .paths
-            .get_mut(&path_id)
+            .get_mut(path_id)
             .map(|p| p.recovery.take_frame_vec())
             .unwrap_or_default();
         let mut builder = PacketBuilder::reusing(header, MAX_DATAGRAM_SIZE, frames);
@@ -1900,7 +1347,7 @@ impl Connection {
     /// pool of `path_id`'s recovery, which lent it.
     fn recycle_frames(&mut self, path_id: PathId, mut frames: Vec<Frame>) {
         self.keep_retransmittable(&mut frames);
-        if let Some(path) = self.paths.get_mut(&path_id) {
+        if let Some(path) = self.paths.get_mut(path_id) {
             path.recovery.recycle_frame_vec(frames);
         }
     }
@@ -1917,8 +1364,7 @@ impl Connection {
         if !has_dup && !has_stream_data && !has_control {
             return None;
         }
-        self.refresh_views();
-        let views = &self.views;
+        let views = self.paths.refresh_views(self.handshake_complete);
         // Duplicate-queue frames are bound to their target path; if a
         // target path has queued duplicates and window space, serve it
         // first so duplicates don't rot.
@@ -1940,7 +1386,7 @@ impl Connection {
             }
         } else {
             scheduler::select_for_data(
-                &self.views,
+                views,
                 MAX_DATAGRAM_SIZE as u64,
                 self.config.duplicate_unknown_rtt,
             )?
@@ -1960,7 +1406,8 @@ impl Connection {
         if transmit.is_some() && self.telemetry_enabled() {
             let min_space = MAX_DATAGRAM_SIZE as u64;
             let candidates: Vec<PathId> = self
-                .views
+                .paths
+                .views()
                 .iter()
                 .filter(|v| v.usable && v.cwnd_available >= min_space)
                 .map(|v| v.id)
@@ -2004,28 +1451,6 @@ impl Connection {
                 stats.duplicated_stream_frames += 1;
             }
         });
-    }
-
-    /// Refills [`Connection::views`] with the scheduler's view of every
-    /// schedulable path.
-    fn refresh_views(&mut self) {
-        self.views.clear();
-        let views = self
-            .paths
-            .values()
-            // Validating paths are invisible to the scheduler entirely —
-            // not even the control-frame fallback may place traffic on an
-            // unvalidated address (the challenge itself travels through
-            // the per-path queue, which ignores scheduling).
-            .filter(|p| !matches!(p.state, PathState::Closed | PathState::Validating))
-            .map(|p| PathView {
-                id: p.id,
-                srtt: p.rtt.srtt(),
-                rtt_known: p.rtt_known(),
-                cwnd_available: p.cwnd_available(),
-                usable: p.usable_for_data() && (self.handshake_complete || p.id == PathId::INITIAL),
-            });
-        self.views.extend(views);
     }
 }
 
@@ -2633,36 +2058,71 @@ mod tests {
         }
     }
 
+    /// A rebound path whose new address never answers leaves service:
+    /// what it carried reroutes, nothing more leaves on it, and the peer
+    /// learns through a PATHS frame that it closed.
     #[test]
     fn validation_timeout_abandons_rebound_path() {
-        let mut client = Connection::client(Config::single_path(), vec![addr(C0)], 0, addr(S0), 1);
-        let mut server = Connection::server(Config::single_path(), vec![addr(S0)], 2);
-        shuttle(&mut client, &mut server, SimTime::from_millis(1));
+        let (mut client, mut server) = established_pair(SimTime::from_millis(1));
+        shuttle(&mut client, &mut server, SimTime::from_millis(2));
+        assert!(server.path_ids().contains(&PathId(1)));
         let stream = client.open_stream();
         client
-            .stream_write(stream, Bytes::from_static(b"x"))
+            .stream_write(stream, Bytes::from_static(b"get"))
             .unwrap();
+        shuttle(&mut client, &mut server, SimTime::from_millis(3));
+        server
+            .stream_write(stream, Bytes::from(vec![5u8; 200_000]))
+            .unwrap();
+        server.stream_finish(stream);
+        // The client's NAT rebinds path 0 to an address that black-holes
+        // whatever the server sends it, the server's first flight on
+        // path 0 included.
         let rebound = addr("203.0.113.9:4242");
-        while let Some(t) = client.poll_transmit(SimTime::from_millis(2)) {
-            server.handle_datagram(SimTime::from_millis(2), t.remote, rebound, &t.payload);
+        let (mut got, mut sent_after_close) = (0, 0);
+        for step in 4..2_000u64 {
+            let now = SimTime::from_millis(step * 5);
+            for conn in [&mut client, &mut server] {
+                if conn.next_timeout().is_some_and(|t| t <= now) {
+                    conn.on_timeout(now);
+                }
+            }
+            while let Some(t) = server.poll_transmit(now) {
+                let on_path0 = t.local == addr(S0);
+                if server.path(PathId::INITIAL).unwrap().state == PathState::Closed {
+                    sent_after_close += usize::from(on_path0);
+                }
+                if !on_path0 {
+                    client.handle_datagram(now, t.remote, t.local, &t.payload);
+                }
+            }
+            while let Some(t) = client.poll_transmit(now) {
+                let src = if t.local == addr(C0) {
+                    rebound
+                } else {
+                    t.local
+                };
+                server.handle_datagram(now, t.remote, src, &t.payload);
+            }
+            while let Some(chunk) = client.stream_read(stream, usize::MAX) {
+                got += chunk.len();
+            }
+            let closed = client.path(PathId::INITIAL).unwrap().state == PathState::Closed;
+            if client.stream_is_finished(stream) && closed {
+                break;
+            }
         }
-        assert_eq!(
-            server.path(PathId::INITIAL).unwrap().state,
-            PathState::Validating
-        );
-        // The rebound address black-holes everything: drop all server
-        // output and fire its timers until the challenge budget runs out.
-        let mut fired = 0;
-        while server.path(PathId::INITIAL).unwrap().state == PathState::Validating {
-            let at = server.next_timeout().expect("validation timer armed");
-            server.on_timeout(at);
-            while server.poll_transmit(at).is_some() {}
-            fired += 1;
-            assert!(fired < 64, "validation never resolved");
-        }
+        assert_eq!(got, 200_000, "the response rerouted onto path 1");
+        assert!(client.stream_is_finished(stream));
         assert_eq!(
             server.path(PathId::INITIAL).unwrap().state,
             PathState::Closed
+        );
+        assert_eq!(sent_after_close, 0, "the closed path carried something");
+        assert_eq!(
+            client.path(PathId::INITIAL).unwrap().state,
+            PathState::Closed,
+            "the peer learned of the closure through PATHS"
         );
         let mut ops = Vec::new();
         while let Some(op) = server.pop_path_op() {
@@ -2670,6 +2130,107 @@ mod tests {
         }
         assert!(ops.contains(&PathOp::ValidationStarted));
         assert!(ops.contains(&PathOp::ValidationAbandoned));
+    }
+
+    /// A PATH_RESPONSE queued on a path that then leaves service still
+    /// reaches the peer: the challenger accepts it on any path (RFC 9000
+    /// §8.2.3), so it reroutes where a PATH_CHALLENGE dies.
+    #[test]
+    fn a_response_stranded_by_an_abandoned_path_still_reaches_the_peer() {
+        let (mut client, mut server) = established_pair(SimTime::from_millis(1));
+        shuttle(&mut client, &mut server, SimTime::from_millis(2));
+        assert!(server.path_ids().contains(&PathId(1)));
+        // The client challenges on path 0 from behind a new NAT binding:
+        // the server quarantines path 0 and queues its answer there.
+        let token = 0x5eed_a115;
+        let challenge = forged_datagram(&client, 1 << 20, &[Frame::PathChallenge { token }]);
+        let rebound = addr("203.0.113.9:4242");
+        server.handle_datagram(SimTime::from_millis(3), addr(S0), rebound, &challenge);
+        // The new binding never answers the server's own challenges, and
+        // the server abandons path 0 before it sends anything.
+        let mut now = SimTime::from_millis(3);
+        while server.path(PathId::INITIAL).unwrap().state == PathState::Validating {
+            now = server
+                .path(PathId::INITIAL)
+                .unwrap()
+                .challenge
+                .unwrap()
+                .retransmit_at;
+            server.on_timeout(now);
+        }
+        assert_eq!(
+            server.path(PathId::INITIAL).unwrap().state,
+            PathState::Closed
+        );
+        let mut echoed_on = Vec::new();
+        while let Some(t) = server.poll_transmit(now) {
+            let (path, frames) = server_frames(&server, &t.payload);
+            if frames.contains(&Frame::PathResponse { token }) {
+                echoed_on.push(path);
+            }
+            assert!(
+                !frames
+                    .iter()
+                    .any(|f| matches!(f, Frame::PathChallenge { .. })),
+                "a challenge outlived its path"
+            );
+        }
+        assert_eq!(echoed_on, vec![PathId(1)]);
+    }
+
+    /// Migrating a path that is still being validated lifts no
+    /// quarantine: the path stays validating, and its challenge goes on
+    /// from the new local address until the peer answers it.
+    #[test]
+    fn migrating_a_validating_path_keeps_it_quarantined_until_answered() {
+        let mut client = Connection::client(Config::single_path(), vec![addr(C0)], 0, addr(S0), 1);
+        let mut server = Connection::server(Config::single_path(), vec![addr(S0), addr(S1)], 2);
+        shuttle(&mut client, &mut server, SimTime::from_millis(1));
+        let stream = client.open_stream();
+        client
+            .stream_write(stream, Bytes::from_static(b"x"))
+            .unwrap();
+        let rebound = addr("203.0.113.9:4242");
+        let mut now = SimTime::from_millis(2);
+        while let Some(t) = client.poll_transmit(now) {
+            server.handle_datagram(now, t.remote, rebound, &t.payload);
+        }
+        server.migrate_path(PathId::INITIAL, addr(S1), now);
+        let path = server.path(PathId::INITIAL).unwrap();
+        assert_eq!(
+            path.state,
+            PathState::Validating,
+            "migration lifted the quarantine"
+        );
+        assert!(path.challenge.is_some());
+        // The queued challenge leaves at once, from the new address, and
+        // is lost.
+        let mut challenges = 0;
+        while let Some(t) = server.poll_transmit(now) {
+            assert_eq!(t.local, addr(S1));
+            let (_, frames) = server_frames(&server, &t.payload);
+            let challenge = |f: &Frame| matches!(f, Frame::PathChallenge { .. });
+            challenges += frames.iter().filter(|f| challenge(f)).count();
+        }
+        assert_eq!(challenges, 1, "the challenge did not leave on migration");
+        // The client answers every challenge that reaches it.
+        for _ in 0..8 {
+            shuttle_nat(&mut client, &mut server, rebound, now);
+            if server.path(PathId::INITIAL).unwrap().state != PathState::Validating {
+                break;
+            }
+            now = [client.next_timeout(), server.next_timeout()]
+                .into_iter()
+                .flatten()
+                .min()
+                .expect("a timer is armed");
+            client.on_timeout(now);
+            server.on_timeout(now);
+        }
+        let path = server.path(PathId::INITIAL).unwrap();
+        assert_eq!(path.state, PathState::Active, "validated, not abandoned");
+        assert_eq!((path.local, path.remote), (addr(S1), rebound));
+        assert_eq!(&server.stream_read(stream, 10).unwrap()[..], b"x");
     }
 
     #[test]
@@ -2979,6 +2540,8 @@ mod tests {
         assert!(client.stream_fully_acked(stream));
     }
 
+    /// A warm path that closes mid-transfer: what it carried reroutes,
+    /// nothing more leaves on it, and the peer learns of it through PATHS.
     #[test]
     fn close_path_reroutes_and_informs_peer() {
         let (mut client, mut server) = established_pair(SimTime::from_millis(1));
@@ -2991,7 +2554,7 @@ mod tests {
         client.stream_finish(stream);
         // Move some data so both paths are warm, then close path 1.
         shuttle(&mut client, &mut server, SimTime::from_millis(3));
-        client.close_path(PathId(1), SimTime::from_millis(4));
+        client.abandon_path(SimTime::from_millis(4), PathId(1));
         assert_eq!(client.path(PathId(1)).unwrap().state, PathState::Closed);
         // Everything still completes, and no packet leaves on path 1.
         let mut sent_on_path1 = false;

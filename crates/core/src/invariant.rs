@@ -19,11 +19,14 @@
 //!   or every packet pays for the connection's whole history;
 //! * **bounded reassembly memory** — the receive halves' rings together
 //!   hold at most twice the connection's receive window, whatever the
-//!   peer sends (the connection window caps what they can hold unread).
+//!   peer sends (the connection window caps what they can hold unread);
+//! * **consistent path states** — a path holds a PATH_CHALLENGE if and
+//!   only if it is validating, and a closed path is neither probed nor
+//!   challenged.
 //!
 //! [`InvariantChecker`] asserts these on every packet send, on every
-//! ACK frame built or received, and after every datagram and stream
-//! read. It compiles to a zero-sized no-op unless
+//! ACK frame built or received, after every datagram and stream read,
+//! and after every timer pass. It compiles to a zero-sized no-op unless
 //! `debug_assertions` or the `invariants` feature is enabled, so release
 //! builds pay nothing while `cargo test` (and CI, which enables
 //! `--features invariants` for release-mode runs) checks every packet.
@@ -34,6 +37,7 @@
 //! DESIGN.md §9 for the full invariant table.
 
 use crate::config::Role;
+use crate::path::Path;
 use crate::recovery::Recovery;
 use crate::stream::{RecvStream, SendStream, StreamId};
 use mpquic_wire::{AckFrame, PathId};
@@ -42,6 +46,7 @@ use std::collections::BTreeMap;
 #[cfg(any(debug_assertions, feature = "invariants"))]
 mod imp {
     use super::*;
+    use crate::path::PathState;
     use mpquic_wire::MAX_ACK_RANGES;
 
     /// Asserts the paper's runtime invariants on the send/receive hot
@@ -181,6 +186,20 @@ mod imp {
                  their budget of {budget}"
             );
         }
+
+        /// Path states: a path holds a challenge if and only if it is
+        /// validating, and a closed path has no probe deadline.
+        pub fn check_path_states(&self, paths: &BTreeMap<PathId, Path>) {
+            for (id, p) in paths {
+                let (state, challenge, probe) = (p.state, p.challenge, p.probe_at);
+                assert!(
+                    challenge.is_some() == (state == PathState::Validating)
+                        && (state != PathState::Closed || probe.is_none()),
+                    "invariant violated: {id} is {state:?} with challenge {challenge:?}, \
+                     probe {probe:?}"
+                );
+            }
+        }
     }
 }
 
@@ -229,6 +248,10 @@ mod imp {
             _budget: u64,
         ) {
         }
+
+        /// No-op.
+        #[inline(always)]
+        pub fn check_path_states(&self, _paths: &BTreeMap<PathId, Path>) {}
     }
 }
 
@@ -296,6 +319,25 @@ mod tests {
         };
         stream.on_frame(&fin, u64::MAX).unwrap();
         c.check_streams_retired(&BTreeMap::new(), &BTreeMap::from([(1, stream)]));
+    }
+
+    #[test]
+    #[cfg(any(debug_assertions, feature = "invariants"))]
+    #[should_panic(expected = "is Active with challenge Some")]
+    fn active_path_holding_a_challenge_panics() {
+        let c = InvariantChecker::new();
+        let mut path = Path::new(
+            PathId(1),
+            "10.0.0.1:4433".parse().unwrap(),
+            "10.0.1.1:4433".parse().unwrap(),
+            mpquic_cc::CcAlgorithm::Olia.build(1250),
+        );
+        path.challenge = Some(crate::path::PathChallenge {
+            token: 7,
+            sent: 1,
+            retransmit_at: mpquic_util::SimTime::ZERO,
+        });
+        c.check_path_states(&BTreeMap::from([(path.id, path)]));
     }
 
     #[test]

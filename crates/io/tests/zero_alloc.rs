@@ -34,11 +34,14 @@
 //! reassembly ring, and received ACKs take their range vectors from the
 //! connection's pool.
 //!
-//! The fifth is not a zero but a budget over the whole stream path,
+//! The fifth covers **timers**: firing the delayed-ACK timers of the
+//! same pair allocates nothing, as `on_timeout` walks the paths in place.
+//!
+//! The sixth is not a zero but a budget over the whole stream path,
 //! copying reads included, so a copy or a scratch `Vec` creeping back
 //! into it (DESIGN.md §19) fails here.
 //!
-//! The sixth bounds what one `mpq-rpc` response pins: a
+//! The seventh bounds what one `mpq-rpc` response pins: a
 //! `MAX_RPC_PAYLOAD` response is one pattern period plus views of it.
 //!
 //! The last two price the **metrics plane** on the send loop (DESIGN.md
@@ -224,6 +227,9 @@ struct Allocs {
     egress_unexplained: u64,
     /// Inside `handle_datagram`, both sides.
     ingress: u64,
+    /// Inside `on_timeout`, both sides, and how many calls fired.
+    timers: u64,
+    fired: u64,
 }
 
 /// The trains one side handed over: how many, their datagrams, and the
@@ -371,7 +377,10 @@ impl Pair {
         self.now += step;
         for conn in [&mut self.client, &mut self.server] {
             if conn.next_timeout().is_some_and(|due| due <= self.now) {
+                let before = alloc_count::thread_counts().allocs;
                 conn.on_timeout(self.now);
+                self.allocs.timers += alloc_count::thread_counts().allocs - before;
+                self.allocs.fired += 1;
             }
         }
         let Pair {
@@ -544,6 +553,39 @@ fn warm_ingress_allocates_nothing() {
         "ingress allocated {} times over {client_sent} client and {server_sent} \
          server packets",
         pair.allocs.ingress
+    );
+}
+
+/// Firing a timer allocates nothing either: `on_timeout` walks the
+/// paths in place. The client sends one small STREAM packet every other
+/// 30 ms turn, so the server's delayed-ACK timer (25 ms) fires once per
+/// packet, in the turn after it, and flushes the ACK.
+#[test]
+fn warm_timers_allocate_nothing() {
+    const PACKETS: u64 = 200;
+    let mut pair = Pair::established(128 << 10);
+    let chunk = Bytes::from(vec![0x5au8; 100]);
+    let stream = pair.client.open_stream();
+    let run = |pair: &mut Pair, packets: u64| {
+        for _ in 0..packets {
+            let _ = pair.client.stream_write(stream, chunk.clone());
+            pair.turn(Duration::from_millis(30));
+            pair.turn(Duration::from_millis(30));
+            while pair.server.stream_read(stream, usize::MAX).is_some() {}
+        }
+    };
+    run(&mut pair, 20);
+
+    pair.allocs = Allocs::default();
+    run(&mut pair, PACKETS);
+    assert_eq!(
+        pair.allocs.fired, PACKETS,
+        "one delayed ACK fired per packet"
+    );
+    assert_eq!(
+        pair.allocs.timers, 0,
+        "{} timer calls allocated {} times",
+        pair.allocs.fired, pair.allocs.timers
     );
 }
 
