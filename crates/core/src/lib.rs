@@ -50,6 +50,7 @@ pub mod buffer;
 pub mod config;
 pub mod connection;
 pub mod flow;
+mod handshake;
 pub mod invariant;
 pub mod path;
 pub mod recovery;

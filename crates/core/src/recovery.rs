@@ -104,7 +104,7 @@ struct Slot {
 }
 
 /// Loss-recovery state for one path's packet-number space.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Recovery {
     /// The packets sent since the oldest outstanding one, ascending by
     /// packet number. Numbers are monotonic per path, so a send is a
@@ -129,7 +129,7 @@ pub struct Recovery {
     loss_time: Option<SimTime>,
     /// Consecutive RTO count (exponential backoff).
     rto_count: u32,
-    /// RTO reference point: set at the first outstanding send, restarted
+    /// RTO reference point: set at the first send of a flight, restarted
     /// on every acknowledgement that makes progress (classic retransmit
     /// timer semantics — arming from the oldest packet's send time fires
     /// spuriously whenever serialization delays stretch the flight).
@@ -153,21 +153,7 @@ pub struct Recovery {
 impl Recovery {
     /// Fresh state for a new path.
     pub fn new() -> Recovery {
-        Recovery {
-            sent: VecDeque::new(),
-            outstanding: 0,
-            ack_eliciting_outstanding: 0,
-            next_pn: 0,
-            largest_acked: None,
-            bytes_in_flight: 0,
-            loss_time: None,
-            rto_count: 0,
-            rto_reference: None,
-            congestion_epoch_start: 0,
-            acked_buf: Vec::new(),
-            lost_buf: Vec::new(),
-            spare_frames: Vec::new(),
-        }
+        Recovery::default()
     }
 
     /// Allocates the next packet number (monotonic, never reused).
@@ -237,11 +223,14 @@ impl Recovery {
             .back()
             .is_none_or(|s| s.packet.packet_number < packet.packet_number));
         if packet.ack_eliciting {
-            self.bytes_in_flight += packet.size;
-            self.ack_eliciting_outstanding += 1;
-            if self.rto_reference.is_none() {
+            // The first ack-eliciting packet of a flight starts the timer
+            // afresh: a reference left by a flight that loss detection
+            // emptied would put this packet's RTO in the past.
+            if self.ack_eliciting_outstanding == 0 {
                 self.rto_reference = Some(packet.time_sent);
             }
+            self.bytes_in_flight += packet.size;
+            self.ack_eliciting_outstanding += 1;
         }
         self.outstanding += 1;
         self.sent.push_back(Slot {
@@ -523,12 +512,6 @@ impl Recovery {
     }
 }
 
-impl Default for Recovery {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -731,6 +714,35 @@ mod tests {
         assert_eq!(r.rto_count(), 0);
     }
 
+    /// An ACK that makes progress restarts the timer while packets are
+    /// still in flight, and its own loss pass may then declare them all
+    /// lost: the next packet sent must not inherit that reference.
+    #[test]
+    fn a_flight_emptied_by_loss_detection_leaves_no_stale_rto() {
+        let mut r = Recovery::new();
+        let mut est = rtt();
+        for i in 0..4 {
+            send(&mut r, i, 100);
+        }
+        send(&mut r, 4_000, 100);
+        let out = r.on_ack(
+            SimTime::from_millis(4_040),
+            [(4, 4)].into_iter(),
+            Duration::ZERO,
+            &mut est,
+        );
+        assert_eq!(out.lost_frames.len(), 4);
+        assert!(!r.has_ack_eliciting_in_flight());
+        let sent_at = SimTime::from_millis(9_000);
+        send(&mut r, 9_000, 100);
+        let (when, kind) = r.next_timeout(&est).expect("RTO armed");
+        assert_eq!(kind, TimeoutKind::Rto);
+        assert!(
+            when > sent_at,
+            "RTO at {when:?} for a packet sent at {sent_at:?}"
+        );
+    }
+
     #[test]
     fn timeout_before_deadline_is_noop() {
         let mut r = Recovery::new();
@@ -889,10 +901,10 @@ mod tests {
             pub fn on_packet_sent(&mut self, packet: SentPacket) {
                 debug_assert!(packet.packet_number < self.next_pn);
                 if packet.ack_eliciting {
-                    self.bytes_in_flight += packet.size;
-                    if self.rto_reference.is_none() {
+                    if !self.has_ack_eliciting_in_flight() {
                         self.rto_reference = Some(packet.time_sent);
                     }
+                    self.bytes_in_flight += packet.size;
                 }
                 self.sent.insert(packet.packet_number, packet);
             }

@@ -82,19 +82,19 @@ pub const FRAME_SITES: &[(&str, &str, &str, &str)] = &[
     ("crates/wire/src/frame.rs", "Frame", "wire_size", "sizing"),
     ("crates/wire/src/frame.rs", "Frame", "frame_type", "typing"),
     (
-        "crates/core/src/connection.rs",
+        "crates/core/src/connection/dispatch.rs",
         "Connection",
         "on_frame_acked",
         "on-ack",
     ),
     (
-        "crates/core/src/connection.rs",
+        "crates/core/src/connection/dispatch.rs",
         "Connection",
         "requeue_lost_frames",
         "on-loss",
     ),
     (
-        "crates/core/src/connection.rs",
+        "crates/core/src/connection/dispatch.rs",
         "Connection",
         "handle_frame",
         "dispatch",
