@@ -11,13 +11,11 @@
 //!
 //! [`TransmitQueue`] owns a pool of whole-train buffers plus the queue of
 //! pending [`crate::Transmit`]s. The connection writes each datagram
-//! straight to the tail of the *open train* — a run of datagrams for one
-//! `(local, remote)` pair whose [`crate::Transmit::segment_size`] records
-//! the segment boundary, the way Linux `UDP_SEGMENT` describes a segment
-//! train — and seals it there, so a datagram is never copied to join its
-//! train. A train grows to the kernel's limits ([`MAX_TRAIN_SEGMENTS`]
-//! segments, [`MAX_UDP_PAYLOAD`] bytes); the socket layer hands each to
-//! the kernel in one syscall.
+//! straight to the tail of the newest *train* of its `(local, remote)`
+//! pair, whose [`crate::Transmit::segment_size`] records the segment
+//! boundary the way Linux `UDP_SEGMENT` does, and seals it there. A train
+//! grows to the kernel's limits ([`MAX_TRAIN_SEGMENTS`] segments,
+//! [`MAX_UDP_PAYLOAD`] bytes); the socket layer sends each in one syscall.
 //!
 //! This module is inside the no-panic lint scope (`cargo xtask lint`):
 //! nothing here may index, unwrap or panic.
@@ -169,9 +167,9 @@ impl Drop for BufferPool {
 /// syscall arrays for; memory is counted in *trains*. The pool holds
 /// one buffer per train the queue fills, each as large as a train may
 /// grow, plus one datagram-sized spare: a datagram that cannot join the
-/// open train (another path, or a size the train cannot take) when no
-/// train buffer is free lands there, and the queue is then full. So a
-/// batch never allocates, whatever the order of its paths.
+/// newest train of its path when no train buffer is free lands there,
+/// and the queue is then full. So a batch never allocates, whatever the
+/// order of its paths.
 #[derive(Debug)]
 pub struct TransmitQueue {
     /// Whole-train buffers.
@@ -182,10 +180,10 @@ pub struct TransmitQueue {
     trains: usize,
     /// The byte limit of one train.
     train_bytes: usize,
-    /// Closed trains, oldest first.
+    /// Trains, oldest first; a datagram may join the newest of its path.
     items: VecDeque<Transmit>,
-    /// The train the next datagram may join.
-    open: Option<Transmit>,
+    /// Leading `items` no datagram joins: up to the last one pushed.
+    pushed: usize,
     max_segments: usize,
     limit: usize,
     queued_segments: usize,
@@ -213,7 +211,7 @@ impl TransmitQueue {
             trains,
             train_bytes,
             items: VecDeque::with_capacity(trains + 1),
-            open: None,
+            pushed: 0,
             max_segments,
             limit: max_segments,
             queued_segments: 0,
@@ -237,7 +235,7 @@ impl TransmitQueue {
     /// True while the queue can accept at least one more datagram, for
     /// any path and of any size: the segment limit is not reached, and
     /// a train buffer or the spare is free for a datagram that cannot
-    /// join the open train.
+    /// join a queued train.
     pub fn has_capacity(&self) -> bool {
         self.queued_segments < self.limit && (self.pool.available() > 0 || self.spare.is_some())
     }
@@ -256,14 +254,12 @@ impl TransmitQueue {
     }
 
     /// Enqueues an externally built [`Transmit`] (not pool-backed; used
-    /// by the generic one-at-a-time shims). It closes the open train and
-    /// is never joined: the payload's allocation is owned by the caller.
+    /// by the generic one-at-a-time shims). Neither it nor a train before
+    /// it is ever joined: the payload's allocation is owned by the caller.
     pub fn push(&mut self, transmit: Transmit) {
-        if let Some(train) = self.open.take() {
-            self.items.push_back(train);
-        }
         self.queued_segments += transmit.segment_count();
         self.items.push_back(transmit);
+        self.pushed = self.items.len();
     }
 
     /// Dequeues the next transmit, oldest first. Its payload buffer
@@ -271,7 +267,8 @@ impl TransmitQueue {
     /// (pool-backed payloads that are dropped instead trip the debug
     /// leak check).
     pub fn pop(&mut self) -> Option<Transmit> {
-        let transmit = self.items.pop_front().or_else(|| self.open.take())?;
+        let transmit = self.items.pop_front()?;
+        self.pushed = self.pushed.saturating_sub(1);
         self.queued_segments = self
             .queued_segments
             .saturating_sub(transmit.segment_count());
@@ -280,12 +277,12 @@ impl TransmitQueue {
 
     /// Queue entries (GSO trains count once).
     pub fn len(&self) -> usize {
-        self.items.len() + usize::from(self.open.is_some())
+        self.items.len()
     }
 
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty() && self.open.is_none()
+        self.items.is_empty()
     }
 
     /// Datagrams queued (each train segment counts).
@@ -303,22 +300,19 @@ impl TransmitQueue {
         self.pool.stats()
     }
 
-    /// Whether a `len`-byte datagram from `local` to `remote` may join
-    /// `train`: same addresses, no longer than the train's segments,
-    /// the train not closed by a short segment, and both of the
-    /// kernel's limits still met afterwards.
-    fn joins(&self, train: &Transmit, local: SocketAddr, remote: SocketAddr, len: usize) -> bool {
-        if train.local != local || train.remote != remote || train.payload.is_empty() {
+    /// Whether a `len`-byte datagram may join the train at `at`: queued
+    /// after the last pushed transmit, no longer than its segments, not
+    /// closed by a short one, and within the kernel's limits afterwards.
+    fn joins(&self, at: usize, len: usize) -> bool {
+        let Some(train) = self.items.get(at).filter(|_| at >= self.pushed) else {
             return false;
-        }
-        // The segment size of the train is fixed by its first datagram.
+        };
+        // The first datagram fixes the segment size, and only the final
+        // segment may be short: a short segment closes the train.
         let seg = match train.segment_size {
             Some(seg) => seg,
             None => train.payload.len(),
         };
-        // Only the final segment may be short: a train whose byte count
-        // is not a multiple of its segment size is closed. This also
-        // means appending a short segment closes the train.
         seg > 0
             && len <= seg
             && train.payload.len().is_multiple_of(seg)
@@ -327,25 +321,21 @@ impl TransmitQueue {
     }
 }
 
-/// The batched sink: a datagram joins the open train where it can and
-/// otherwise opens the next one in a free train buffer, or in the spare.
+/// The batched sink: a datagram joins the newest train of its path if it
+/// can, else opens the next in a free train buffer or the spare. Never an
+/// older train: a path's datagrams keep their build order, the only order
+/// that reaches a peer, so grouping a batch by path shows nowhere.
 impl DatagramSink for TransmitQueue {
     fn buffer_for(&mut self, local: SocketAddr, remote: SocketAddr, len: usize) -> &mut Vec<u8> {
         self.queued_segments += 1;
-        let joins = self
-            .open
-            .as_ref()
-            .is_some_and(|train| self.joins(train, local, remote, len));
-        let train = match self.open.take() {
-            Some(mut train) if joins => {
-                train.segment_size.get_or_insert(train.payload.len());
+        let on_path = |train: &Transmit| train.local == local && train.remote == remote;
+        let newest = self.items.iter().rposition(on_path);
+        let at = match newest.filter(|&at| self.joins(at, len)) {
+            Some(at) => {
                 self.coalesced += 1;
-                train
+                at
             }
-            closed => {
-                if let Some(closed) = closed {
-                    self.items.push_back(closed);
-                }
+            None => {
                 let payload = match self.spare.take() {
                     Some(spare) if self.pool.available() == 0 => spare,
                     spare => {
@@ -353,15 +343,24 @@ impl DatagramSink for TransmitQueue {
                         self.pool.take()
                     }
                 };
-                Transmit {
+                self.items.push_back(Transmit {
                     local,
                     remote,
                     payload,
                     segment_size: None,
-                }
+                });
+                self.items.len() - 1
             }
         };
-        &mut self.open.insert(train).payload
+        match self.items.get_mut(at) {
+            Some(train) if train.payload.is_empty() => &mut train.payload,
+            Some(train) => {
+                train.segment_size.get_or_insert(train.payload.len());
+                &mut train.payload
+            }
+            // Not reached: `at` names the train just joined or opened.
+            None => self.spare.get_or_insert_with(Vec::new),
+        }
     }
 }
 
@@ -566,6 +565,77 @@ mod tests {
         write(&mut q, 1, 2, 4, 100);
         assert_eq!(drain(&mut q), [(1, 100), (1, 100)]);
         assert_eq!(q.pool_stats().misses, 0);
+    }
+
+    /// Alternating paths, as a fresh path's duplication sends them:
+    /// each path fills one train, and the trains pop in the order they
+    /// opened.
+    #[test]
+    fn interleaved_paths_keep_one_train_each() {
+        let mut q = TransmitQueue::new(DEFAULT_BATCH, 1350);
+        for _ in 0..10 {
+            write(&mut q, 1, 3, 1, 1350);
+            write(&mut q, 2, 4, 2, 1350);
+        }
+        assert_eq!(q.coalesced(), 18);
+        let mut trains = Vec::new();
+        while let Some(t) = q.pop() {
+            assert!(t.segments().all(|seg| seg.len() == 1350));
+            trains.push((t.local.port(), t.segment_count()));
+            q.recycle(t.payload);
+        }
+        assert_eq!(trains, [(1, 10), (2, 10)]);
+        let stats = q.pool_stats();
+        assert_eq!((stats.taken, stats.misses), (2, 0), "one buffer per path");
+    }
+
+    /// A datagram joins only the newest train of its path: joining an
+    /// older one would put it on the wire before datagrams built ahead
+    /// of it on the same path.
+    #[test]
+    fn a_datagram_never_joins_an_older_train_of_its_path() {
+        let mut q = TransmitQueue::new(DEFAULT_BATCH, 1500);
+        write(&mut q, 1, 2, 1, 40);
+        // Longer than the first train's segments: a second train...
+        write(&mut q, 1, 2, 2, 100);
+        // ...which a short datagram joins and closes.
+        write(&mut q, 1, 2, 3, 40);
+        // The first train could take this one, but it is older.
+        write(&mut q, 1, 2, 4, 40);
+        assert_eq!(q.len(), 3);
+        let mut fills = Vec::new();
+        while let Some(t) = q.pop() {
+            fills.push(t.segments().map(|seg| seg[0]).collect::<Vec<u8>>());
+            q.recycle(t.payload);
+        }
+        assert_eq!(fills, [vec![1], vec![2, 3], vec![4]], "build order kept");
+        assert_eq!(q.pool_stats().misses, 0);
+    }
+
+    /// A pushed transmit belongs to its caller: no datagram joins it,
+    /// nor a train queued before it.
+    #[test]
+    fn a_pushed_transmit_is_never_joined() {
+        let mut q = TransmitQueue::new(DEFAULT_BATCH, 1500);
+        write(&mut q, 1, 3, 1, 100);
+        q.push(Transmit {
+            local: addr(1),
+            remote: addr(2),
+            payload: vec![2; 100],
+            segment_size: None,
+        });
+        write(&mut q, 1, 2, 3, 100);
+        write(&mut q, 1, 3, 4, 100);
+        assert_eq!(q.segments(), 4);
+        let mut trains = Vec::new();
+        while let Some(t) = q.pop() {
+            trains.push((t.remote.port(), t.segment_count(), t.payload[0]));
+            if t.payload[0] != 2 {
+                q.recycle(t.payload);
+            }
+        }
+        assert_eq!(trains, [(3, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 4)]);
+        assert_eq!(q.coalesced(), 0);
     }
 
     #[test]

@@ -683,9 +683,9 @@ impl Connection {
 
     /// Fills `queue` with as many datagrams as the congestion window,
     /// the scheduler and the queue's capacity allow. Each datagram is
-    /// encoded and sealed once, at its final offset in the queue's open
-    /// GSO train (see [`Transmit::segment_size`]), or opens the next
-    /// train when its path or size cannot join that one. Returns the
+    /// encoded and sealed once, at its final offset in the newest GSO
+    /// train of its path (see [`Transmit::segment_size`]), or opens the
+    /// next train of its path when it cannot join that one. Returns the
     /// number of wire datagrams produced.
     pub fn poll_transmit_batch(&mut self, now: SimTime, queue: &mut TransmitQueue) -> usize {
         let mut produced = 0;
@@ -886,8 +886,8 @@ impl Connection {
     /// the datagram's `(local, remote)` addressing.
     ///
     /// The packet's size and path are known before a byte is written, so
-    /// the sink picks the buffer up front — the open train's tail, or
-    /// the next train — and the packet is encoded straight there and
+    /// the sink picks the buffer up front — the tail of its path's newest
+    /// train, or the next train — and the packet is encoded straight there and
     /// protected in place: header as associated data, payload encrypted
     /// where it lies, tag appended. A warm egress path neither allocates
     /// nor copies the payload, here or after.

@@ -249,15 +249,22 @@ impl RequestReader {
 const PATTERN_PERIOD: usize = 1 << 16;
 
 /// Appends [`response_pattern`]`(len, checksum)` to `out`: the first
-/// period byte by byte from the generator, the rest as block copies of
-/// it.
+/// period row by row, the rest as block copies of it.
+///
+/// Byte `i` is `(j * 31 + (j >> 8)) mod 256` with `j = i ^ checksum`.
+/// Within a 256-byte row the first term depends on `i`'s low byte only
+/// and the second is the constant `(row ^ (checksum >> 8)) mod 256`, so
+/// every row is one base row plus its constant.
 fn write_pattern(out: &mut Vec<u8>, len: usize, checksum: u64) {
     let start = out.len();
     let first = len.min(PATTERN_PERIOD);
-    out.extend((0..first as u64).map(|i| {
-        let i = i ^ checksum;
-        (i.wrapping_mul(31).wrapping_add(i >> 8) & 0xff) as u8
-    }));
+    let base: [u8; 256] =
+        std::array::from_fn(|low| ((low as u64 ^ checksum).wrapping_mul(31) & 0xff) as u8);
+    for row in 0..first.div_ceil(256) {
+        let add = ((row as u64 ^ (checksum >> 8)) & 0xff) as u8;
+        let n = (first - row * 256).min(256);
+        out.extend(base.iter().take(n).map(|b| b.wrapping_add(add)));
+    }
     let mut left = len - first;
     while left > 0 {
         let n = left.min(PATTERN_PERIOD);
@@ -624,13 +631,17 @@ mod tests {
                 })
                 .collect()
         };
-        for checksum in [0, 1, 0xff00, 0xfeed_f00d_dead_beef, u64::MAX] {
-            for len in [0, 1, 255, 256, 257, 65_535, 65_536, 65_537, 200_000] {
+        for checksum in [0, 1, 0xff00, 0x1234_5678, 0xfeed_f00d_dead_beef, u64::MAX] {
+            for len in [0, 1, 255, 256, 257, 65_535, 65_536, 65_537, 70_000, 200_000] {
                 assert_eq!(
                     response_pattern(len, checksum),
                     reference(len, checksum),
                     "len {len} checksum {checksum:#x}"
                 );
+                // Appended after other bytes, as a response's header.
+                let mut out = vec![0xee; 13];
+                write_pattern(&mut out, len, checksum);
+                assert_eq!(out.get(13..), Some(&reference(len, checksum)[..]));
             }
         }
     }
