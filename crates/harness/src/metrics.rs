@@ -44,13 +44,6 @@ pub fn aggregation_benefit(multipath_goodput: f64, single_goodputs: &[f64]) -> f
     }
 }
 
-/// Download-time ratio `time(baseline) / time(candidate)` — the x-axis of
-/// the CDF figures; `> 1` means the candidate (QUIC-family) was faster.
-pub fn time_ratio(baseline_secs: f64, candidate_secs: f64) -> f64 {
-    assert!(baseline_secs > 0.0 && candidate_secs > 0.0);
-    baseline_secs / candidate_secs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,12 +84,5 @@ mod tests {
     fn failed_baselines() {
         assert_eq!(aggregation_benefit(5.0, &[0.0, 0.0]), 1.0);
         assert_eq!(aggregation_benefit(0.0, &[0.0, 0.0]), -1.0);
-    }
-
-    #[test]
-    fn time_ratio_orientation() {
-        // TCP slower than QUIC -> ratio > 1.
-        assert!(time_ratio(2.0, 1.0) > 1.0);
-        assert_eq!(time_ratio(1.5, 1.5), 1.0);
     }
 }

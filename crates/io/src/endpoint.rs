@@ -52,7 +52,7 @@ pub use mpquic_telemetry::endpoint::{
 use crate::backoff::Backoff;
 use crate::error::{Error, Result};
 use crate::mmsg::Waker;
-use crate::shard::ShardCore;
+use crate::shard::{Delivery, ShardCore};
 use crate::socket::{RecvBatch, SocketRegistry};
 
 /// Datagrams pulled per loop iteration (one batched syscall's worth).
@@ -337,8 +337,9 @@ fn accept(worker: &Worker, core: &mut ShardCore, cid: u64) -> bool {
 }
 
 /// The endpoint's event loop; every worker runs this and nothing else.
-/// Each receive batch feeds connections in place (the payload never
-/// leaves the batch's buffer), accepting first-seen CIDs inline; then
+/// Each receive batch is handled at one clock reading and feeds
+/// connections in place (the payload never leaves the batch's buffer),
+/// accepting first-seen CIDs inline; then
 /// one `ShardCore::process` pass runs timers, applications, egress
 /// and reaping over the connections that have something to do. Every
 /// datagram pulled off the sockets is delivered to a connection or
@@ -373,30 +374,35 @@ fn run_loop(worker: &Worker, mut sockets: SocketRegistry) {
             plane.stats.recv_errors.add(1);
         }
         let mut progressed = !batch.is_empty();
+        let mut delivered = 0;
         if progressed {
             // One add per batch: every loop bumps this shared cell.
             plane.stats.datagrams_in.add(batch.len() as u64);
-        }
-        let mut delivered = 0;
-        for (meta, payload) in batch.iter() {
-            let Some(cid) = PublicHeader::connection_id_of(payload) else {
-                plane.stats.malformed.add(1);
-                plane.recorder.record(FlightKind::Malformed, 0, shard, 0);
-                continue;
-            };
-            if !core.owns(cid) {
-                if core.is_retired(cid) {
+            // The whole batch is handled at one instant, read once.
+            let now = core.now();
+            for (meta, payload) in batch.iter() {
+                let Some(cid) = PublicHeader::connection_id_of(payload) else {
+                    plane.stats.malformed.add(1);
+                    plane.recorder.record(FlightKind::Malformed, 0, shard, 0);
+                    continue;
+                };
+                let fed = match core.deliver(now, cid, meta.local, meta.remote, payload) {
+                    Delivery::Fed => true,
                     // Straggler for a finished connection (the client
                     // ACKing our CONNECTION_CLOSE, say).
-                    plane.stats.tombstoned.add(1);
-                    continue;
+                    Delivery::Retired => {
+                        plane.stats.tombstoned.add(1);
+                        false
+                    }
+                    Delivery::Unknown => {
+                        accept(worker, &mut core, cid)
+                            && core.deliver(now, cid, meta.local, meta.remote, payload)
+                                == Delivery::Fed
+                    }
+                };
+                if fed {
+                    delivered += 1;
                 }
-                if !accept(worker, &mut core, cid) {
-                    continue;
-                }
-            }
-            if core.deliver(cid, meta.local, meta.remote, payload) {
-                delivered += 1;
             }
         }
         if delivered > 0 {

@@ -58,6 +58,17 @@ pub fn shard_for_cid(cid: u64, shards: usize) -> usize {
     (cid & 0xFF) as usize % shards.clamp(1, crate::mmsg::MAX_STEERED)
 }
 
+/// What [`ShardCore::deliver`] did with a datagram.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Delivery {
+    /// Handed to the connection that owns its CID.
+    Fed,
+    /// Its CID stopped routing recently: a straggler, dropped.
+    Retired,
+    /// A CID this loop has never routed: a candidate for accept.
+    Unknown,
+}
+
 /// One connection owned by a shard.
 struct ConnEntry {
     transport: Box<QuicTransport>,
@@ -126,10 +137,10 @@ impl ShardCore {
         self.conns.len()
     }
 
-    /// True if `cid` is currently owned by this core, directly or as a
-    /// rotation alias.
-    pub(crate) fn owns(&self, cid: u64) -> bool {
-        self.conns.contains_key(&cid) || self.aliases.contains_key(&cid)
+    /// The instant a receive batch is handled at: read once per batch,
+    /// as [`crate::Driver::step`] does.
+    pub(crate) fn now(&self) -> SimTime {
+        self.clock.now()
     }
 
     /// True if some owned connection was mid-transfer at the end of its
@@ -144,11 +155,6 @@ impl ShardCore {
     /// at its cap, say — so the next pass has work without any datagram.
     pub(crate) fn has_ready(&self) -> bool {
         !self.ready.is_empty()
-    }
-
-    /// True if `cid` was retired recently enough to be remembered.
-    pub(crate) fn is_retired(&self, cid: u64) -> bool {
-        self.retired.contains(cid)
     }
 
     /// Takes ownership of a freshly built connection under `cid`.
@@ -171,29 +177,36 @@ impl ShardCore {
         );
     }
 
-    /// Feeds one received datagram to its connection and marks the
-    /// connection ready for the next [`ShardCore::process`]. Returns
-    /// `true` if the CID was owned (a miss is an ordinary race with
-    /// retirement — to the peer it is indistinguishable from loss).
+    /// Feeds one datagram received at `now` to the connection `cid`
+    /// names and marks that connection ready for the next
+    /// [`ShardCore::process`]. An owned accept-time CID costs one probe;
+    /// the alias table is read only when that misses, and the tombstones
+    /// only when both do.
     pub(crate) fn deliver(
         &mut self,
+        now: SimTime,
         cid: u64,
         local: SocketAddr,
         remote: SocketAddr,
         payload: &[u8],
-    ) -> bool {
-        let key = self.aliases.get(&cid).copied().unwrap_or(cid);
-        let Some(entry) = self.conns.get_mut(&key) else {
-            return false;
+    ) -> Delivery {
+        let (key, entry) = match self.conns.get_mut(&cid) {
+            Some(entry) => (cid, entry),
+            None => {
+                let alias = self.aliases.get(&cid).copied();
+                match alias.and_then(|key| Some((key, self.conns.get_mut(&key)?))) {
+                    Some(found) => found,
+                    None if self.retired.contains(cid) => return Delivery::Retired,
+                    None => return Delivery::Unknown,
+                }
+            }
         };
-        entry
-            .transport
-            .handle_datagram(self.clock.now(), local, remote, payload);
+        entry.transport.handle_datagram(now, local, remote, payload);
         if !entry.queued {
             entry.queued = true;
             self.ready.push(key);
         }
-        true
+        Delivery::Fed
     }
 
     /// How long the loop may block when a pass found nothing to do:

@@ -443,6 +443,131 @@ fn rebind_and_cid_rotation_stay_on_the_owning_loop() {
     assert_eq!(report.totals.failed, 0);
 }
 
+/// A datagram carrying `cid` that no connection can open: the header's
+/// fixed bit and CID, then filler.
+#[cfg(target_os = "linux")]
+fn forged_datagram(cid: u64, len: usize) -> Vec<u8> {
+    let mut datagram = vec![0x40];
+    datagram.extend_from_slice(&cid.to_be_bytes());
+    datagram.resize(len, 0xA5);
+    datagram
+}
+
+/// One receive batch carries a datagram for each way ingress routes
+/// one: an owned accept-time CID, a rotated alias of it, a tombstoned
+/// CID, and a first-seen CID (twice — its second datagram finds the
+/// connection its first one made). They leave as one GSO train, which
+/// reaches the loop as one receive. Each is delivered, counted as
+/// tombstoned, or accepted, and nothing else moves.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_mixed_receive_batch_routes_each_datagram_by_its_cid() {
+    const SEGMENT: usize = 64;
+    let config = Config::builder()
+        .single_path()
+        .worker_shards(1)
+        .build()
+        .expect("server config");
+    let endpoint = Endpoint::bind(
+        &[loopback0()],
+        config,
+        0xBA7C,
+        Box::new(|_cid| Box::new(RpcServerApp::new())),
+    )
+    .expect("bind endpoint");
+    let server = endpoint.local_addrs()[0];
+    let client_config = || Config::builder().single_path().build().expect("config");
+
+    // A finished connection: its CID is tombstoned.
+    let mut finished =
+        quic_client(client_config(), &[loopback0()], server, 0xBA7C_0001).expect("client bind");
+    let tombstoned_cid = finished.connection().connection_id();
+    rpc(&mut finished, 1, true);
+    close(&mut finished);
+    drop(finished);
+    wait_for(&endpoint, |s| s.closed == 1);
+
+    // A live connection that has rotated its CID: the accept-time CID
+    // still keys it, and the new one is an alias of it.
+    let mut live =
+        quic_client(client_config(), &[loopback0()], server, 0xBA7C_0002).expect("client bind");
+    let owned_cid = live.connection().connection_id();
+    rpc(&mut live, 2, false);
+    live.rebind_path(mpquic_core::PathId::INITIAL)
+        .expect("rebind");
+    rpc(&mut live, 3, false);
+    let rotated = live
+        .run_until(OP_TIMEOUT, |_| endpoint.stats().cid_rotations_completed > 0)
+        .expect("pump");
+    assert!(rotated, "rotation never completed");
+    let alias_cid = live.connection().connection_id();
+    assert_ne!(alias_cid, owned_cid);
+    let fresh_cid = !owned_cid;
+    assert!(![owned_cid, alias_cid, tombstoned_cid].contains(&fresh_cid));
+
+    // Let what the clients sent so far be counted.
+    let mut before = endpoint.plane().snapshot();
+    loop {
+        std::thread::sleep(Duration::from_millis(20));
+        let now = endpoint.plane().snapshot();
+        if now.stats.datagrams_in == before.stats.datagrams_in {
+            break;
+        }
+        before = now;
+    }
+
+    let train: Vec<u8> = [owned_cid, alias_cid, tombstoned_cid, fresh_cid, fresh_cid]
+        .into_iter()
+        .flat_map(|cid| forged_datagram(cid, SEGMENT))
+        .collect();
+    let mut sender = SocketRegistry::bind(&[loopback0()]).expect("sender bind");
+    let local = sender.local_addrs()[0];
+    let sent = sender
+        .send_train(local, server, &train, Some(SEGMENT))
+        .expect("send train");
+    assert_eq!(sent, 5);
+    // The receive tally is published last in the loop's iteration, after
+    // every counter the batch moved.
+    let recv =
+        |p: &mpquic_io::PlaneSnapshot| (p.backend_recv_batch.count(), p.backend_recv_batch.sum());
+    let deadline = Instant::now() + OP_TIMEOUT;
+    let mut after = endpoint.plane().snapshot();
+    while recv(&after).1 < recv(&before).1 + 5 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+        after = endpoint.plane().snapshot();
+    }
+    assert_eq!(
+        (
+            recv(&after).0 - recv(&before).0,
+            recv(&after).1 - recv(&before).1
+        ),
+        (1, 5),
+        "the train did not arrive as one receive"
+    );
+    let delivered =
+        |p: &mpquic_io::PlaneSnapshot| -> u64 { p.shards.iter().map(|s| s.delivered).sum() };
+    let (b, a) = (&before.stats, &after.stats);
+    assert_eq!(a.datagrams_in - b.datagrams_in, 5);
+    assert_eq!(
+        delivered(&after) - delivered(&before),
+        4,
+        "owned, alias and both fresh"
+    );
+    assert_eq!(a.tombstoned - b.tombstoned, 1);
+    assert_eq!(a.accepted - b.accepted, 1, "the fresh CID is accepted once");
+    assert_eq!(a.rejected, b.rejected);
+    assert_eq!(a.malformed, b.malformed);
+
+    let report = endpoint.shutdown();
+    let t = report.plane.stats;
+    assert_eq!(t.accepted, 3);
+    assert_eq!(
+        t.datagrams_in,
+        delivered(&report.plane) + t.malformed + t.rejected + t.tombstoned,
+        "a datagram was dropped without a reason: {t:?}"
+    );
+}
+
 /// No silent drops: after connection churn plus some garbage, every
 /// datagram the loops received was delivered to a connection or counted
 /// under exactly one reason. One client uploads 1 MiB, enough for its

@@ -144,16 +144,6 @@ impl RangeSet {
         self.ranges.iter().rev().map(|&(s, e)| s..=e)
     }
 
-    /// Keeps only the `n` ranges with the largest values, dropping the
-    /// smallest ranges. Models the cap on ACK blocks (256 for QUIC, 2–3 for
-    /// TCP SACK).
-    pub fn truncate_to_newest(&mut self, n: usize) {
-        if self.ranges.len() > n {
-            let excess = self.ranges.len() - n;
-            self.ranges.drain(..excess);
-        }
-    }
-
     /// Iterates over every element (use only in tests / small sets).
     pub fn elements(&self) -> impl Iterator<Item = u64> + '_ {
         self.ranges.iter().flat_map(|&(s, e)| s..=e)
@@ -249,18 +239,6 @@ mod tests {
         s.insert_range(0, 10);
         s.remove_range(3, 6);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0..=2, 7..=10]);
-    }
-
-    #[test]
-    fn truncate_keeps_newest() {
-        let mut s = RangeSet::new();
-        for i in 0..10 {
-            s.insert(i * 10);
-        }
-        s.truncate_to_newest(3);
-        assert_eq!(s.range_count(), 3);
-        assert_eq!(s.min(), Some(70));
-        assert_eq!(s.max(), Some(90));
     }
 
     #[test]
