@@ -18,6 +18,14 @@ fn heterogeneous() -> [PathSpec; 2] {
     ]
 }
 
+/// Runs one 4 MB download over [`heterogeneous`] paths and prints its
+/// time and goodput.
+fn transfer(name: &str, protocol: Protocol, overrides: &Overrides) {
+    let o = run_file_transfer(&heterogeneous(), protocol, SIZE, 3, CAP, overrides);
+    let mbps = o.goodput * 8.0 / 1e6;
+    println!("  {name:<32} {:.3}s  ({mbps:.2} Mbps)", o.duration_secs);
+}
+
 fn main() {
     println!("== Ablations: MPQUIC design choices on a heterogeneous two-path network ==");
     println!("paths: 12 Mbps/20 ms + 8 Mbps/400 ms, 4 MB download, 1 MB receive window\n");
@@ -35,12 +43,7 @@ fn main() {
             quic_recv_window: Some(1 << 20),
             ..Overrides::default()
         };
-        let o = run_file_transfer(&heterogeneous(), Protocol::Mpquic, SIZE, 3, CAP, &overrides);
-        println!(
-            "  {name:<32} {:.3}s  ({:.2} Mbps)",
-            o.duration_secs,
-            o.goodput * 8.0 / 1e6
-        );
+        transfer(name, Protocol::Mpquic, &overrides);
     }
 
     // 2. Packet-number spaces: the paper gives every path its own
@@ -55,12 +58,7 @@ fn main() {
             quic_recv_window: Some(1 << 20),
             ..Overrides::default()
         };
-        let o = run_file_transfer(&heterogeneous(), Protocol::Mpquic, SIZE, 3, CAP, &overrides);
-        println!(
-            "  {name:<32} {:.3}s  ({:.2} Mbps)",
-            o.duration_secs,
-            o.goodput * 8.0 / 1e6
-        );
+        transfer(name, Protocol::Mpquic, &overrides);
     }
 
     // 3. WINDOW_UPDATE duplication under a tight receive window.
@@ -71,12 +69,7 @@ fn main() {
             quic_recv_window: Some(256 << 10),
             ..Overrides::default()
         };
-        let o = run_file_transfer(&heterogeneous(), Protocol::Mpquic, SIZE, 3, CAP, &overrides);
-        println!(
-            "  {name:<32} {:.3}s  ({:.2} Mbps)",
-            o.duration_secs,
-            o.goodput * 8.0 / 1e6
-        );
+        transfer(name, Protocol::Mpquic, &overrides);
     }
 
     // 4. PATHS frame during handover.
@@ -105,12 +98,7 @@ fn main() {
             cc: Some(cc),
             ..Overrides::default()
         };
-        let o = run_file_transfer(&heterogeneous(), Protocol::Mpquic, SIZE, 3, CAP, &overrides);
-        println!(
-            "  {name:<32} {:.3}s  ({:.2} Mbps)",
-            o.duration_secs,
-            o.goodput * 8.0 / 1e6
-        );
+        transfer(name, Protocol::Mpquic, &overrides);
     }
 
     // 6. MPTCP's ORP, in the regime it exists for: a shared receive
@@ -122,12 +110,7 @@ fn main() {
             tcp_recv_window: Some(512 << 10),
             ..Overrides::default()
         };
-        let o = run_file_transfer(&heterogeneous(), Protocol::Mptcp, SIZE, 3, CAP, &overrides);
-        println!(
-            "  {name:<32} {:.3}s  ({:.2} Mbps)",
-            o.duration_secs,
-            o.goodput * 8.0 / 1e6
-        );
+        transfer(name, Protocol::Mptcp, &overrides);
     }
 
     // 7. ACK-range richness: the paper credits QUIC's 256 ACK ranges

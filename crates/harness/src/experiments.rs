@@ -15,7 +15,6 @@
 use mpquic_expdesign::table1::{design_scenarios, Scenario, StartMode};
 use mpquic_expdesign::ExperimentClass;
 use mpquic_netsim::PathSpec;
-use mpquic_util::stats::Cdf;
 use std::time::Duration;
 
 use crate::metrics::aggregation_benefit;
@@ -42,27 +41,17 @@ pub struct SweepConfig {
 }
 
 impl SweepConfig {
-    /// The paper's full-scale configuration for a class (20 MB).
-    pub fn paper(class: ExperimentClass) -> SweepConfig {
-        SweepConfig {
-            class,
-            response_size: 20 << 20,
-            scenario_count: mpquic_expdesign::SCENARIOS_PER_CLASS,
-            repeats: 3,
-            time_cap: Duration::from_secs(300),
-            threads: default_threads(),
-            overrides: Overrides::default(),
-        }
-    }
-
-    /// A scaled-down configuration with identical structure, for tests.
-    pub fn scaled(class: ExperimentClass, scenarios: usize, response_size: usize) -> SweepConfig {
+    /// `scenarios` WSP scenarios of `class` at `response_size`, capped
+    /// at the paper's 300 s of simulated time per transfer. Lossy
+    /// simulations run the paper's 3 times (median kept); loss-free
+    /// ones are deterministic, so once.
+    pub fn new(class: ExperimentClass, scenarios: usize, response_size: usize) -> SweepConfig {
         SweepConfig {
             class,
             response_size,
             scenario_count: scenarios,
             repeats: if class.with_losses() { 3 } else { 1 },
-            time_cap: Duration::from_secs(120),
+            time_cap: Duration::from_secs(300),
             threads: default_threads(),
             overrides: Overrides::default(),
         }
@@ -107,20 +96,9 @@ pub struct ClassResults {
 }
 
 impl ClassResults {
-    /// CDF of the TCP/QUIC ratio (Fig. 3/5/8/9, left series).
-    pub fn cdf_tcp_quic(&self) -> Cdf {
-        Cdf::from_samples(&self.ratio_tcp_quic)
-    }
-
-    /// CDF of the MPTCP/MPQUIC ratio (right series).
-    pub fn cdf_mptcp_mpquic(&self) -> Cdf {
-        Cdf::from_samples(&self.ratio_mptcp_mpquic)
-    }
-
     /// Fraction of scenarios (both start modes pooled) where multipath
-    /// was beneficial (EBen > 0) for the given protocol family — the
-    /// paper's Fig. 4 headline: 77 % for MPQUIC vs 45 % for MPTCP; Fig. 7:
-    /// 58 % vs 20 %.
+    /// was beneficial (EBen > 0.05) for the given protocol family — the
+    /// headline of the aggregation-benefit figures (Figs. 4, 6, 7, 10).
     pub fn beneficial_fraction(&self, quic_family: bool) -> f64 {
         let sets = if quic_family {
             &self.eben_mpquic

@@ -2,24 +2,17 @@
 //!
 //! Glues the protocol stacks (`mpquic-core`, `mpquic-tcp`) to the network
 //! simulator (`mpquic-netsim`) and the experimental design
-//! (`mpquic-expdesign`), and computes the paper's metrics. Each figure of
-//! the paper has a binary in `src/bin/` that regenerates its data:
+//! (`mpquic-expdesign`), and computes the paper's metrics. Two binaries
+//! in `src/bin/` regenerate the paper's data:
 //!
 //! | binary | paper artefact |
 //! |---|---|
-//! | `table1` | Table 1 — the experimental design parameters |
-//! | `fig3`   | CDF of download-time ratios, 20 MB, low-BDP-no-loss |
-//! | `fig4`   | aggregation benefit, low-BDP-no-loss |
-//! | `fig5`   | ratio CDF, low-BDP-losses |
-//! | `fig6`   | aggregation benefit, low-BDP-losses |
-//! | `fig7`   | aggregation benefit, high-BDP-no-loss |
-//! | `fig8`   | ratio CDF, high-BDP-losses |
-//! | `fig9`   | ratio CDF, 256 kB, low-BDP-no-loss |
-//! | `fig10`  | aggregation benefit, 256 kB, low-BDP-no-loss |
-//! | `fig11`  | handover request-delay time series |
+//! | `figures` | Table 1, Figs. 3–10 and the Fig. 11 handover; `--figure table1`, `--figure fig3` … pick some |
+//! | `ablations` | the design-choice ablations and the shared-bottleneck fairness runs |
 //!
-//! Each binary accepts `--scenarios N`, `--size BYTES`, `--repeats K` to
-//! scale the sweep; defaults follow the paper.
+//! [`figures::FIGURES`] is the one table of Figs. 3–10. `figures` scales
+//! with `--scenarios --size --repeats --threads --cap`; defaults follow
+//! the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +20,7 @@
 pub mod app;
 pub mod experiments;
 pub mod fairness;
+pub mod figures;
 pub mod metrics;
 pub mod protocol;
 pub mod report;

@@ -260,7 +260,7 @@ fn handover_recovers_after_path_failure() {
 
 #[test]
 fn scaled_sweep_produces_complete_results() {
-    let mut config = SweepConfig::scaled(ExperimentClass::LowBdpNoLoss, 4, 512 << 10);
+    let mut config = SweepConfig::new(ExperimentClass::LowBdpNoLoss, 4, 512 << 10);
     config.time_cap = Duration::from_secs(60);
     let results = run_class_sweep(&config);
     // 4 scenarios × 2 start modes.

@@ -123,9 +123,9 @@ impl Cdf {
         count as f64 / self.values.len() as f64
     }
 
-    /// Fraction of samples strictly greater than `x`. The paper's headline
-    /// "MPQUIC outperforms MPTCP in 89% of scenarios" is
-    /// `fraction_above(1.0)` of the MPTCP/MPQUIC time-ratio CDF.
+    /// Fraction of samples strictly greater than `x`. How often MPQUIC
+    /// beats MPTCP, a ratio figure's headline, is `fraction_above(1.0)`
+    /// of the MPTCP/MPQUIC time-ratio CDF.
     pub fn fraction_above(&self, x: f64) -> f64 {
         1.0 - self.probability_at(x)
     }
