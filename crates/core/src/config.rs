@@ -12,10 +12,9 @@ use std::time::Duration;
 /// duplication on all paths.
 ///
 /// Build one with [`Config::builder`], which validates the combination
-/// before the connection ever sees it. Constructing or mutating the
-/// struct field-by-field (`Config { .. }`) still works for this release
-/// but is **deprecated**: it skips validation and will lose `pub` field
-/// access in a future release.
+/// before the connection ever sees it. The fields are public and
+/// unvalidated: a `Config` constructed or mutated field by field
+/// (`Config { .. }`, `config.field = ..`) skips that check.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Enable the multipath extension. `false` yields plain single-path

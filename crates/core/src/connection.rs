@@ -29,7 +29,7 @@
 
 use bytes::Bytes;
 use mpquic_crypto::Aead;
-use mpquic_util::{DetRng, SimTime};
+use mpquic_util::{Datagram, DetRng, SimTime};
 use mpquic_wire::{
     Frame, PacketBuilder, PacketType, PathId, PathInfo, PublicHeader, MAX_DATAGRAM_SIZE,
 };
@@ -40,7 +40,7 @@ use std::ops::Bound;
 use mpquic_telemetry::{self as telemetry, Subscriber};
 
 use crate::buffer::{DatagramSink, TransmitQueue};
-use crate::config::{Config, ConnStats, Role, Transmit};
+use crate::config::{Config, ConnStats, Role};
 use crate::handshake::{self, Handshake};
 use crate::invariant::InvariantChecker;
 pub use crate::path::PathOp;
@@ -665,26 +665,25 @@ impl Connection {
     /// Produces the next outgoing datagram, if any. Call repeatedly until
     /// it returns `None`.
     ///
-    /// The one-datagram API (what the simulator and `TcpStack`-style
-    /// drivers speak): each call allocates its own payload. Hot loops
+    /// The one-datagram API of [`mpquic_util::Endpoint`], which the
+    /// simulator speaks: each call allocates its own payload. Hot loops
     /// should prefer [`Connection::poll_transmit_batch`], which seals
     /// datagrams straight into pool-backed GSO trains. Both sit on the
     /// same packet assembler and produce the same bytes.
-    pub fn poll_transmit(&mut self, now: SimTime) -> Option<Transmit> {
+    pub fn poll_transmit(&mut self, now: SimTime) -> Option<Datagram> {
         let mut payload = Vec::new();
         let (local, remote) = self.poll_transmit_into(now, &mut payload)?;
-        Some(Transmit {
+        Some(Datagram {
             local,
             remote,
             payload,
-            segment_size: None,
         })
     }
 
     /// Fills `queue` with as many datagrams as the congestion window,
     /// the scheduler and the queue's capacity allow. Each datagram is
     /// encoded and sealed once, at its final offset in the newest GSO
-    /// train of its path (see [`Transmit::segment_size`]), or opens the
+    /// train of its path (see [`crate::Transmit::segment_size`]), or opens the
     /// next train of its path when it cannot join that one. Returns the
     /// number of wire datagrams produced.
     pub fn poll_transmit_batch(&mut self, now: SimTime, queue: &mut TransmitQueue) -> usize {
@@ -2250,65 +2249,86 @@ mod tests {
     /// and 0–40 % random loss.
     #[test]
     fn a_fired_timer_leaves_no_deadline_behind() {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let delay = |local: SocketAddr| {
-            let slow = local == addr(C1) || local == addr(S1);
-            Duration::from_millis(if slow { 30 } else { 10 })
-        };
+        use mpquic_netsim::{Endpoint, LinkParams, Simulation};
+
+        /// Asserts, once the polls after a fired timer run dry, that the
+        /// timer left no deadline at or before `now`.
+        struct Checked {
+            conn: Connection,
+            fired: bool,
+            seed: u64,
+        }
+
+        impl Endpoint for Checked {
+            fn handle_datagram(
+                &mut self,
+                now: SimTime,
+                local: SocketAddr,
+                remote: SocketAddr,
+                payload: &[u8],
+            ) {
+                self.conn.handle_datagram(now, local, remote, payload);
+            }
+            fn poll_transmit(&mut self, now: SimTime) -> Option<Datagram> {
+                let datagram = self.conn.poll_transmit(now);
+                if datagram.is_none() && std::mem::take(&mut self.fired) {
+                    let (seed, next) = (self.seed, self.conn.next_timeout());
+                    assert!(
+                        next.is_none_or(|at| at > now),
+                        "seed {seed}: deadline {next:?} left at {now:?}"
+                    );
+                }
+                datagram
+            }
+            fn next_timeout(&self) -> Option<SimTime> {
+                self.conn.next_timeout()
+            }
+            fn on_timeout(&mut self, now: SimTime) {
+                self.conn.on_timeout(now);
+                self.fired = true;
+            }
+        }
+
         for seed in 0..16u64 {
-            let mut rng = DetRng::new(seed);
-            let loss = rng.f64() * 0.4;
-            let (mut client, mut server) = pair();
+            let loss = DetRng::new(seed).f64() * 0.4;
+            let (mut client, server) = pair();
             let stream = client.open_stream();
             let body = Bytes::from(vec![7u8; 200_000]);
             client.stream_write(stream, body).unwrap();
             client.stream_finish(stream);
-            // In flight: (arrival, sequence, to the server, local, remote, payload).
-            let mut wire = BinaryHeap::new();
-            let mut sequence = 0u64;
-            let mut now = SimTime::ZERO;
-            let mut fired = [false; 2];
-            while !client.stream_fully_acked(stream) && now < SimTime::from_secs(60) {
-                for (to_server, conn) in [(true, &mut client), (false, &mut server)] {
-                    let side = usize::from(!to_server);
-                    if fired[side] {
-                        conn.on_timeout(now);
-                    }
-                    while let Some(t) = conn.poll_transmit(now) {
-                        sequence += 1;
-                        if !rng.bool(loss) {
-                            let at = now + delay(t.local);
-                            let datagram = (t.remote, t.local, t.payload);
-                            wire.push(Reverse((at, sequence, to_server, datagram)));
-                        }
-                    }
-                    if fired[side] {
-                        let next = conn.next_timeout();
-                        assert!(
-                            next.is_none_or(|at| at > now),
-                            "seed {seed}: deadline {next:?} left at {now:?}"
-                        );
-                    }
-                }
-                while server.stream_read(stream, usize::MAX).is_some() {}
-                let timers = [client.next_timeout(), server.next_timeout()];
-                let arrival = wire.peek().map(|Reverse((at, ..))| *at);
-                let Some(next) = timers.into_iter().chain([arrival]).flatten().min() else {
-                    break;
+            let mut sim = Simulation::empty(seed);
+            for (conn, addrs) in [(client, [C0, C1]), (server, [S0, S1])] {
+                let end = Checked {
+                    conn,
+                    fired: false,
+                    seed,
                 };
-                now = next;
-                fired = timers.map(|t| t.is_some_and(|at| at <= now));
-                while wire.peek().is_some_and(|Reverse((at, ..))| *at <= now) {
-                    let Reverse((_, _, to_server, (local, remote, payload))) = wire.pop().unwrap();
-                    let conn = if to_server { &mut server } else { &mut client };
-                    conn.handle_datagram(now, local, remote, &payload);
+                sim.add_endpoint(end, addrs.map(addr));
+            }
+            // Links of pure delay, lossy: 30 ms from C1 or S1, 10 ms from
+            // the others.
+            for (local, peers) in [
+                (C0, [S0, S1]),
+                (C1, [S0, S1]),
+                (S0, [C0, C1]),
+                (S1, [C0, C1]),
+            ] {
+                let slow = local == C1 || local == S1;
+                let link = sim.add_link(LinkParams {
+                    rate_bps: f64::INFINITY,
+                    one_way_delay: Duration::from_millis(if slow { 30 } else { 10 }),
+                    max_queue_delay: Duration::ZERO,
+                    loss,
+                });
+                for remote in peers {
+                    sim.add_route(addr(local), addr(remote), vec![link]);
                 }
             }
-            assert!(
-                client.stream_fully_acked(stream),
-                "seed {seed}: stalled at {now:?}"
-            );
+            let acked = sim.run_until(SimTime::from_secs(60), |ends, _| {
+                while ends[1].conn.stream_read(stream, usize::MAX).is_some() {}
+                ends[0].conn.stream_fully_acked(stream)
+            });
+            assert!(acked, "seed {seed}: stalled at {:?}", sim.now());
         }
     }
 

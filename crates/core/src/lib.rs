@@ -36,9 +36,12 @@
 //! `close_reason`); observers install one telemetry subscriber stack
 //! (`set_subscriber`), the connection's only event channel.
 //!
-//! `mpquic-netsim` is the discrete-event network the experiments and the
-//! examples run on; `mpquic-io` drives the same state machine over real
-//! UDP sockets, both through [`Transport`].
+//! Those four driving calls are [`mpquic_util::Endpoint`], which
+//! [`Connection`] implements: `mpquic-netsim`, the discrete-event network
+//! the experiments, the examples and this crate's tests run on, drives a
+//! connection directly. `mpquic-io` drives the same state machine over
+//! real UDP sockets through [`Transport`], an `Endpoint` with a byte
+//! stream on top.
 //!
 //! Single-path QUIC — the paper's baseline — is this same implementation
 //! with [`Config::single_path`] (multipath disabled, CUBIC).

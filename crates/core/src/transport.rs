@@ -1,16 +1,17 @@
-//! The surface a loop drives, [`Transport`]: one byte stream plus the
-//! sans-IO driving methods over [`mpquic_util::Datagram`]s, so real UDP
-//! sockets (`mpquic-io`) and the simulator (`mpquic-harness`, which adds
-//! its TCP models) drive the same [`QuicTransport`].
+//! The surface a loop drives, [`Transport`]: a sans-IO
+//! [`Endpoint`] plus one byte stream, so real UDP sockets (`mpquic-io`)
+//! and the simulator (`mpquic-harness`, which adds its TCP models) drive
+//! the same [`QuicTransport`]. [`Connection`] itself is the [`Endpoint`]
+//! the simulator drives when no application sits on top.
 
 use crate::{Connection, StreamId, Transmit, TransmitQueue};
 use bytes::Bytes;
-use mpquic_util::{Datagram, SimTime};
+use mpquic_util::{Datagram, Endpoint, SimTime};
 use std::net::SocketAddr;
 
-/// One bidirectional byte stream over some transport protocol, plus the
-/// sans-IO driving surface.
-pub trait Transport {
+/// One bidirectional byte stream over some transport protocol, on top of
+/// the [`Endpoint`] driving surface.
+pub trait Transport: Endpoint {
     /// Appends data to the outgoing stream.
     fn write(&mut self, data: Bytes);
     /// Ends the outgoing stream.
@@ -22,20 +23,10 @@ pub trait Transport {
     /// True once the secure handshake completed.
     fn is_established(&self) -> bool;
 
-    /// Feeds an incoming datagram.
-    fn handle_datagram(
-        &mut self,
-        now: SimTime,
-        local: SocketAddr,
-        remote: SocketAddr,
-        payload: &[u8],
-    );
-    /// Produces the next outgoing datagram.
-    fn poll_transmit(&mut self, now: SimTime) -> Option<Datagram>;
     /// Fills `queue` with as many outgoing datagrams as it accepts,
     /// returning how many wire datagrams were produced.
     ///
-    /// The default implementation loops [`Transport::poll_transmit`]
+    /// The default implementation loops [`Endpoint::poll_transmit`]
     /// (one allocation per datagram, no coalescing); transports with a
     /// native batched egress path override it.
     fn poll_transmit_batch(&mut self, now: SimTime, queue: &mut TransmitQueue) -> usize {
@@ -54,16 +45,36 @@ pub trait Transport {
         }
         produced
     }
-    /// Earliest pending protocol timer.
-    fn next_timeout(&self) -> Option<SimTime>;
-    /// Fires due protocol timers.
-    fn on_timeout(&mut self, now: SimTime);
     /// Drops the routing operations the transport queued for an
     /// endpoint's demux (QUIC's [`crate::PathOp`]s). A loop that
     /// routes nothing on them — one connection on its own sockets, or
     /// the simulator — calls this after each step so they do not pile
     /// up; an endpoint pops and applies them instead. Nothing by default.
     fn discard_path_ops(&mut self) {}
+}
+
+impl Endpoint for Connection {
+    fn handle_datagram(
+        &mut self,
+        now: SimTime,
+        local: SocketAddr,
+        remote: SocketAddr,
+        payload: &[u8],
+    ) {
+        Connection::handle_datagram(self, now, local, remote, payload);
+    }
+
+    fn poll_transmit(&mut self, now: SimTime) -> Option<Datagram> {
+        Connection::poll_transmit(self, now)
+    }
+
+    fn next_timeout(&self) -> Option<SimTime> {
+        Connection::next_timeout(self)
+    }
+
+    fn on_timeout(&mut self, now: SimTime) {
+        Connection::on_timeout(self, now);
+    }
 }
 
 /// The (MP)QUIC transport: a [`Connection`] with one application stream
@@ -118,6 +129,17 @@ impl Transport for QuicTransport {
         self.conn.is_established()
     }
 
+    fn poll_transmit_batch(&mut self, now: SimTime, queue: &mut TransmitQueue) -> usize {
+        // Native batched egress: pool-backed buffers, GSO coalescing.
+        self.conn.poll_transmit_batch(now, queue)
+    }
+
+    fn discard_path_ops(&mut self) {
+        while self.conn.pop_path_op().is_some() {}
+    }
+}
+
+impl Endpoint for QuicTransport {
     fn handle_datagram(
         &mut self,
         now: SimTime,
@@ -129,16 +151,7 @@ impl Transport for QuicTransport {
     }
 
     fn poll_transmit(&mut self, now: SimTime) -> Option<Datagram> {
-        self.conn.poll_transmit(now).map(|t| Datagram {
-            local: t.local,
-            remote: t.remote,
-            payload: t.payload,
-        })
-    }
-
-    fn poll_transmit_batch(&mut self, now: SimTime, queue: &mut TransmitQueue) -> usize {
-        // Native batched egress: pool-backed buffers, GSO coalescing.
-        self.conn.poll_transmit_batch(now, queue)
+        self.conn.poll_transmit(now)
     }
 
     fn next_timeout(&self) -> Option<SimTime> {
@@ -147,9 +160,5 @@ impl Transport for QuicTransport {
 
     fn on_timeout(&mut self, now: SimTime) {
         self.conn.on_timeout(now);
-    }
-
-    fn discard_path_ops(&mut self) {
-        while self.conn.pop_path_op().is_some() {}
     }
 }

@@ -1,186 +1,28 @@
-//! End-to-end tests driving two [`Connection`]s through an in-memory
-//! network with per-path latency, programmable loss and path kill
-//! switches. This exercises the full protocol — handshake, streams,
+//! End-to-end tests driving two [`Connection`]s through the two-path
+//! test network (`tests/common/net.rs` at the workspace root): per-path
+//! latency, programmable loss and path kill switches over links of pure
+//! delay. This exercises the full protocol — handshake, streams,
 //! multipath path management, scheduling, loss recovery and the
-//! potentially-failed handover logic — without the full `mpquic-netsim`
-//! substrate.
+//! potentially-failed handover logic.
 
 use bytes::Bytes;
-use mpquic_core::{Config, Connection, PathId, PathState, Transmit};
+use mpquic_core::{Config, Connection, PathId, PathState};
 use mpquic_util::SimTime;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::net::SocketAddr;
 use std::time::Duration;
 
-const C0: &str = "10.0.0.1:50000";
-const C1: &str = "10.1.0.1:50001";
-const S0: &str = "10.0.1.1:4433";
-const S1: &str = "10.1.1.1:4433";
+#[path = "../../../tests/common/net.rs"]
+mod net;
+use net::{addr, C0, C1, S0, S1};
 
-fn addr(s: &str) -> SocketAddr {
-    s.parse().unwrap()
-}
+type Net = net::Net<Connection>;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dir {
-    ClientToServer,
-    ServerToClient,
-}
-
-/// A two-host in-memory network with per-link one-way delay.
-struct Net {
-    client: Connection,
-    server: Connection,
-    /// (deliver_at, seq, dir, transmit) — min-heap by time.
-    in_flight: BinaryHeap<Reverse<(SimTime, u64, u8, TransmitKey)>>,
-    payloads: Vec<Option<Transmit>>,
-    now: SimTime,
-    /// One-way delay for (client-addr, server-addr) pairs; default applies
-    /// otherwise.
-    path0_delay: Duration,
-    path1_delay: Duration,
-    /// Deterministic drop: datagram sequence numbers to drop.
-    drop_seqs: Vec<u64>,
-    /// Kill switches: when true, all datagrams on that path vanish.
-    path0_dead: bool,
-    path1_dead: bool,
-    seq: u64,
-    delivered: u64,
-}
-
-type TransmitKey = usize;
-
-impl Net {
-    fn new(client: Connection, server: Connection) -> Net {
-        Net {
-            client,
-            server,
-            in_flight: BinaryHeap::new(),
-            payloads: Vec::new(),
-            now: SimTime::ZERO,
-            path0_delay: Duration::from_millis(20),
-            path1_delay: Duration::from_millis(20),
-            drop_seqs: Vec::new(),
-            path0_dead: false,
-            path1_dead: false,
-            seq: 0,
-            delivered: 0,
-        }
-    }
-
-    fn is_path0(t: &Transmit) -> bool {
-        t.local == addr(C0) || t.local == addr(S0) || t.remote == addr(S0) || t.remote == addr(C0)
-    }
-
-    fn pump(&mut self) {
-        loop {
-            let mut any = false;
-            while let Some(t) = self.client.poll_transmit(self.now) {
-                any = true;
-                self.enqueue(Dir::ClientToServer, t);
-            }
-            while let Some(t) = self.server.poll_transmit(self.now) {
-                any = true;
-                self.enqueue(Dir::ServerToClient, t);
-            }
-            if !any {
-                break;
-            }
-        }
-    }
-
-    fn enqueue(&mut self, dir: Dir, t: Transmit) {
-        let seq = self.seq;
-        self.seq += 1;
-        let on_path0 = Net::is_path0(&t);
-        if self.drop_seqs.contains(&seq) {
-            return;
-        }
-        if (on_path0 && self.path0_dead) || (!on_path0 && self.path1_dead) {
-            return;
-        }
-        let delay = if on_path0 {
-            self.path0_delay
-        } else {
-            self.path1_delay
-        };
-        let key = self.payloads.len();
-        self.payloads.push(Some(t));
-        let dir_code = match dir {
-            Dir::ClientToServer => 0,
-            Dir::ServerToClient => 1,
-        };
-        self.in_flight
-            .push(Reverse((self.now + delay, seq, dir_code, key)));
-    }
-
-    /// Advances simulated time by one event (delivery or timer). Returns
-    /// false when nothing remains to do.
-    fn step(&mut self) -> bool {
-        self.pump();
-        let next_delivery = self.in_flight.peek().map(|Reverse((t, ..))| *t);
-        let next_timer = [self.client.next_timeout(), self.server.next_timeout()]
-            .into_iter()
-            .flatten()
-            .min();
-        let next = match (next_delivery, next_timer) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => return false,
-        };
-        assert!(next >= self.now, "time went backwards");
-        self.now = next;
-        // Deliveries due now.
-        while let Some(Reverse((t, _, dir_code, key))) = self.in_flight.peek().copied() {
-            if t > self.now {
-                break;
-            }
-            self.in_flight.pop();
-            let transmit = self.payloads[key].take().expect("delivered once");
-            self.delivered += 1;
-            match dir_code {
-                0 => self.server.handle_datagram(
-                    self.now,
-                    transmit.remote,
-                    transmit.local,
-                    &transmit.payload,
-                ),
-                _ => self.client.handle_datagram(
-                    self.now,
-                    transmit.remote,
-                    transmit.local,
-                    &transmit.payload,
-                ),
-            }
-        }
-        // Timers due now.
-        if self.client.next_timeout().is_some_and(|t| t <= self.now) {
-            self.client.on_timeout(self.now);
-        }
-        if self.server.next_timeout().is_some_and(|t| t <= self.now) {
-            self.server.on_timeout(self.now);
-        }
-        true
-    }
-
-    fn run_until(&mut self, mut cond: impl FnMut(&mut Net) -> bool, limit: SimTime) -> bool {
-        loop {
-            if cond(self) {
-                return true;
-            }
-            if self.now > limit || !self.step() {
-                return cond(self);
-            }
-        }
-    }
-}
+/// The path a datagram between `C0` and `S1` or `C1` and `S0` crosses.
+const CROSS: usize = 0;
 
 fn single_path_pair() -> Net {
     let client = Connection::client(Config::single_path(), vec![addr(C0)], 0, addr(S0), 1);
     let server = Connection::server(Config::single_path(), vec![addr(S0)], 2);
-    Net::new(client, server)
+    Net::new(client, server, CROSS)
 }
 
 fn multipath_pair() -> Net {
@@ -192,7 +34,7 @@ fn multipath_pair() -> Net {
         1,
     );
     let server = Connection::server(Config::multipath(), vec![addr(S0), addr(S1)], 2);
-    Net::new(client, server)
+    Net::new(client, server, CROSS)
 }
 
 #[test]
@@ -203,17 +45,17 @@ fn handshake_completes_in_one_rtt() {
         SimTime::from_secs(5),
     ));
     // One-way delay 20 ms: server completes at 20 ms, client at 40 ms.
-    assert_eq!(net.now, SimTime::from_millis(40));
+    assert_eq!(net.now(), SimTime::from_millis(40));
 }
 
 #[test]
 fn request_response_over_single_path() {
     let mut net = single_path_pair();
-    let stream = net.client.open_stream();
-    net.client
+    let stream = net.client().open_stream();
+    net.client()
         .stream_write(stream, Bytes::from_static(b"GET /file"))
         .unwrap();
-    net.client.stream_finish(stream);
+    net.client().stream_finish(stream);
 
     // Server echoes a 100 kB response when the request completes.
     let response = vec![0xABu8; 100_000];
@@ -243,7 +85,7 @@ fn request_response_over_single_path() {
         SimTime::from_secs(30),
     ));
     assert_eq!(
-        net.client.path_ids(),
+        net.client().path_ids(),
         vec![PathId::INITIAL],
         "single path stays single"
     );
@@ -252,12 +94,12 @@ fn request_response_over_single_path() {
 #[test]
 fn multipath_opens_second_path_and_uses_it() {
     let mut net = multipath_pair();
-    let stream = net.client.open_stream();
+    let stream = net.client().open_stream();
     // 2 MB client -> server transfer to give both paths work.
-    net.client
+    net.client()
         .stream_write(stream, Bytes::from(vec![7u8; 2_000_000]))
         .unwrap();
-    net.client.stream_finish(stream);
+    net.client().stream_finish(stream);
     assert!(net.run_until(
         |n| {
             while n.server.stream_read(stream, usize::MAX).is_some() {}
@@ -265,27 +107,27 @@ fn multipath_opens_second_path_and_uses_it() {
         },
         SimTime::from_secs(60),
     ));
-    let ids = net.client.path_ids();
+    let ids = net.client().path_ids();
     assert!(
         ids.contains(&PathId(1)),
         "client should open path 1: {ids:?}"
     );
-    let p1 = net.client.path(PathId(1)).unwrap();
+    let p1 = net.client().path(PathId(1)).unwrap();
     assert!(p1.bytes_sent > 0, "path 1 should carry data");
-    let p0 = net.client.path(PathId::INITIAL).unwrap();
+    let p0 = net.client().path(PathId::INITIAL).unwrap();
     assert!(p0.bytes_sent > 0, "path 0 should carry data");
     // Server saw both paths too.
-    assert!(net.server.path_ids().contains(&PathId(1)));
+    assert!(net.server().path_ids().contains(&PathId(1)));
 }
 
 #[test]
 fn duplication_happens_while_rtt_unknown() {
     let mut net = multipath_pair();
-    let stream = net.client.open_stream();
-    net.client
+    let stream = net.client().open_stream();
+    net.client()
         .stream_write(stream, Bytes::from(vec![9u8; 500_000]))
         .unwrap();
-    net.client.stream_finish(stream);
+    net.client().stream_finish(stream);
     assert!(net.run_until(
         |n| {
             while n.server.stream_read(stream, usize::MAX).is_some() {}
@@ -293,7 +135,7 @@ fn duplication_happens_while_rtt_unknown() {
         },
         SimTime::from_secs(60),
     ));
-    let stats = net.client.stats();
+    let stats = net.client().stats();
     assert!(
         stats.duplicated_stream_frames > 0,
         "fresh path should trigger the duplicate-while-unknown phase"
@@ -304,12 +146,12 @@ fn duplication_happens_while_rtt_unknown() {
 fn transfer_survives_random_loss() {
     let mut net = single_path_pair();
     // Drop a swath of datagrams mid-transfer.
-    net.drop_seqs = (30..60).step_by(3).collect();
-    let stream = net.client.open_stream();
-    net.client
+    net.drop_seqs((30..60).step_by(3));
+    let stream = net.client().open_stream();
+    net.client()
         .stream_write(stream, Bytes::from(vec![5u8; 300_000]))
         .unwrap();
-    net.client.stream_finish(stream);
+    net.client().stream_finish(stream);
     assert!(net.run_until(
         |n| {
             while n.server.stream_read(stream, usize::MAX).is_some() {}
@@ -318,7 +160,7 @@ fn transfer_survives_random_loss() {
         SimTime::from_secs(60),
     ));
     assert!(
-        net.client.stats().frames_retransmitted > 0,
+        net.client().stats().frames_retransmitted > 0,
         "losses must cause retransmissions"
     );
 }
@@ -326,9 +168,9 @@ fn transfer_survives_random_loss() {
 #[test]
 fn handover_marks_path_potentially_failed_and_continues() {
     let mut net = multipath_pair();
-    net.path1_delay = Duration::from_millis(30);
-    let stream = net.client.open_stream();
-    net.client
+    net.set_delay(1, Duration::from_millis(30));
+    let stream = net.client().open_stream();
+    net.client()
         .stream_write(stream, Bytes::from(vec![1u8; 200_000]))
         .unwrap();
 
@@ -341,12 +183,12 @@ fn handover_marks_path_potentially_failed_and_continues() {
         SimTime::from_secs(30),
     ));
     // Kill path 0 (the "bad WiFi").
-    net.path0_dead = true;
+    net.kill_path(0);
     // Keep writing so there is always data to move.
-    net.client
+    net.client()
         .stream_write(stream, Bytes::from(vec![2u8; 500_000]))
         .unwrap();
-    net.client.stream_finish(stream);
+    net.client().stream_finish(stream);
     assert!(
         net.run_until(
             |n| {
@@ -358,27 +200,27 @@ fn handover_marks_path_potentially_failed_and_continues() {
         "transfer must complete over the surviving path"
     );
     // The client noticed the failure.
-    let p0 = net.client.path(PathId::INITIAL).unwrap();
+    let p0 = net.client().path(PathId::INITIAL).unwrap();
     assert_eq!(p0.state, PathState::PotentiallyFailed);
-    assert!(net.client.stats().rtos > 0);
+    assert!(net.client().stats().rtos > 0);
 }
 
 #[test]
 fn paths_frame_informs_peer_of_failure() {
     let mut net = multipath_pair();
-    let stream = net.client.open_stream();
-    net.client
+    let stream = net.client().open_stream();
+    net.client()
         .stream_write(stream, Bytes::from(vec![1u8; 100_000]))
         .unwrap();
     assert!(net.run_until(
         |n| n.client.path(PathId(1)).is_some_and(|p| p.rtt_known()),
         SimTime::from_secs(30),
     ));
-    net.path0_dead = true;
-    net.client
+    net.kill_path(0);
+    net.client()
         .stream_write(stream, Bytes::from(vec![2u8; 100_000]))
         .unwrap();
-    net.client.stream_finish(stream);
+    net.client().stream_finish(stream);
     // The server learns about path 0's failure from the client's PATHS
     // frame without waiting for its own RTO on path 0.
     assert!(net.run_until(
@@ -396,10 +238,10 @@ fn paths_frame_informs_peer_of_failure() {
 fn close_propagates() {
     let mut net = single_path_pair();
     assert!(net.run_until(|n| n.client.is_established(), SimTime::from_secs(5)));
-    net.client.close(0, "done");
+    net.client().close(0, "done");
     assert!(net.run_until(|n| n.server.is_closed(), SimTime::from_secs(5)));
-    assert_eq!(net.server.close_reason(), Some((0, "done")));
-    assert!(net.client.is_closed());
+    assert_eq!(net.server().close_reason(), Some((0, "done")));
+    assert!(net.client().is_closed());
 }
 
 #[test]
@@ -414,12 +256,12 @@ fn single_path_config_ignores_advertised_addresses() {
         1,
     );
     let server = Connection::server(Config::multipath(), vec![addr(S0), addr(S1)], 2);
-    let mut net = Net::new(client, server);
-    let stream = net.client.open_stream();
-    net.client
+    let mut net = Net::new(client, server, CROSS);
+    let stream = net.client().open_stream();
+    net.client()
         .stream_write(stream, Bytes::from(vec![3u8; 50_000]))
         .unwrap();
-    net.client.stream_finish(stream);
+    net.client().stream_finish(stream);
     assert!(net.run_until(
         |n| {
             while n.server.stream_read(stream, usize::MAX).is_some() {}
@@ -427,7 +269,7 @@ fn single_path_config_ignores_advertised_addresses() {
         },
         SimTime::from_secs(30),
     ));
-    assert_eq!(net.client.path_ids(), vec![PathId::INITIAL]);
+    assert_eq!(net.client().path_ids(), vec![PathId::INITIAL]);
 }
 
 #[test]
@@ -442,13 +284,13 @@ fn worst_path_first_still_aggregates() {
         1,
     );
     let server = Connection::server(Config::multipath(), vec![addr(S0), addr(S1)], 2);
-    let mut net = Net::new(client, server);
-    net.path1_delay = Duration::from_millis(80); // initial path slow
-    let stream = net.client.open_stream();
-    net.client
+    let mut net = Net::new(client, server, CROSS);
+    net.set_delay(1, Duration::from_millis(80)); // initial path slow
+    let stream = net.client().open_stream();
+    net.client()
         .stream_write(stream, Bytes::from(vec![4u8; 1_000_000]))
         .unwrap();
-    net.client.stream_finish(stream);
+    net.client().stream_finish(stream);
     assert!(net.run_until(
         |n| {
             while n.server.stream_read(stream, usize::MAX).is_some() {}
@@ -457,26 +299,26 @@ fn worst_path_first_still_aggregates() {
         SimTime::from_secs(120),
     ));
     // The second (fast) path must have been opened and used.
-    let ids = net.client.path_ids();
+    let ids = net.client().path_ids();
     assert_eq!(ids.len(), 2, "paths: {ids:?}");
     let secondary = ids
         .iter()
         .find(|&&id| id != PathId::INITIAL)
         .copied()
         .unwrap();
-    assert!(net.client.path(secondary).unwrap().bytes_sent > 0);
+    assert!(net.client().path(secondary).unwrap().bytes_sent > 0);
 }
 
 #[test]
 fn large_ack_ranges_survive_heavy_loss() {
     let mut net = single_path_pair();
     // Periodic loss creating many ACK ranges.
-    net.drop_seqs = (20..400).step_by(5).collect();
-    let stream = net.client.open_stream();
-    net.client
+    net.drop_seqs((20..400).step_by(5));
+    let stream = net.client().open_stream();
+    net.client()
         .stream_write(stream, Bytes::from(vec![6u8; 500_000]))
         .unwrap();
-    net.client.stream_finish(stream);
+    net.client().stream_finish(stream);
     assert!(net.run_until(
         |n| {
             while n.server.stream_read(stream, usize::MAX).is_some() {}
@@ -491,11 +333,11 @@ fn lost_frames_are_retransmitted_on_the_other_path() {
     // Frames are independent of packets: data lost on path 0 may be
     // retransmitted on path 1 (unlike MPTCP's same-subflow rule).
     let mut net = multipath_pair();
-    let stream = net.client.open_stream();
-    net.client
+    let stream = net.client().open_stream();
+    net.client()
         .stream_write(stream, Bytes::from(vec![0xAAu8; 400_000]))
         .unwrap();
-    net.client.stream_finish(stream);
+    net.client().stream_finish(stream);
     // Warm up both paths.
     assert!(net.run_until(
         |n| {
@@ -508,8 +350,8 @@ fn lost_frames_are_retransmitted_on_the_other_path() {
     ));
     // Kill path 0: its in-flight data is lost; recovery must finish the
     // transfer exclusively over path 1.
-    net.path0_dead = true;
-    let sent_on_p1_before = net.client.path(PathId(1)).unwrap().bytes_sent;
+    net.kill_path(0);
+    let sent_on_p1_before = net.client().path(PathId(1)).unwrap().bytes_sent;
     assert!(net.run_until(
         |n| {
             while n.server.stream_read(stream, usize::MAX).is_some() {}
@@ -517,12 +359,12 @@ fn lost_frames_are_retransmitted_on_the_other_path() {
         },
         SimTime::from_secs(300),
     ));
-    let p1 = net.client.path(PathId(1)).unwrap();
+    let p1 = net.client().path(PathId(1)).unwrap();
     assert!(
         p1.bytes_sent > sent_on_p1_before,
         "path 1 must carry the retransmissions"
     );
-    assert!(net.client.stats().frames_retransmitted > 0);
+    assert!(net.client().stats().frames_retransmitted > 0);
 }
 
 #[test]
@@ -532,12 +374,12 @@ fn data_acked_via_duplicate_is_not_retransmitted() {
     // retransmission (SendStream trims against acked ranges).
     let mut net = multipath_pair();
     // Make path 1 slow so duplicated copies race visibly.
-    net.path1_delay = Duration::from_millis(150);
-    let stream = net.client.open_stream();
-    net.client
+    net.set_delay(1, Duration::from_millis(150));
+    let stream = net.client().open_stream();
+    net.client()
         .stream_write(stream, Bytes::from(vec![0x55u8; 60_000]))
         .unwrap();
-    net.client.stream_finish(stream);
+    net.client().stream_finish(stream);
     assert!(net.run_until(
         |n| {
             while n.server.stream_read(stream, usize::MAX).is_some() {}
@@ -545,7 +387,7 @@ fn data_acked_via_duplicate_is_not_retransmitted() {
         },
         SimTime::from_secs(60),
     ));
-    let stats = net.client.stats();
+    let stats = net.client().stats();
     assert!(
         stats.duplicated_stream_frames > 0,
         "unknown-RTT phase should have duplicated frames"
@@ -566,12 +408,12 @@ fn multiple_streams_multiplex_over_multiple_paths() {
     // "MPQUIC can spread multiple data streams over multiple paths by
     // design" — three concurrent streams, both paths, exact delivery.
     let mut net = multipath_pair();
-    let streams: Vec<_> = (0..3).map(|_| net.client.open_stream()).collect();
+    let streams: Vec<_> = (0..3).map(|_| net.client().open_stream()).collect();
     for (i, &stream) in streams.iter().enumerate() {
-        net.client
+        net.client()
             .stream_write(stream, Bytes::from(vec![i as u8 + 1; 150_000 * (i + 1)]))
             .unwrap();
-        net.client.stream_finish(stream);
+        net.client().stream_finish(stream);
     }
     let mut received = vec![Vec::new(); 3];
     assert!(net.run_until(
@@ -590,8 +432,8 @@ fn multiple_streams_multiplex_over_multiple_paths() {
         assert!(data.iter().all(|&b| b == i as u8 + 1), "stream {i} content");
     }
     // Both paths carried traffic.
-    assert!(net.client.path(PathId::INITIAL).unwrap().bytes_sent > 50_000);
-    assert!(net.client.path(PathId(1)).unwrap().bytes_sent > 50_000);
+    assert!(net.client().path(PathId::INITIAL).unwrap().bytes_sent > 50_000);
+    assert!(net.client().path(PathId(1)).unwrap().bytes_sent > 50_000);
 }
 
 #[test]
@@ -603,15 +445,15 @@ fn tight_connection_window_still_completes_via_window_updates() {
     config.stream_recv_window = 64 << 10;
     let client = Connection::client(config.clone(), vec![addr(C0), addr(C1)], 0, addr(S0), 1);
     let server = Connection::server(config, vec![addr(S0), addr(S1)], 2);
-    let mut net = Net::new(client, server);
-    let stream = net.client.open_stream();
-    net.client
+    let mut net = Net::new(client, server, CROSS);
+    let stream = net.client().open_stream();
+    net.client()
         .stream_write(
             stream,
             Bytes::from((0..1_000_000u32).map(|i| i as u8).collect::<Vec<u8>>()),
         )
         .unwrap();
-    net.client.stream_finish(stream);
+    net.client().stream_finish(stream);
     let mut received = Vec::new();
     assert!(net.run_until(
         |n| {
@@ -632,9 +474,9 @@ fn tight_connection_window_still_completes_via_window_updates() {
 #[test]
 fn paths_frame_shares_rtt_estimates() {
     let mut net = multipath_pair();
-    net.path1_delay = Duration::from_millis(60);
-    let stream = net.client.open_stream();
-    net.client
+    net.set_delay(1, Duration::from_millis(60));
+    let stream = net.client().open_stream();
+    net.client()
         .stream_write(stream, Bytes::from(vec![1u8; 300_000]))
         .unwrap();
     // Warm both paths, then force a PATHS frame via an RTO on path 0.
@@ -642,13 +484,13 @@ fn paths_frame_shares_rtt_estimates() {
         |n| n.client.path(PathId(1)).is_some_and(|p| p.rtt_known()),
         SimTime::from_secs(30),
     ));
-    net.path0_dead = true;
-    net.client.stream_finish(stream);
+    net.kill_path(0);
+    net.client().stream_finish(stream);
     assert!(net.run_until(
         |n| !n.server.peer_paths().is_empty(),
         SimTime::from_secs(60),
     ));
-    let infos = net.server.peer_paths();
+    let infos = net.server().peer_paths();
     // The client's srtt estimates travelled to the server.
     let p1 = infos
         .iter()
@@ -673,14 +515,14 @@ fn telemetry_records_the_connection_story() {
     );
     client.set_subscriber(Box::new(metrics));
     let server = Connection::server(Config::multipath(), vec![addr(S0), addr(S1)], 2);
-    let mut net = Net::new(client, server);
-    let stream = net.client.open_stream();
-    net.client
+    let mut net = Net::new(client, server, CROSS);
+    let stream = net.client().open_stream();
+    net.client()
         .stream_write(stream, Bytes::from(vec![3u8; 200_000]))
         .unwrap();
-    net.client.stream_finish(stream);
+    net.client().stream_finish(stream);
     // A few mid-stream drops so loss events appear in the trace.
-    net.drop_seqs = (40..60).step_by(4).collect();
+    net.drop_seqs((40..60).step_by(4));
     assert!(net.run_until(
         |n| {
             while n.server.stream_read(stream, usize::MAX).is_some() {}
@@ -690,7 +532,7 @@ fn telemetry_records_the_connection_story() {
     ));
     let snapshot = handle.snapshot();
     let paths = &snapshot.paths;
-    let stats = net.client.stats();
+    let stats = net.client().stats();
     assert_eq!(
         paths.iter().map(|p| p.packets_sent).sum::<u64>(),
         stats.packets_sent
@@ -706,6 +548,9 @@ fn telemetry_records_the_connection_story() {
     for id in [PathId::INITIAL, PathId(1)] {
         let summary = snapshot.path(id).expect("both paths carried traffic");
         assert!(summary.bytes_sent > 0);
-        assert_eq!(summary.bytes_sent, net.client.path(id).unwrap().bytes_sent);
+        assert_eq!(
+            summary.bytes_sent,
+            net.client().path(id).unwrap().bytes_sent
+        );
     }
 }

@@ -9,22 +9,19 @@
 //!   retransmitted).
 
 use bytes::{Bytes, BytesMut};
-use mpquic_core::{Config, Connection, Transmit};
+use mpquic_core::{Config, Connection};
 use mpquic_util::{RangeSet, SimTime};
 use mpquic_wire::{AckFrame, DecodeError, Frame, PathId, PublicHeader, MAX_ACK_RANGES};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
-use std::net::SocketAddr;
-use std::time::Duration;
+use std::cell::RefCell;
+use std::collections::HashSet;
+use std::rc::Rc;
 
-const C0: &str = "10.0.0.1:50000";
-const C1: &str = "10.1.0.1:50001";
-const S0: &str = "10.0.1.1:4433";
-const S1: &str = "10.1.1.1:4433";
+#[path = "../../../tests/common/net.rs"]
+mod net;
+use net::{addr, Net, C0, C1, S0, S1};
 
-fn addr(s: &str) -> SocketAddr {
-    s.parse().unwrap()
-}
+/// The path a datagram between `C0` and `S1` or `C1` and `S0` crosses.
+const CROSS: usize = 1;
 
 // ---------------------------------------------------------------------
 // ACK range cap
@@ -87,143 +84,14 @@ fn max_size_ack_is_accepted_on_decode() {
 // Packet numbers never repeat
 // ---------------------------------------------------------------------
 
-/// A two-host in-memory network (compact variant of the end_to_end
-/// harness) that decodes the public header of **every datagram ever
-/// produced** — including ones it then drops — and fails the test the
-/// moment a (direction, path, packet number) triple repeats.
-struct PnAuditNet {
-    client: Connection,
-    server: Connection,
-    in_flight: BinaryHeap<Reverse<(SimTime, u64, u8, usize)>>,
-    payloads: Vec<Option<Transmit>>,
-    now: SimTime,
-    seq: u64,
-    /// Drop every n-th datagram (0 = lossless).
-    drop_every: u64,
-    /// When set, all path-1 datagrams vanish (forces an RTO + handover).
-    path1_dead: bool,
-    seen: HashSet<(u8, u32, u64)>,
-}
+type Seen = Rc<RefCell<HashSet<(u8, u32, u64)>>>;
 
-impl PnAuditNet {
-    fn new(client: Connection, server: Connection, drop_every: u64) -> PnAuditNet {
-        PnAuditNet {
-            client,
-            server,
-            in_flight: BinaryHeap::new(),
-            payloads: Vec::new(),
-            now: SimTime::ZERO,
-            seq: 0,
-            drop_every,
-            path1_dead: false,
-            seen: HashSet::new(),
-        }
-    }
-
-    fn audit(&mut self, dir: u8, t: &Transmit) {
-        let mut read = &t.payload[..];
-        let header = PublicHeader::decode(&mut read).expect("own datagrams must parse");
-        assert!(
-            self.seen
-                .insert((dir, header.path_id.0, header.packet_number)),
-            "packet number {} reused on {} (direction {dir}) at {:?}",
-            header.packet_number,
-            header.path_id,
-            self.now,
-        );
-    }
-
-    fn is_path1(t: &Transmit) -> bool {
-        t.local == addr(C1) || t.local == addr(S1) || t.remote == addr(S1) || t.remote == addr(C1)
-    }
-
-    fn pump(&mut self) {
-        loop {
-            let mut any = false;
-            while let Some(t) = self.client.poll_transmit(self.now) {
-                any = true;
-                self.audit(0, &t);
-                self.enqueue(0, t);
-            }
-            while let Some(t) = self.server.poll_transmit(self.now) {
-                any = true;
-                self.audit(1, &t);
-                self.enqueue(1, t);
-            }
-            if !any {
-                break;
-            }
-        }
-    }
-
-    fn enqueue(&mut self, dir: u8, t: Transmit) {
-        let seq = self.seq;
-        self.seq += 1;
-        if self.drop_every != 0 && seq % self.drop_every == 3 {
-            return; // deterministic loss
-        }
-        if self.path1_dead && PnAuditNet::is_path1(&t) {
-            return;
-        }
-        let key = self.payloads.len();
-        self.payloads.push(Some(t));
-        self.in_flight.push(Reverse((
-            self.now + Duration::from_millis(20),
-            seq,
-            dir,
-            key,
-        )));
-    }
-
-    fn step(&mut self) -> bool {
-        self.pump();
-        let next_delivery = self.in_flight.peek().map(|Reverse((t, ..))| *t);
-        let next_timer = [self.client.next_timeout(), self.server.next_timeout()]
-            .into_iter()
-            .flatten()
-            .min();
-        let next = match (next_delivery, next_timer) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => return false,
-        };
-        self.now = next;
-        while let Some(Reverse((t, _, dir, key))) = self.in_flight.peek().copied() {
-            if t > self.now {
-                break;
-            }
-            self.in_flight.pop();
-            let transmit = self.payloads[key].take().expect("delivered once");
-            let receiver = if dir == 0 {
-                &mut self.server
-            } else {
-                &mut self.client
-            };
-            receiver.handle_datagram(self.now, transmit.remote, transmit.local, &transmit.payload);
-        }
-        if self.client.next_timeout().is_some_and(|t| t <= self.now) {
-            self.client.on_timeout(self.now);
-        }
-        if self.server.next_timeout().is_some_and(|t| t <= self.now) {
-            self.server.on_timeout(self.now);
-        }
-        true
-    }
-
-    fn run_until(&mut self, mut cond: impl FnMut(&mut PnAuditNet) -> bool, limit: SimTime) -> bool {
-        loop {
-            if cond(self) {
-                return true;
-            }
-            if self.now > limit || !self.step() {
-                return cond(self);
-            }
-        }
-    }
-}
-
-fn multipath_audit_pair(drop_every: u64) -> PnAuditNet {
+/// The two-path test network with a tap that decodes the public header
+/// of **every datagram ever produced** — including ones it then drops —
+/// and fails the test the moment a (direction, path, packet number)
+/// triple repeats. It drops every datagram whose sequence number is 3
+/// modulo `drop_every` (0 = lossless).
+fn multipath_audit_pair(drop_every: u64) -> (Net<Connection>, Seen) {
     let client = Connection::client(
         Config::multipath(),
         vec![addr(C0), addr(C1)],
@@ -232,15 +100,32 @@ fn multipath_audit_pair(drop_every: u64) -> PnAuditNet {
         1,
     );
     let server = Connection::server(Config::multipath(), vec![addr(S0), addr(S1)], 2);
-    PnAuditNet::new(client, server, drop_every)
+    let mut net = Net::new(client, server, CROSS);
+    let seen = Seen::default();
+    let audit = seen.clone();
+    net.tap(move |dir, seq, now, t| {
+        let mut read = &t.payload[..];
+        let header = PublicHeader::decode(&mut read).expect("own datagrams must parse");
+        assert!(
+            audit
+                .borrow_mut()
+                .insert((dir as u8, header.path_id.0, header.packet_number)),
+            "packet number {} reused on {} (direction {dir}) at {:?}",
+            header.packet_number,
+            header.path_id,
+            now,
+        );
+        drop_every == 0 || seq % drop_every != 3 // deterministic loss
+    });
+    (net, seen)
 }
 
-fn transfer(net: &mut PnAuditNet, size: usize) {
-    let stream = net.client.open_stream();
-    net.client
+fn transfer(net: &mut Net<Connection>, size: usize) {
+    let stream = net.client().open_stream();
+    net.client()
         .stream_write(stream, Bytes::from(vec![0x5A; size]))
         .unwrap();
-    net.client.stream_finish(stream);
+    net.client().stream_finish(stream);
     assert!(
         net.run_until(
             |n| {
@@ -257,9 +142,12 @@ fn transfer(net: &mut PnAuditNet, size: usize) {
 fn packet_numbers_unique_across_lossy_transfer() {
     // ~1 in 7 datagrams dropped: plenty of retransmission. Every
     // retransmitted frame must ride a fresh packet number.
-    let mut net = multipath_audit_pair(7);
+    let (mut net, seen) = multipath_audit_pair(7);
     transfer(&mut net, 200_000);
-    assert!(net.seen.len() > 100, "expected a substantial packet trace");
+    assert!(
+        seen.borrow().len() > 100,
+        "expected a substantial packet trace"
+    );
 }
 
 #[test]
@@ -268,18 +156,18 @@ fn packet_numbers_unique_across_rto_handover() {
     // in-flight data RTOs and is retransmitted on path 0 — the paper's
     // Fig. 11 handover scenario. No packet number may be reused in the
     // process, on either path's space.
-    let mut net = multipath_audit_pair(0);
-    let stream = net.client.open_stream();
-    net.client
+    let (mut net, seen) = multipath_audit_pair(0);
+    let stream = net.client().open_stream();
+    net.client()
         .stream_write(stream, Bytes::from(vec![0x77; 300_000]))
         .unwrap();
-    net.client.stream_finish(stream);
+    net.client().stream_finish(stream);
     // Run until both paths have carried traffic.
     assert!(net.run_until(
-        |n| n.seen.iter().any(|&(_, path, _)| path != 0),
+        |_| seen.borrow().iter().any(|&(_, path, _)| path != 0),
         SimTime::from_secs(30),
     ));
-    net.path1_dead = true;
+    net.kill_path(1);
     assert!(
         net.run_until(
             |n| {
@@ -290,6 +178,6 @@ fn packet_numbers_unique_across_rto_handover() {
         ),
         "transfer did not survive the path-1 failure"
     );
-    let paths_used: HashSet<u32> = net.seen.iter().map(|&(_, p, _)| p).collect();
+    let paths_used: HashSet<u32> = seen.borrow().iter().map(|&(_, p, _)| p).collect();
     assert!(paths_used.len() >= 2, "both path spaces should appear");
 }

@@ -227,7 +227,7 @@ impl App {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpquic_netsim::Datagram;
+    use mpquic_netsim::{Datagram, Endpoint};
     use std::collections::VecDeque;
     use std::net::SocketAddr;
 
@@ -263,6 +263,9 @@ mod tests {
         fn is_established(&self) -> bool {
             true
         }
+    }
+
+    impl Endpoint for MockTransport {
         fn handle_datagram(&mut self, _: SimTime, _: SocketAddr, _: SocketAddr, _: &[u8]) {}
         fn poll_transmit(&mut self, _: SimTime) -> Option<Datagram> {
             None

@@ -61,9 +61,14 @@ impl Figure {
     /// replaces the 20 MB of Figs. 3–8 only.
     pub fn size(&self, requested: Option<usize>) -> usize {
         match requested {
-            Some(size) if self.paper_size == LONG => size,
+            Some(size) if self.takes_size() => size,
             _ => self.paper_size,
         }
+    }
+
+    /// True for the figures `--size` scales: Figs. 3–8.
+    pub fn takes_size(&self) -> bool {
+        self.paper_size == LONG
     }
 
     /// `Fig. N — [aggregation benefit, ]GET <size>, <class>`.

@@ -1,7 +1,7 @@
 //! The four evaluated protocols and their endpoint construction.
 
 use mpquic_core::{CcAlgorithm, Config as QuicConfig, Connection};
-use mpquic_netsim::{Datagram, Endpoint as NetEndpoint, NetworkPlan};
+use mpquic_netsim::{Datagram, Endpoint, NetworkPlan};
 use mpquic_tcp::{TcpConfig, TcpStack};
 use mpquic_util::SimTime;
 use std::net::SocketAddr;
@@ -92,8 +92,14 @@ impl ProtoEndpoint {
     }
 }
 
-impl NetEndpoint for ProtoEndpoint {
-    fn on_datagram(&mut self, now: SimTime, local: SocketAddr, remote: SocketAddr, payload: &[u8]) {
+impl Endpoint for ProtoEndpoint {
+    fn handle_datagram(
+        &mut self,
+        now: SimTime,
+        local: SocketAddr,
+        remote: SocketAddr,
+        payload: &[u8],
+    ) {
         self.transport.handle_datagram(now, local, remote, payload);
         self.drive_app(now);
     }

@@ -13,6 +13,9 @@ use crate::experiments::{ClassResults, SweepConfig};
 use crate::figures::{Artefact, Figure, View};
 use crate::runner::{run_handover_instrumented, HandoverConfig};
 
+/// The flags `figures` takes with a value.
+const VALUED: [&str; 6] = ["figure", "scenarios", "size", "repeats", "threads", "cap"];
+
 /// The `figures` binary's command line.
 #[derive(Debug, Clone)]
 pub struct CliArgs {
@@ -33,19 +36,16 @@ pub struct CliArgs {
 
 impl CliArgs {
     /// Parses `std::env::args` before any work: an unknown flag or a
-    /// missing value exits 2, a bad value (a 0 count, size or cap and an
-    /// unknown figure among them) exits 1 naming its flag, and `--help`
-    /// prints the options.
+    /// missing value exits 2, a bad value (a 0 count, size, thread count
+    /// or cap and an unknown figure among them) or a flag no selected
+    /// artefact reads exits 1 naming its flag, and `--help` prints the
+    /// options.
     pub fn parse() -> CliArgs {
         let refuse = |code: i32, message: String| -> ! {
             eprintln!("{message}; see --help");
             std::process::exit(code)
         };
-        let args = Args::parse(
-            &["figure", "scenarios", "size", "repeats", "threads", "cap"],
-            &["help"],
-        )
-        .unwrap_or_else(|message| refuse(2, message));
+        let args = Args::parse(&VALUED, &["help"]).unwrap_or_else(|message| refuse(2, message));
         if args.has("help") {
             println!(
                 "options: --figure table1|fig3..fig11 (repeatable)  --scenarios N  \
@@ -56,7 +56,9 @@ impl CliArgs {
         CliArgs::from_args(&args).unwrap_or_else(|message| refuse(1, message))
     }
 
-    /// The options `args` gives, each checked.
+    /// The options `args` gives, each checked. A flag that no selected
+    /// artefact reads is refused: `--size` scales Figs. 3–8 only, and
+    /// Table 1 and Fig. 11 read no sweep flag.
     fn from_args(args: &Args) -> Result<CliArgs, String> {
         let at_least_one = |flag: &str| match args.get(flag)? {
             Some(0) => Err(format!("--{flag}: must be at least 1")),
@@ -69,15 +71,29 @@ impl CliArgs {
         {
             return Err(format!("--figure: no figure {name:?}"));
         }
+        let figures: Vec<Artefact> = Artefact::all()
+            .filter(|a| names.is_empty() || names.contains(&a.name()))
+            .collect();
+        let swept = |figure: &Artefact| matches!(figure, Artefact::Swept(_));
+        let scaled = |figure: &Artefact| matches!(figure, Artefact::Swept(f) if f.takes_size());
+        if args.has("size") && !figures.iter().any(scaled) {
+            return Err("--size: only Figs. 3-8 read it, and none is selected".to_string());
+        }
+        let sweep_flags = ["scenarios", "repeats", "threads", "cap"];
+        if let Some(flag) = sweep_flags.into_iter().find(|&flag| args.has(flag)) {
+            if !figures.iter().any(swept) {
+                return Err(format!(
+                    "--{flag}: only Figs. 3-10 read it, and none is selected"
+                ));
+            }
+        }
         Ok(CliArgs {
-            figures: Artefact::all()
-                .filter(|a| names.is_empty() || names.contains(&a.name()))
-                .collect(),
             scenarios: at_least_one("scenarios")?.unwrap_or(mpquic_expdesign::SCENARIOS_PER_CLASS),
             size: at_least_one("size")?,
             repeats: at_least_one("repeats")?,
-            threads: args.get("threads")?,
+            threads: at_least_one("threads")?,
             cap_secs: at_least_one("cap")?.map(|cap| cap as u64),
+            figures,
         })
     }
 
@@ -244,5 +260,30 @@ pub fn print_handover(config: &HandoverConfig) {
     );
     if let Some(snapshot) = metrics {
         print_path_metrics(&snapshot);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every invocation CI, README.md and EXPERIMENTS.md give.
+    #[test]
+    fn the_documented_invocations_parse() {
+        for line in [
+            "",
+            "--scenarios 253 --size 4194304 --repeats 1 --cap 120",
+            "--figure fig7 --scenarios 253 --cap 300",
+            "--figure fig8 --scenarios 253 --repeats 1 --cap 300",
+            "--figure fig9 --scenarios 253",
+            "--figure fig10 --scenarios 253",
+            "--figure fig9 --figure fig10",
+            "--figure table1",
+            "--figure fig11",
+        ] {
+            let words = line.split_whitespace().map(str::to_string);
+            let args = Args::from_args(words, &VALUED, &["help"]).expect("known flags");
+            assert!(CliArgs::from_args(&args).is_ok(), "{line:?}");
+        }
     }
 }

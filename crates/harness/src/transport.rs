@@ -7,7 +7,7 @@ use bytes::Bytes;
 use mpquic_core::{Connection, TransmitQueue};
 pub use mpquic_core::{QuicTransport, Transport};
 use mpquic_tcp::TcpStack;
-use mpquic_util::{Datagram, SimTime};
+use mpquic_util::{Datagram, Endpoint, SimTime};
 use std::net::SocketAddr;
 
 /// The (MP)TCP transport.
@@ -43,7 +43,9 @@ impl Transport for TcpTransport {
     fn is_established(&self) -> bool {
         self.stack.is_established()
     }
+}
 
+impl Endpoint for TcpTransport {
     fn handle_datagram(
         &mut self,
         now: SimTime,
@@ -55,11 +57,7 @@ impl Transport for TcpTransport {
     }
 
     fn poll_transmit(&mut self, now: SimTime) -> Option<Datagram> {
-        self.stack.poll_transmit(now).map(|t| Datagram {
-            local: t.local,
-            remote: t.remote,
-            payload: t.payload,
-        })
+        self.stack.poll_transmit(now)
     }
 
     fn next_timeout(&self) -> Option<SimTime> {
@@ -124,6 +122,15 @@ impl Transport for AnyTransport {
     fn is_established(&self) -> bool {
         dispatch!(self, t => t.is_established())
     }
+    fn poll_transmit_batch(&mut self, now: SimTime, queue: &mut TransmitQueue) -> usize {
+        dispatch!(self, t => t.poll_transmit_batch(now, queue))
+    }
+    fn discard_path_ops(&mut self) {
+        dispatch!(self, t => t.discard_path_ops())
+    }
+}
+
+impl Endpoint for AnyTransport {
     fn handle_datagram(
         &mut self,
         now: SimTime,
@@ -136,16 +143,10 @@ impl Transport for AnyTransport {
     fn poll_transmit(&mut self, now: SimTime) -> Option<Datagram> {
         dispatch!(self, t => t.poll_transmit(now))
     }
-    fn poll_transmit_batch(&mut self, now: SimTime, queue: &mut TransmitQueue) -> usize {
-        dispatch!(self, t => t.poll_transmit_batch(now, queue))
-    }
     fn next_timeout(&self) -> Option<SimTime> {
         dispatch!(self, t => t.next_timeout())
     }
     fn on_timeout(&mut self, now: SimTime) {
         dispatch!(self, t => t.on_timeout(now))
-    }
-    fn discard_path_ops(&mut self) {
-        dispatch!(self, t => t.discard_path_ops())
     }
 }

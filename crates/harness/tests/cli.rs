@@ -38,6 +38,25 @@ fn a_zero_cap_or_size_and_an_unknown_figure_are_refused() {
 }
 
 #[test]
+fn a_flag_no_selected_figure_reads_is_refused() {
+    // --size scales Figs. 3-8 only.
+    let fig9 = ["--figure", "fig9", "--scenarios", "2"];
+    assert_refused(&[&fig9[..], &["--size", "1024"]].concat(), 1, "--size");
+    // Table 1 and Fig. 11 read no sweep flag.
+    assert_refused(
+        &["--figure", "table1", "--scenarios", "2"],
+        1,
+        "--scenarios",
+    );
+    assert_refused(&["--figure", "fig11", "--repeats", "1"], 1, "--repeats");
+    let both = ["--figure", "table1", "--figure", "fig11"];
+    assert_refused(&[&both[..], &["--threads", "1"]].concat(), 1, "--threads");
+    assert_refused(&["--figure", "fig11", "--cap", "10"], 1, "--cap");
+    // Zero threads is refused like the other zero counts.
+    assert_refused(&[&fig9[..], &["--threads", "0"]].concat(), 1, "--threads");
+}
+
+#[test]
 fn unknown_flags_and_missing_values_exit_2() {
     assert_refused(&["--json"], 2, "unknown flag --json");
     assert_refused(&["--scenarios"], 2, "--scenarios: missing value");

@@ -388,7 +388,7 @@ pub fn quic_server(
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use mpquic_util::Datagram;
+    use mpquic_util::{Datagram, Endpoint};
 
     /// A transport with `left` datagrams to send and nothing else to do
     /// but count what it receives.
@@ -411,6 +411,9 @@ mod tests {
         fn is_established(&self) -> bool {
             true
         }
+    }
+
+    impl Endpoint for Flood {
         fn handle_datagram(&mut self, _: SimTime, _: SocketAddr, _: SocketAddr, _: &[u8]) {
             self.received += 1;
         }

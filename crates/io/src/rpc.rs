@@ -685,7 +685,7 @@ mod tests {
         /// One tick: shuttle datagrams both ways, poll the server app.
         /// Returns the app's status.
         fn tick(&mut self) -> AppStatus {
-            use mpquic_core::Transport;
+            use mpquic_util::Endpoint as _;
             self.now += Duration::from_millis(5);
             while let Some(t) = self.client.poll_transmit(self.now) {
                 self.server
@@ -984,7 +984,7 @@ mod tests {
     }
 
     impl LossyWire {
-        fn send(&mut self, now: SimTime, to_server: bool, t: mpquic_core::Transmit) {
+        fn send(&mut self, now: SimTime, to_server: bool, t: mpquic_util::Datagram) {
             self.sent += 1;
             if self.rng.index(50) == 0 {
                 self.dropped += 1;
@@ -997,14 +997,8 @@ mod tests {
                 12_000
             };
             let due = now + Duration::from_micros(base + self.rng.index(4_000) as u64);
-            self.in_flight.push((
-                due,
-                self.sent,
-                to_server,
-                t.remote,
-                t.local,
-                t.payload.to_vec(),
-            ));
+            self.in_flight
+                .push((due, self.sent, to_server, t.remote, t.local, t.payload));
         }
 
         /// Takes the datagrams due by `now`, in arrival order.
@@ -1032,7 +1026,7 @@ mod tests {
     /// compared with `response_pattern`.
     #[test]
     fn a_response_over_two_lossy_paths_arrives_byte_for_byte() {
-        use mpquic_core::Transport;
+        use mpquic_util::Endpoint as _;
         const LEN: usize = 8 << 20;
         let config = Config::builder()
             .multipath()

@@ -28,8 +28,8 @@
 //! an RTT.
 
 use mpquic_core::buffer::DEFAULT_BATCH;
-use mpquic_core::{PathOp, QuicTransport, TransmitQueue, Transport};
-use mpquic_util::SimTime;
+use mpquic_core::{PathOp, QuicTransport, TransmitQueue};
+use mpquic_util::{Endpoint as _, SimTime};
 use std::collections::{BTreeSet, HashMap};
 use std::net::SocketAddr;
 use std::time::Duration;

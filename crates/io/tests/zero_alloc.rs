@@ -59,10 +59,10 @@ use mpquic_core::{Config, Connection, PathId, Transmit, TransmitQueue};
 use mpquic_io::rpc::{response_pattern, FLAG_FINAL, MAX_RPC_PAYLOAD, REQ_MAGIC, RESP_MAGIC};
 use mpquic_io::{
     ConnApp, EndpointPlane, QuicTransport, RecvBatch, RpcCall, RpcServerApp, RpcVerdict,
-    SocketRegistry, Transport,
+    SocketRegistry,
 };
 use mpquic_util::alloc_count::{self, CountingAlloc};
-use mpquic_util::{Checksum64, SimTime};
+use mpquic_util::{Checksum64, Endpoint as _, SimTime};
 use mpquic_wire::{Frame, StreamFrame, MAX_DATAGRAM_SIZE};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};

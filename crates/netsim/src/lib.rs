@@ -13,8 +13,9 @@
 //! * [`topology`] — the Fig. 2 two-host network: a multihomed client and
 //!   server joined by disjoint paths with independent characteristics;
 //! * [`sim::Simulation`] — the one event loop: any number of sans-IO
-//!   [`Endpoint`]s (QUIC, MPQUIC, TCP or MPTCP stacks wrapped by the
-//!   harness) joined by routes of one or more links, with datagram
+//!   [`Endpoint`]s (`mpquic-core`'s `Connection` or `mpquic-tcp`'s
+//!   `TcpStack` as they are, or the harness's application-driving
+//!   endpoint) joined by routes of one or more links, with datagram
 //!   delivery and timer callbacks. [`Simulation::new`] lays out the
 //!   Fig. 2 network; [`Simulation::empty`] and its `add_*` methods build
 //!   others, such as the shared bottleneck behind §3's case for OLIA.
@@ -32,16 +33,17 @@ pub mod topology;
 pub mod trace;
 
 pub use link::{Link, LinkParams};
-pub use sim::{Endpoint, NetStats, Simulation};
+pub use sim::{NetStats, Simulation};
 pub use topology::{NetworkPlan, PathSpec};
 pub use trace::{PacketFate, PacketRecord, Trace};
 
 use mpquic_util::SimTime;
 
-// The datagram type lives in `mpquic-util` so transports that know nothing
-// about the simulator (e.g. the real-socket runtime in `mpquic-io`) can
-// speak it too; re-exported here so simulator users are unaffected.
-pub use mpquic_util::Datagram;
+// The datagram type and the endpoint trait live in `mpquic-util`, so the
+// protocol stacks implement the trait without depending on the simulator
+// and the real-socket runtime (`mpquic-io`) speaks the same datagrams;
+// re-exported here for simulator users.
+pub use mpquic_util::{Datagram, Endpoint};
 
 /// Fixed per-packet overhead the links bill in addition to the payload
 /// (IPv4 + UDP headers).

@@ -205,6 +205,28 @@ mod tests {
     }
 
     #[test]
+    fn an_unbounded_rate_is_pure_delay() {
+        let delay = Duration::from_millis(20);
+        let mut link = Link::new(LinkParams {
+            rate_bps: f64::INFINITY,
+            one_way_delay: delay,
+            max_queue_delay: Duration::ZERO,
+            loss: 0.0,
+        });
+        let mut rng = DetRng::new(1);
+        for at in [
+            SimTime::ZERO,
+            SimTime::from_micros(1),
+            SimTime::from_secs(3),
+        ] {
+            for _ in 0..10_000 {
+                assert_eq!(link.offer(at, 1500, &mut rng), Ok(at + delay));
+            }
+        }
+        assert_eq!((link.delivered, link.lost_queue), (30_000, 0));
+    }
+
+    #[test]
     fn deterministic_for_same_seed() {
         let run = |seed: u64| -> Vec<bool> {
             let mut link = Link::new(params(10.0, 5.0, 20.0, 5.0));

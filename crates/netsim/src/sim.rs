@@ -20,7 +20,7 @@
 //!
 //! The loop is fully deterministic for a given network and seed.
 
-use mpquic_util::{DetRng, SimTime};
+use mpquic_util::{DetRng, Endpoint, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::net::SocketAddr;
@@ -29,21 +29,6 @@ use crate::link::{Drop, Link, LinkParams};
 use crate::topology::NetworkPlan;
 use crate::trace::{PacketFate, PacketRecord, Trace};
 use crate::{Datagram, LinkChange, WIRE_OVERHEAD};
-
-/// A sans-IO protocol endpoint driven by the simulator.
-///
-/// `mpquic-core`'s `Connection` and `mpquic-tcp`'s stacks are adapted to
-/// this trait by the harness crate.
-pub trait Endpoint {
-    /// A datagram arrived addressed to `local` from `remote`.
-    fn on_datagram(&mut self, now: SimTime, local: SocketAddr, remote: SocketAddr, payload: &[u8]);
-    /// Produce the next outgoing datagram, if any. Called until `None`.
-    fn poll_transmit(&mut self, now: SimTime) -> Option<Datagram>;
-    /// Earliest time `on_timeout` must run.
-    fn next_timeout(&self) -> Option<SimTime>;
-    /// The clock reached a previously announced timeout.
-    fn on_timeout(&mut self, now: SimTime);
-}
 
 /// Network-level statistics for one simulation run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -286,7 +271,7 @@ impl<E: Endpoint> Simulation<E> {
             match self.owners.get(&datagram.remote) {
                 Some(&idx) => {
                     self.stats.delivered += 1;
-                    self.endpoints[idx].on_datagram(
+                    self.endpoints[idx].handle_datagram(
                         self.now,
                         datagram.remote,
                         datagram.local,
@@ -361,7 +346,7 @@ mod tests {
     }
 
     impl Endpoint for ScriptedEndpoint {
-        fn on_datagram(
+        fn handle_datagram(
             &mut self,
             now: SimTime,
             _local: SocketAddr,

@@ -17,7 +17,9 @@
 //! | RTO ⇒ potentially-failed subflow | [`subflow::Subflow::pf`] |
 //!
 //! Like `mpquic-core`, the stack is sans-IO: datagrams in, datagrams out,
-//! timers polled — driven by `mpquic-netsim` through the harness.
+//! timers polled. [`TcpStack`] implements [`mpquic_util::Endpoint`], so
+//! `mpquic-netsim` drives it directly (this crate's tests) or under the
+//! harness's applications (the experiments).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,5 +30,5 @@ pub mod stack;
 pub mod subflow;
 
 pub use segment::{DssOption, MptcpOptions, Segment, MAX_SACK_BLOCKS};
-pub use stack::{Role, TcpConfig, TcpStack, TcpStats, Transmit};
+pub use stack::{Role, TcpConfig, TcpStack, TcpStats};
 pub use subflow::{Subflow, SubflowState};

@@ -23,7 +23,7 @@
 
 use bytes::Bytes;
 use mpquic_cc::CcAlgorithm;
-use mpquic_util::{RangeSet, SimTime};
+use mpquic_util::{Datagram, Endpoint, RangeSet, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -80,18 +80,6 @@ impl TcpConfig {
     pub fn multipath() -> TcpConfig {
         TcpConfig::default()
     }
-}
-
-/// A datagram to hand to the network (matches the shape of
-/// `mpquic_core::Transmit` so harness adapters stay trivial).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Transmit {
-    /// Source address.
-    pub local: SocketAddr,
-    /// Destination address.
-    pub remote: SocketAddr,
-    /// Encoded segment.
-    pub payload: Vec<u8>,
 }
 
 /// Endpoint role.
@@ -663,7 +651,7 @@ impl TcpStack {
     // ------------------------------------------------------------------
 
     /// Produces the next outgoing datagram. Call until `None`.
-    pub fn poll_transmit(&mut self, now: SimTime) -> Option<Transmit> {
+    pub fn poll_transmit(&mut self, now: SimTime) -> Option<Datagram> {
         let data_ack = self.rcv_nxt;
         let window = self.advertised_window();
         // 1. Subflow control traffic: handshakes, same-subflow
@@ -686,12 +674,12 @@ impl TcpStack {
         self.emit_new_data(now, data_ack)
     }
 
-    fn wrap(&mut self, idx: usize, segment: Segment) -> Transmit {
+    fn wrap(&mut self, idx: usize, segment: Segment) -> Datagram {
         let encoded = segment.encode();
         let sf = &mut self.subflows[idx];
         sf.stats.segments_sent += 1;
         sf.stats.bytes_sent += encoded.len() as u64;
-        Transmit {
+        Datagram {
             local: sf.local,
             remote: sf.remote,
             payload: encoded,
@@ -781,7 +769,7 @@ impl TcpStack {
         }
     }
 
-    fn emit_reinjection(&mut self, now: SimTime, data_ack: u64) -> Option<Transmit> {
+    fn emit_reinjection(&mut self, now: SimTime, data_ack: u64) -> Option<Datagram> {
         while let Some(&(dsn, len)) = self.reinject_queue.front() {
             if dsn + len <= self.data_ack_remote.max(self.snd_base) {
                 self.reinject_queue.pop_front();
@@ -802,7 +790,7 @@ impl TcpStack {
         None
     }
 
-    fn emit_new_data(&mut self, now: SimTime, data_ack: u64) -> Option<Transmit> {
+    fn emit_new_data(&mut self, now: SimTime, data_ack: u64) -> Option<Datagram> {
         let sendable_end = self.write_end().min(self.send_limit);
         if self.snd_nxt >= sendable_end {
             return None;
@@ -861,6 +849,30 @@ impl TcpStack {
                 self.stats.reinjections += 1;
             }
         }
+    }
+}
+
+impl Endpoint for TcpStack {
+    fn handle_datagram(
+        &mut self,
+        now: SimTime,
+        local: SocketAddr,
+        remote: SocketAddr,
+        payload: &[u8],
+    ) {
+        TcpStack::handle_datagram(self, now, local, remote, payload);
+    }
+
+    fn poll_transmit(&mut self, now: SimTime) -> Option<Datagram> {
+        TcpStack::poll_transmit(self, now)
+    }
+
+    fn next_timeout(&self) -> Option<SimTime> {
+        TcpStack::next_timeout(self)
+    }
+
+    fn on_timeout(&mut self, now: SimTime) {
+        TcpStack::on_timeout(self, now);
     }
 }
 

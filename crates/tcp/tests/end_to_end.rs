@@ -1,158 +1,27 @@
-//! End-to-end (MP)TCP tests over an in-memory network with per-path
-//! latency, programmable loss and path kill switches — mirrors the
-//! mpquic-core end-to-end suite so both stacks are validated the same
-//! way before the full simulator comparison.
+//! End-to-end (MP)TCP tests over the two-path test network
+//! (`tests/common/net.rs` at the workspace root) with per-path latency,
+//! programmable loss and path kill switches — mirrors the mpquic-core
+//! end-to-end suite so both stacks are validated the same way before
+//! the full simulator comparison.
 
 use bytes::Bytes;
-use mpquic_tcp::{SubflowState, TcpConfig, TcpStack, Transmit};
+use mpquic_tcp::{SubflowState, TcpConfig, TcpStack};
 use mpquic_util::SimTime;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::net::SocketAddr;
 use std::time::Duration;
 
-const C0: &str = "10.0.0.1:50000";
-const C1: &str = "10.1.0.1:50001";
-const S0: &str = "10.0.1.1:4433";
-const S1: &str = "10.1.1.1:4433";
+#[path = "../../../tests/common/net.rs"]
+mod net;
+use net::{addr, C0, C1, S0, S1};
 
-fn addr(s: &str) -> SocketAddr {
-    s.parse().unwrap()
-}
+type Net = net::Net<TcpStack>;
 
-struct Net {
-    client: TcpStack,
-    server: TcpStack,
-    in_flight: BinaryHeap<Reverse<(SimTime, u64, u8, usize)>>,
-    payloads: Vec<Option<Transmit>>,
-    now: SimTime,
-    path0_delay: Duration,
-    path1_delay: Duration,
-    drop_seqs: Vec<u64>,
-    path0_dead: bool,
-    path1_dead: bool,
-    seq: u64,
-}
-
-impl Net {
-    fn new(client: TcpStack, server: TcpStack) -> Net {
-        Net {
-            client,
-            server,
-            in_flight: BinaryHeap::new(),
-            payloads: Vec::new(),
-            now: SimTime::ZERO,
-            path0_delay: Duration::from_millis(20),
-            path1_delay: Duration::from_millis(20),
-            drop_seqs: Vec::new(),
-            path0_dead: false,
-            path1_dead: false,
-            seq: 0,
-        }
-    }
-
-    fn is_path0(t: &Transmit) -> bool {
-        t.local == addr(C0) || t.local == addr(S0) || t.remote == addr(S0) || t.remote == addr(C0)
-    }
-
-    fn enqueue(&mut self, dir: u8, t: Transmit) {
-        let seq = self.seq;
-        self.seq += 1;
-        let on_path0 = Net::is_path0(&t);
-        if self.drop_seqs.contains(&seq) {
-            return;
-        }
-        let delay = if on_path0 {
-            self.path0_delay
-        } else {
-            self.path1_delay
-        };
-        let key = self.payloads.len();
-        self.payloads.push(Some(t));
-        self.in_flight
-            .push(Reverse((self.now + delay, seq, dir, key)));
-    }
-
-    fn step(&mut self) -> bool {
-        loop {
-            let mut any = false;
-            while let Some(t) = self.client.poll_transmit(self.now) {
-                self.enqueue(0, t);
-                any = true;
-            }
-            while let Some(t) = self.server.poll_transmit(self.now) {
-                self.enqueue(1, t);
-                any = true;
-            }
-            if !any {
-                break;
-            }
-        }
-        let next_delivery = self.in_flight.peek().map(|Reverse((t, ..))| *t);
-        let next_timer = [self.client.next_timeout(), self.server.next_timeout()]
-            .into_iter()
-            .flatten()
-            .min();
-        let next = match (next_delivery, next_timer) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => return false,
-        };
-        self.now = next.max(self.now);
-        while let Some(&Reverse((t, _, dir, key))) = self.in_flight.peek() {
-            if t > self.now {
-                break;
-            }
-            self.in_flight.pop();
-            let transmit = self.payloads[key].take().expect("once");
-            // Path death applies at delivery time so in-flight packets
-            // are lost too (a real link failure drops what is on the
-            // wire, not just future sends).
-            let on_path0 = Net::is_path0(&transmit);
-            if (on_path0 && self.path0_dead) || (!on_path0 && self.path1_dead) {
-                continue;
-            }
-            match dir {
-                0 => self.server.handle_datagram(
-                    self.now,
-                    transmit.remote,
-                    transmit.local,
-                    &transmit.payload,
-                ),
-                _ => self.client.handle_datagram(
-                    self.now,
-                    transmit.remote,
-                    transmit.local,
-                    &transmit.payload,
-                ),
-            }
-        }
-        if self.client.next_timeout().is_some_and(|t| t <= self.now) {
-            self.client.on_timeout(self.now);
-        }
-        if self.server.next_timeout().is_some_and(|t| t <= self.now) {
-            self.server.on_timeout(self.now);
-        }
-        true
-    }
-
-    fn run_until(&mut self, mut cond: impl FnMut(&mut Net) -> bool, limit: SimTime) -> bool {
-        loop {
-            if cond(self) {
-                return true;
-            }
-            if self.now > limit || !self.step() {
-                return cond(self);
-            }
-        }
-    }
-}
+/// The path a datagram between `C0` and `S1` or `C1` and `S0` crosses.
+const CROSS: usize = 0;
 
 fn single_pair() -> Net {
     let client = TcpStack::client(TcpConfig::single_path(), vec![addr(C0)], 0, addr(S0));
     let server = TcpStack::server(TcpConfig::single_path(), vec![addr(S0)]);
-    Net::new(client, server)
+    Net::new(client, server, CROSS)
 }
 
 fn multipath_pair() -> Net {
@@ -163,7 +32,7 @@ fn multipath_pair() -> Net {
         addr(S0),
     );
     let server = TcpStack::server(TcpConfig::multipath(), vec![addr(S0), addr(S1)]);
-    Net::new(client, server)
+    Net::new(client, server, CROSS)
 }
 
 fn drain(stack: &mut TcpStack) -> usize {
@@ -180,7 +49,7 @@ fn tls_over_tcp_takes_three_rtts() {
     assert!(net.run_until(|n| n.client.is_established(), SimTime::from_secs(5),));
     // One-way 20 ms → RTT 40 ms. SYN(0.5 RTT) + SYNACK(1) + CH(1.5)
     // + SH(2) + CKE(2.5) + FIN(3): client app-ready at 3 RTT = 120 ms.
-    let established = net.client.established_at().unwrap();
+    let established = net.client().established_at().unwrap();
     assert!(
         established >= SimTime::from_millis(115) && established <= SimTime::from_millis(135),
         "client established at {established:?}, expected ~120 ms"
@@ -205,70 +74,73 @@ fn tcp_without_tls_is_one_rtt() {
         },
         vec![addr(S0)],
     );
-    let mut net = Net::new(client, server);
+    let mut net = Net::new(client, server, CROSS);
     assert!(net.run_until(|n| n.client.is_established(), SimTime::from_secs(5)));
-    assert_eq!(net.client.established_at(), Some(SimTime::from_millis(40)));
+    assert_eq!(
+        net.client().established_at(),
+        Some(SimTime::from_millis(40))
+    );
 }
 
 #[test]
 fn request_response_round_trip() {
     let mut net = single_pair();
-    net.client.write(Bytes::from_static(b"GET /file"));
+    net.client().write(Bytes::from_static(b"GET /file"));
     let mut request_len = 0;
     let mut responded = false;
     assert!(net.run_until(
         |n| {
-            request_len += drain(&mut n.server);
+            request_len += drain(n.server);
             if request_len >= 9 && !responded {
                 responded = true;
                 n.server.write(Bytes::from(vec![0x5A; 200_000]));
                 n.server.finish();
             }
-            drain(&mut n.client);
+            drain(n.client);
             n.client.recv_finished()
         },
         SimTime::from_secs(60),
     ));
     // The final data-ACK needs one more half-RTT to reach the server.
-    let deadline = net.now + Duration::from_secs(5);
+    let deadline = net.now() + Duration::from_secs(5);
     assert!(net.run_until(|n| n.server.send_complete(), deadline));
 }
 
 #[test]
 fn transfer_survives_random_loss() {
     let mut net = single_pair();
-    net.drop_seqs = (30..120).step_by(4).collect();
-    net.client.write(Bytes::from(vec![7u8; 300_000]));
-    net.client.finish();
+    net.drop_seqs((30..120).step_by(4));
+    net.client().write(Bytes::from(vec![7u8; 300_000]));
+    net.client().finish();
     assert!(net.run_until(
         |n| {
-            drain(&mut n.server);
+            drain(n.server);
             n.server.recv_finished()
         },
         SimTime::from_secs(120),
     ));
-    assert!(net.client.stats().retransmissions > 0);
+    assert!(net.client().stats().retransmissions > 0);
 }
 
 #[test]
 fn mptcp_joins_and_aggregates() {
     let mut net = multipath_pair();
-    net.client.write(Bytes::from(vec![3u8; 2_000_000]));
-    net.client.finish();
+    net.client().write(Bytes::from(vec![3u8; 2_000_000]));
+    net.client().finish();
     assert!(net.run_until(
         |n| {
-            drain(&mut n.server);
+            drain(n.server);
             n.server.recv_finished()
         },
         SimTime::from_secs(120),
     ));
-    assert_eq!(net.client.subflow_count(), 2, "join subflow expected");
-    let sf1 = net.client.subflow(1).unwrap();
+    assert_eq!(net.client().subflow_count(), 2, "join subflow expected");
+    let sf1 = net.client().subflow(1).unwrap();
     assert_eq!(sf1.state, SubflowState::Established);
     assert!(sf1.stats.bytes_sent > 10_000, "subflow 1 should carry data");
-    assert!(net.client.subflow(0).unwrap().stats.bytes_sent > 10_000);
+    assert!(net.client().subflow(0).unwrap().stats.bytes_sent > 10_000);
     // Server-side join accepted.
-    assert_eq!(net.server.subflow_count(), 2);
+    assert_eq!(net.server().subflow_count(), 2);
 }
 
 #[test]
@@ -278,8 +150,8 @@ fn join_needs_a_handshake_before_data() {
     // completes, so its first data can't appear before ~1 RTT after the
     // SYN.
     let mut net = multipath_pair();
-    net.client.write(Bytes::from(vec![1u8; 500_000]));
-    net.client.finish();
+    net.client().write(Bytes::from(vec![1u8; 500_000]));
+    net.client().finish();
     let mut first_data_on_sf1: Option<SimTime> = None;
     let mut join_syn_at: Option<SimTime> = None;
     assert!(net.run_until(
@@ -296,7 +168,7 @@ fn join_needs_a_handshake_before_data() {
                     }
                 }
             }
-            drain(&mut n.server);
+            drain(n.server);
             n.server.recv_finished()
         },
         SimTime::from_secs(120),
@@ -312,14 +184,14 @@ fn join_needs_a_handshake_before_data() {
 fn mptcp_handover_reinjets_after_path_death() {
     let mut net = multipath_pair();
     // A slow initial path keeps data in flight on it for a while.
-    net.path0_delay = Duration::from_millis(100);
-    net.client.write(Bytes::from(vec![2u8; 300_000]));
+    net.set_delay(0, Duration::from_millis(100));
+    net.client().write(Bytes::from(vec![2u8; 300_000]));
     // Wait until subflow 1 is up and subflow 0 provably has un-acked
     // data in the pipe, then kill path 0 — that data is now lost and
     // leaves a hole in the meta sequence space.
     assert!(net.run_until(
         |n| {
-            drain(&mut n.server);
+            drain(n.server);
             n.client
                 .subflow(1)
                 .is_some_and(|sf| sf.state == SubflowState::Established)
@@ -329,22 +201,22 @@ fn mptcp_handover_reinjets_after_path_death() {
         },
         SimTime::from_secs(60),
     ));
-    net.path0_dead = true;
-    net.client.write(Bytes::from(vec![4u8; 300_000]));
-    net.client.finish();
+    net.cut_path(0);
+    net.client().write(Bytes::from(vec![4u8; 300_000]));
+    net.client().finish();
     assert!(
         net.run_until(
             |n| {
-                drain(&mut n.server);
+                drain(n.server);
                 n.server.recv_finished()
             },
             SimTime::from_secs(300),
         ),
         "transfer must complete over the surviving subflow"
     );
-    assert!(net.client.stats().rtos > 0);
+    assert!(net.client().stats().rtos > 0);
     assert!(
-        net.client.stats().reinjections > 0,
+        net.client().stats().reinjections > 0,
         "RTO on the dead subflow must reinject on the live one"
     );
 }
@@ -358,17 +230,17 @@ fn single_path_ignores_add_addr() {
         addr(S0),
     );
     let server = TcpStack::server(TcpConfig::multipath(), vec![addr(S0), addr(S1)]);
-    let mut net = Net::new(client, server);
-    net.client.write(Bytes::from(vec![6u8; 100_000]));
-    net.client.finish();
+    let mut net = Net::new(client, server, CROSS);
+    net.client().write(Bytes::from(vec![6u8; 100_000]));
+    net.client().finish();
     assert!(net.run_until(
         |n| {
-            drain(&mut n.server);
+            drain(n.server);
             n.server.recv_finished()
         },
         SimTime::from_secs(60),
     ));
-    assert_eq!(net.client.subflow_count(), 1);
+    assert_eq!(net.client().subflow_count(), 1);
 }
 
 #[test]
@@ -380,32 +252,32 @@ fn worst_path_first_still_joins_fast_path() {
         addr(S1),
     );
     let server = TcpStack::server(TcpConfig::multipath(), vec![addr(S0), addr(S1)]);
-    let mut net = Net::new(client, server);
-    net.path1_delay = Duration::from_millis(80);
-    net.client.write(Bytes::from(vec![9u8; 1_000_000]));
-    net.client.finish();
+    let mut net = Net::new(client, server, CROSS);
+    net.set_delay(1, Duration::from_millis(80));
+    net.client().write(Bytes::from(vec![9u8; 1_000_000]));
+    net.client().finish();
     assert!(net.run_until(
         |n| {
-            drain(&mut n.server);
+            drain(n.server);
             n.server.recv_finished()
         },
         SimTime::from_secs(300),
     ));
-    assert_eq!(net.client.subflow_count(), 2);
-    assert!(net.client.subflow(1).unwrap().stats.bytes_sent > 10_000);
+    assert_eq!(net.client().subflow_count(), 2);
+    assert!(net.client().subflow(1).unwrap().stats.bytes_sent > 10_000);
 }
 
 #[test]
 fn bidirectional_transfer() {
     let mut net = single_pair();
-    net.client.write(Bytes::from(vec![1u8; 150_000]));
-    net.client.finish();
-    net.server.write(Bytes::from(vec![2u8; 150_000]));
-    net.server.finish();
+    net.client().write(Bytes::from(vec![1u8; 150_000]));
+    net.client().finish();
+    net.server().write(Bytes::from(vec![2u8; 150_000]));
+    net.server().finish();
     assert!(net.run_until(
         |n| {
-            drain(&mut n.server);
-            drain(&mut n.client);
+            drain(n.server);
+            drain(n.client);
             n.server.recv_finished() && n.client.recv_finished()
         },
         SimTime::from_secs(120),

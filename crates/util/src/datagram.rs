@@ -1,13 +1,16 @@
 //! The UDP datagram exchanged between a transport state machine and
-//! whatever carries its packets.
+//! whatever carries its packets, and the sans-IO [`Endpoint`] surface
+//! that exchanges them.
 //!
-//! Both network substrates in this workspace speak this type: the
-//! discrete-event simulator (`mpquic-netsim`) routes them over modelled
-//! links, and the real-socket runtime (`mpquic-io`) writes them to the
-//! operating system's UDP stack. Keeping the type here — in the
-//! dependency-free utility crate — lets the `Transport` abstraction in
-//! `mpquic-harness` stay agnostic about which substrate is underneath.
+//! Both network substrates in this workspace speak these: the
+//! discrete-event simulator (`mpquic-netsim`) routes datagrams over
+//! modelled links between [`Endpoint`]s, and the real-socket runtime
+//! (`mpquic-io`) writes them to the operating system's UDP stack.
+//! Keeping them here — in the dependency-free utility crate — lets
+//! `mpquic-core`'s `Transport` (an [`Endpoint`] plus a byte stream)
+//! stay agnostic about which substrate is underneath.
 
+use crate::SimTime;
 use std::net::SocketAddr;
 
 /// A UDP datagram (or an encapsulated TCP segment) handed to the network.
@@ -20,6 +23,28 @@ pub struct Datagram {
     /// Payload bytes (what a link bills for, plus any fixed overhead the
     /// substrate accounts separately).
     pub payload: Vec<u8>,
+}
+
+/// A sans-IO protocol endpoint: datagrams and timer events in, datagrams
+/// out, time always passed in.
+///
+/// `mpquic-core`'s `Connection` and `mpquic-tcp`'s `TcpStack` implement
+/// it, so the simulator's `Simulation` drives either stack directly.
+pub trait Endpoint {
+    /// A datagram arrived addressed to `local` from `remote`.
+    fn handle_datagram(
+        &mut self,
+        now: SimTime,
+        local: SocketAddr,
+        remote: SocketAddr,
+        payload: &[u8],
+    );
+    /// Produces the next outgoing datagram, if any. Called until `None`.
+    fn poll_transmit(&mut self, now: SimTime) -> Option<Datagram>;
+    /// Earliest time `on_timeout` must run.
+    fn next_timeout(&self) -> Option<SimTime>;
+    /// The clock reached a previously announced timeout.
+    fn on_timeout(&mut self, now: SimTime);
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 //!
 //! * [`datagram`] — the UDP datagram type ([`datagram::Datagram`]) shared
 //!   by every network substrate (the discrete-event simulator and the
-//!   real-socket runtime alike).
+//!   real-socket runtime alike), and the sans-IO [`Endpoint`] trait both
+//!   protocol stacks implement.
 //! * [`time`] — a simulated clock ([`time::SimTime`]) with nanosecond
 //!   resolution. All protocol state machines in this workspace are sans-IO
 //!   and never read a wall clock; time is always passed in.
@@ -45,7 +46,7 @@ pub mod time;
 pub mod varint;
 
 pub use checksum::Checksum64;
-pub use datagram::Datagram;
+pub use datagram::{Datagram, Endpoint};
 pub use ranges::RangeSet;
 pub use rng::DetRng;
 pub use time::SimTime;

@@ -10,34 +10,10 @@
 //! Run with: `cargo run --release --example dualstack`
 
 use bytes::Bytes;
-use mpquic_core::{Config, Connection, Transmit};
-use mpquic_netsim::{Datagram, Endpoint, NetworkPlan, PathSpec, Simulation};
+use mpquic_core::{Config, Connection};
+use mpquic_netsim::{NetworkPlan, PathSpec, Simulation};
 use mpquic_util::SimTime;
-use std::net::SocketAddr;
 use std::time::Duration;
-
-struct QuicEndpoint {
-    conn: Connection,
-}
-
-impl Endpoint for QuicEndpoint {
-    fn on_datagram(&mut self, now: SimTime, local: SocketAddr, remote: SocketAddr, payload: &[u8]) {
-        self.conn.handle_datagram(now, local, remote, payload);
-    }
-    fn poll_transmit(&mut self, now: SimTime) -> Option<Datagram> {
-        self.conn.poll_transmit(now).map(|t: Transmit| Datagram {
-            local: t.local,
-            remote: t.remote,
-            payload: t.payload,
-        })
-    }
-    fn next_timeout(&self) -> Option<SimTime> {
-        self.conn.next_timeout()
-    }
-    fn on_timeout(&mut self, now: SimTime) {
-        self.conn.on_timeout(now);
-    }
-}
 
 fn main() {
     // Hand-built plan: path 0 is the IPv4 route, path 1 the IPv6 route
@@ -76,16 +52,11 @@ fn main() {
         .expect("write");
     client.stream_finish(stream);
 
-    let mut sim = Simulation::new(
-        QuicEndpoint { conn: client },
-        QuicEndpoint { conn: server },
-        plan,
-        3,
-    );
+    let mut sim = Simulation::new(client, server, plan, 3);
     let done = sim.run_until(SimTime::ZERO + Duration::from_secs(60), |hosts, _| {
         let s = &mut hosts[1];
-        while s.conn.stream_read(stream, usize::MAX).is_some() {}
-        s.conn.stream_is_finished(stream)
+        while s.stream_read(stream, usize::MAX).is_some() {}
+        s.stream_is_finished(stream)
     });
     assert!(done);
 
@@ -93,7 +64,7 @@ fn main() {
         "3 MB uploaded in {:.3}s over IPv4 + IPv6 simultaneously",
         sim.now().as_secs_f64()
     );
-    let client = &sim.endpoints[0].conn;
+    let client = &sim.endpoints[0];
     for id in client.path_ids() {
         let p = client.path(id).expect("listed");
         let family = if p.local.is_ipv4() { "IPv4" } else { "IPv6" };

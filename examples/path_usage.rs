@@ -5,34 +5,10 @@
 //! Run with: `cargo run --release --example path_usage`
 
 use bytes::Bytes;
-use mpquic_core::{Config, Connection, Transmit};
-use mpquic_netsim::{Datagram, Endpoint, NetworkPlan, PathSpec, Simulation};
+use mpquic_core::{Config, Connection};
+use mpquic_netsim::{NetworkPlan, PathSpec, Simulation};
 use mpquic_util::SimTime;
-use std::net::SocketAddr;
 use std::time::Duration;
-
-struct QuicEndpoint {
-    conn: Connection,
-}
-
-impl Endpoint for QuicEndpoint {
-    fn on_datagram(&mut self, now: SimTime, local: SocketAddr, remote: SocketAddr, payload: &[u8]) {
-        self.conn.handle_datagram(now, local, remote, payload);
-    }
-    fn poll_transmit(&mut self, now: SimTime) -> Option<Datagram> {
-        self.conn.poll_transmit(now).map(|t: Transmit| Datagram {
-            local: t.local,
-            remote: t.remote,
-            payload: t.payload,
-        })
-    }
-    fn next_timeout(&self) -> Option<SimTime> {
-        self.conn.next_timeout()
-    }
-    fn on_timeout(&mut self, now: SimTime) {
-        self.conn.on_timeout(now);
-    }
-}
 
 fn bar(bytes: u64, per_char: u64) -> String {
     "█".repeat((bytes / per_char.max(1)) as usize)
@@ -64,12 +40,7 @@ fn main() {
         .expect("write");
     client.stream_finish(stream);
 
-    let mut sim = Simulation::new(
-        QuicEndpoint { conn: client },
-        QuicEndpoint { conn: server },
-        plan,
-        9,
-    );
+    let mut sim = Simulation::new(client, server, plan, 9);
     sim.enable_trace();
 
     let mut responded = false;
@@ -77,16 +48,15 @@ fn main() {
         let [c, s] = hosts else {
             unreachable!("a client and a server")
         };
-        while s.conn.stream_read(stream, usize::MAX).is_some() {}
-        if !responded && s.conn.stream_is_finished(stream) {
+        while s.stream_read(stream, usize::MAX).is_some() {}
+        if !responded && s.stream_is_finished(stream) {
             responded = true;
-            s.conn
-                .stream_write(stream, Bytes::from(vec![0x0Fu8; 6 << 20]))
+            s.stream_write(stream, Bytes::from(vec![0x0Fu8; 6 << 20]))
                 .expect("response");
-            s.conn.stream_finish(stream);
+            s.stream_finish(stream);
         }
-        while c.conn.stream_read(stream, usize::MAX).is_some() {}
-        responded && c.conn.stream_is_finished(stream)
+        while c.stream_read(stream, usize::MAX).is_some() {}
+        responded && c.stream_is_finished(stream)
     });
     assert!(done, "download should finish");
 

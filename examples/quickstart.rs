@@ -1,41 +1,17 @@
 //! Quickstart: a Multipath QUIC transfer over two paths.
 //!
 //! Shows the sans-IO API directly: build two [`mpquic_core::Connection`]s,
-//! join them with the discrete-event network simulator, transfer a file
+//! join them with the discrete-event network simulator (a `Connection`
+//! is the `Endpoint` it drives), transfer a file
 //! over both paths at once, and inspect what each path carried.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use bytes::Bytes;
-use mpquic_core::{Config, Connection, Transmit};
-use mpquic_netsim::{Datagram, Endpoint, NetworkPlan, PathSpec, Simulation};
+use mpquic_core::{Config, Connection};
+use mpquic_netsim::{NetworkPlan, PathSpec, Simulation};
 use mpquic_util::SimTime;
-use std::net::SocketAddr;
 use std::time::Duration;
-
-/// A minimal adapter driving a Connection inside the simulator.
-struct QuicEndpoint {
-    conn: Connection,
-}
-
-impl Endpoint for QuicEndpoint {
-    fn on_datagram(&mut self, now: SimTime, local: SocketAddr, remote: SocketAddr, payload: &[u8]) {
-        self.conn.handle_datagram(now, local, remote, payload);
-    }
-    fn poll_transmit(&mut self, now: SimTime) -> Option<Datagram> {
-        self.conn.poll_transmit(now).map(|t: Transmit| Datagram {
-            local: t.local,
-            remote: t.remote,
-            payload: t.payload,
-        })
-    }
-    fn next_timeout(&self) -> Option<SimTime> {
-        self.conn.next_timeout()
-    }
-    fn on_timeout(&mut self, now: SimTime) {
-        self.conn.on_timeout(now);
-    }
-}
 
 fn main() {
     // Two disjoint paths, like WiFi (fast, short RTT) + LTE (slower).
@@ -68,22 +44,17 @@ fn main() {
         .expect("fresh stream accepts writes");
     client.stream_finish(stream);
 
-    let mut sim = Simulation::new(
-        QuicEndpoint { conn: client },
-        QuicEndpoint { conn: server },
-        plan,
-        7,
-    );
+    let mut sim = Simulation::new(client, server, plan, 7);
 
     // Drive the simulation until the server has read the whole stream.
     let deadline = SimTime::ZERO + Duration::from_secs(60);
     let mut received = 0usize;
     let done = sim.run_until(deadline, |hosts, _now| {
         let server = &mut hosts[1];
-        while let Some(chunk) = server.conn.stream_read(stream, usize::MAX) {
+        while let Some(chunk) = server.stream_read(stream, usize::MAX) {
             received += chunk.len();
         }
-        server.conn.stream_is_finished(stream)
+        server.stream_is_finished(stream)
     });
     assert!(done, "transfer should complete");
 
@@ -94,7 +65,7 @@ fn main() {
     );
     println!();
     println!("client paths:");
-    let client = &sim.endpoints[0].conn;
+    let client = &sim.endpoints[0];
     for id in client.path_ids() {
         let path = client.path(id).expect("listed");
         println!(

@@ -4,7 +4,7 @@
 //! pieces cooperate.
 
 use bytes::Bytes;
-use mpquic_core::{Config, Connection, PathId, Transmit};
+use mpquic_core::{Config, Connection, PathId};
 use mpquic_crypto::{nonce_for, NonceMode};
 use mpquic_expdesign::table1::design_scenarios;
 use mpquic_expdesign::ExperimentClass;
@@ -24,20 +24,21 @@ struct RecordingEndpoint {
 }
 
 impl Endpoint for RecordingEndpoint {
-    fn on_datagram(&mut self, now: SimTime, local: SocketAddr, remote: SocketAddr, payload: &[u8]) {
+    fn handle_datagram(
+        &mut self,
+        now: SimTime,
+        local: SocketAddr,
+        remote: SocketAddr,
+        payload: &[u8],
+    ) {
         self.conn.handle_datagram(now, local, remote, payload);
     }
     fn poll_transmit(&mut self, now: SimTime) -> Option<Datagram> {
-        self.conn.poll_transmit(now).map(|t: Transmit| {
-            let mut cursor = &t.payload[..];
-            let header = PublicHeader::decode(&mut cursor).expect("own packets parse");
-            self.headers.push(header);
-            Datagram {
-                local: t.local,
-                remote: t.remote,
-                payload: t.payload,
-            }
-        })
+        let datagram = self.conn.poll_transmit(now)?;
+        let mut cursor = &datagram.payload[..];
+        let header = PublicHeader::decode(&mut cursor).expect("own packets parse");
+        self.headers.push(header);
+        Some(datagram)
     }
     fn next_timeout(&self) -> Option<SimTime> {
         self.conn.next_timeout()
